@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,28 +41,58 @@ OVERLAY_MEDIA = (0, 255, 0)
 OVERLAY_GOLD = (255, 255, 0)
 
 
+def _truthy(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+def _parse_seed(text: str) -> tuple[int, int] | None:
+    if not text:
+        return None
+    try:
+        x, y = (int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --seed value {text!r}; expected x,y") from exc
+    return x, y
+
+
+def _tunable(default, parse, flag: str | None = None, help: str | None = None):
+    """A RunConfig field that is also a CLI flag and a config-file key.
+
+    parse turns the text of a flag or config value into the field value
+    (_truthy makes a store-true flag); the flag defaults to the field name
+    with dashes.
+    """
+    return field(default=default, metadata={"parse": parse, "flag": flag, "help": help})
+
+
 @dataclass
 class RunConfig:
-    """Every tunable of the pipeline, shared by all subcommands."""
+    """Every tunable of the pipeline, shared by all subcommands.
+
+    The fields after gold_dir are the CLI flags and config-file keys; the
+    command line is built from their metadata.
+    """
 
     inputs: list[Path] = field(default_factory=list)
     gold_dir: Path | None = None
-    outdir: Path = Path("out")
-    mm_per_px: float | None = None
-    alpha: float = erel.DEFAULT_ALPHA
-    beta: int = erel.DEFAULT_BETA
-    amin_frac: float = erel.DEFAULT_AMIN_FRAC
-    amax_frac: float = erel.DEFAULT_AMAX_FRAC
-    ringdown_threshold: int = preprocess.DEFAULT_RINGDOWN_THRESHOLD
-    no_ringdown: bool = False
-    min_peaks: int = selection.DEFAULT_MIN_PEAKS
-    z_min: float = selection.DEFAULT_Z_MIN
-    z_max: float = selection.DEFAULT_Z_MAX
-    seed: tuple[int, int] | None = None
-    despeckle_radius: int = 1
-    jobs: int = 1
-    trace: bool = False
-    contour_points: int = 360
+    outdir: Path = _tunable(Path("out"), Path)
+    mm_per_px: float | None = _tunable(None, float)
+    alpha: float = _tunable(erel.DEFAULT_ALPHA, float)
+    beta: int = _tunable(erel.DEFAULT_BETA, int)
+    amin_frac: float = _tunable(erel.DEFAULT_AMIN_FRAC, float)
+    amax_frac: float = _tunable(erel.DEFAULT_AMAX_FRAC, float)
+    ringdown_threshold: int = _tunable(preprocess.DEFAULT_RINGDOWN_THRESHOLD, int)
+    no_ringdown: bool = _tunable(False, _truthy)
+    min_peaks: int = _tunable(selection.DEFAULT_MIN_PEAKS, int)
+    z_min: float = _tunable(selection.DEFAULT_Z_MIN, float, flag="--zmin")
+    z_max: float = _tunable(selection.DEFAULT_Z_MAX, float, flag="--zmax")
+    seed: tuple[int, int] | None = _tunable(
+        None, _parse_seed, help="seed pixel as x,y (default: frame centre)"
+    )
+    despeckle_radius: int = _tunable(1, int)
+    jobs: int = _tunable(1, int)
+    trace: bool = _tunable(False, _truthy)
+    contour_points: int = _tunable(360, int)
 
     def validate(self) -> None:
         checks = [
@@ -89,16 +119,15 @@ class SegmentResult:
     trace: dict
 
 
-def segment_frame(
+def _extract(
     frame: Frame,
     cfg: RunConfig,
-    artifact_model: preprocess.ArtifactModel | None = None,
-) -> SegmentResult:
-    """Run the four pipeline stages on one frame.
+    artifact_model: preprocess.ArtifactModel | None,
+) -> tuple[tuple[int, int], erel.ErelParams, erel.RegionSeries]:
+    """The front half of the pipeline: (seed, params, extracted series).
 
-    Artifact removal, despeckling, region extraction, selection, and the
-    final ellipse fit; the returned trace records the region count after
-    each stage plus the full stability profile.
+    Despeckling, artifact removal, the seed check, and extraction of the
+    seed's nested regions in the frame's area band.
     """
     cfg.validate()
     despeckled = median_filter(frame, cfg.despeckle_radius)
@@ -115,7 +144,21 @@ def segment_frame(
         amax_frac=cfg.amax_frac,
     )
     tree = build_component_tree(despeckled.pixels, stop_seed=seed, stop_area=params.a_max)
-    series = erel.extract_qplus(tree, params, seed, despeckled)
+    return seed, params, erel.extract_qplus(tree, params, seed, despeckled)
+
+
+def segment_frame(
+    frame: Frame,
+    cfg: RunConfig,
+    artifact_model: preprocess.ArtifactModel | None = None,
+) -> SegmentResult:
+    """Run the four pipeline stages on one frame.
+
+    Despeckling, artifact removal, region extraction, selection, and the
+    final ellipse fit; the returned trace records the region count after
+    each stage plus the full stability profile.
+    """
+    seed, params, series = _extract(frame, cfg, artifact_model)
     lumen_region, media_region, profile = selection.select_regions(
         series, z_min=cfg.z_min, z_max=cfg.z_max, min_peaks=cfg.min_peaks
     )
@@ -173,6 +216,13 @@ def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.Art
             file=sys.stderr,
         )
         return None
+    if len({f.pixels.shape for f in frames}) > 1:
+        print(
+            "warning: frames differ in size, so they are not one pullback; "
+            "skipping ring-down removal",
+            file=sys.stderr,
+        )
+        return None
     model = preprocess.build_artifact_model(Sequence(frames=frames), cfg.ringdown_threshold)
     fraction = float(model.mask.mean())
     if fraction > MAX_ARTIFACT_FRACTION:
@@ -186,13 +236,58 @@ def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.Art
     return model
 
 
-def _segment_worker(args: tuple[int, Frame, RunConfig, preprocess.ArtifactModel | None]):
-    index, frame, cfg, model = args
+def _error_record(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _map_frames(cfg: RunConfig, worker):
+    """Load every input frame and run the worker on each.
+
+    The worker maps a (frame stem, frame, config, artifact model) task to
+    (result, None) or (None, error record); frames share one artifact model
+    and run serially or in a process pool.  Returns (input files, loaded
+    frames, worker results, error records), the last three keyed by input
+    position.  Load and worker failures are both recorded, so one bad frame
+    never stops the batch.
+    """
+    cfg.validate()
+    files = _collect_inputs(cfg.inputs)
+    if not files:
+        raise ConfigError("no input frames found")
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+
+    frames: dict[int, Frame] = {}
+    errors: dict[int, dict] = {}
+    for i, path in enumerate(files):
+        try:
+            frames[i] = load_frame(path)
+        except SegmentationError as exc:
+            errors[i] = _error_record(exc)
+
+    model = _build_artifact_model(list(frames.values()), cfg)
+
+    tasks = [(files[i].stem, frame, cfg, model) for i, frame in frames.items()]
+    if cfg.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            outcomes = list(pool.map(worker, tasks, chunksize=1))
+    else:
+        outcomes = [worker(t) for t in tasks]
+
+    results: dict[int, object] = {}
+    for i, (result, error) in zip(frames, outcomes):
+        if error is not None:
+            errors[i] = error
+        else:
+            results[i] = result
+    return files, frames, results, errors
+
+
+def _segment_worker(task: tuple):
+    _, frame, cfg, model = task
     try:
-        result = segment_frame(frame, cfg, model)
-        return index, result, None
+        return segment_frame(frame, cfg, model), None
     except SegmentationError as exc:
-        return index, None, {"error": type(exc).__name__, "message": str(exc)}
+        return None, _error_record(exc)
 
 
 def _draw_contour(rgb: np.ndarray, contour: Contour, color, dashed: bool = False) -> None:
@@ -208,7 +303,7 @@ def _draw_contour(rgb: np.ndarray, contour: Contour, color, dashed: bool = False
 
 
 def _write_overlay(path: Path, frame: Frame, lumen: Contour, media: Contour,
-                   gold: list[Contour]) -> None:
+                   gold: tuple[Contour, ...]) -> None:
     rgb = np.repeat(frame.pixels[:, :, None], 3, axis=2).astype(np.uint8)
     for g in gold:
         _draw_contour(rgb, g, OVERLAY_GOLD, dashed=True)
@@ -218,8 +313,12 @@ def _write_overlay(path: Path, frame: Frame, lumen: Contour, media: Contour,
     path.write_bytes(header + rgb.tobytes())
 
 
-def _gold_paths(gold_dir: Path, stem: str) -> tuple[Path, Path]:
-    return gold_dir / f"{stem}_lumen.txt", gold_dir / f"{stem}_media.txt"
+def _load_gold(gold_dir: Path, stem: str) -> tuple[Contour, Contour] | None:
+    """(lumen, media) gold contours of a frame; None when either is missing."""
+    paths = gold_dir / f"{stem}_lumen.txt", gold_dir / f"{stem}_media.txt"
+    if not all(p.exists() for p in paths):
+        return None
+    return load_contour(paths[0]), load_contour(paths[1])
 
 
 def _score_frame(
@@ -227,15 +326,11 @@ def _score_frame(
     lumen: Ellipse,
     media: Ellipse,
     shape: tuple[int, int],
-    gold_dir: Path,
+    gold: tuple[Contour, Contour],
     mm_per_px: float | None,
     artifact: str = "none",
-) -> metrics.EvaluationReport | None:
-    lumen_path, media_path = _gold_paths(gold_dir, stem)
-    if not lumen_path.exists() or not media_path.exists():
-        return None
-    gold_lumen = load_contour(lumen_path)
-    gold_media = load_contour(media_path)
+) -> metrics.EvaluationReport:
+    gold_lumen, gold_media = gold
     return metrics.EvaluationReport(
         frame=stem,
         artifact=artifact,
@@ -296,39 +391,8 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
     the parallelism degree.  Per-frame failures are recorded and the batch
     continues.
     """
-    cfg.validate()
-    files = _collect_inputs(cfg.inputs)
-    if not files:
-        raise ConfigError("no input frames found")
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-
-    frames = []
-    errors: dict[int, dict] = {}
-    for i, path in enumerate(files):
-        try:
-            frames.append((i, load_frame(path)))
-        except SegmentationError as exc:
-            errors[i] = {"error": type(exc).__name__, "message": str(exc)}
-
-    model = _build_artifact_model([f for _, f in frames], cfg)
-
-    tasks = [(i, frame, cfg, model) for i, frame in frames]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_segment_worker, tasks, chunksize=1))
-    else:
-        outcomes = [_segment_worker(t) for t in tasks]
-
-    results: dict[int, SegmentResult] = {}
-    for index, result, error in outcomes:
-        if error is not None:
-            errors[index] = error
-        else:
-            results[index] = result
-
+    files, frames, results, errors = _map_frames(cfg, _segment_worker)
     reports: list[metrics.EvaluationReport] = []
-    rows = []
-    frame_by_index = dict(frames)
     for i, path in enumerate(files):
         stem = path.stem
         if i in errors:
@@ -337,36 +401,29 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
             )
             continue
         result = results[i]
-        frame = frame_by_index[i]
+        frame = frames[i]
         lumen_contour = rasterize_ellipse(result.lumen, cfg.contour_points)
         media_contour = rasterize_ellipse(result.media, cfg.contour_points)
         save_contour(lumen_contour, cfg.outdir / f"{stem}_lumen.txt")
         save_contour(media_contour, cfg.outdir / f"{stem}_media.txt")
-        gold_contours = []
-        report = None
-        if cfg.gold_dir is not None:
+        gold = None if cfg.gold_dir is None else _load_gold(cfg.gold_dir, stem)
+        if gold is not None:
             report = _score_frame(
-                stem, result.lumen, result.media, frame.pixels.shape,
-                cfg.gold_dir, cfg.mm_per_px,
+                stem, result.lumen, result.media, frame.pixels.shape, gold, cfg.mm_per_px,
             )
-            if report is not None:
-                reports.append(report)
-                metrics.write_report_json(report, cfg.outdir / f"{stem}_metrics.json")
-                gp_l, gp_m = _gold_paths(cfg.gold_dir, stem)
-                gold_contours = [load_contour(gp_l), load_contour(gp_m)]
+            reports.append(report)
+            metrics.write_report_json(report, cfg.outdir / f"{stem}_metrics.json")
         _write_overlay(
             cfg.outdir / f"{stem}_overlay.ppm", frame,
-            lumen_contour, media_contour, gold_contours,
+            lumen_contour, media_contour, gold or (),
         )
         if cfg.trace:
             (cfg.outdir / f"{stem}_trace.json").write_text(
                 json.dumps({"frame": stem, **result.trace}, indent=2) + "\n"
             )
-        if report is not None:
-            rows.append(report)
 
-    if rows:
-        metrics.write_report_csv(rows, cfg.outdir / "summary.csv")
+    if reports:
+        metrics.write_report_csv(reports, cfg.outdir / "summary.csv")
     return BatchSummary(processed=len(results), failed=len(errors), reports=reports)
 
 
@@ -382,19 +439,7 @@ def bestcase_frame(
     artifact_model: preprocess.ArtifactModel | None = None,
 ) -> dict:
     """Score every extracted region against gold; keep the maximum-JM ones."""
-    cfg.validate()
-    despeckled = median_filter(frame, cfg.despeckle_radius)
-    if artifact_model is not None:
-        despeckled = preprocess.remove_artifacts(despeckled, artifact_model)
-    seed = cfg.seed if cfg.seed is not None else frame_center(frame)
-    if not (0 <= seed[0] < frame.width and 0 <= seed[1] < frame.height):
-        raise ConfigError(f"seed {seed} outside the {frame.width}x{frame.height} frame")
-    params = erel.ErelParams.for_frame(
-        despeckled.pixels.shape, alpha=cfg.alpha, beta=cfg.beta,
-        amin_frac=cfg.amin_frac, amax_frac=cfg.amax_frac,
-    )
-    tree = build_component_tree(despeckled.pixels, stop_seed=seed, stop_area=params.a_max)
-    series = erel.extract_qplus(tree, params, seed, despeckled)
+    _, _, series = _extract(frame, cfg, artifact_model)
     shape = frame.pixels.shape
     lumen_mask = _polygon_mask(gold_lumen, shape)
     media_mask = _polygon_mask(gold_media, shape)
@@ -427,112 +472,83 @@ def bestcase_frame(
     return out
 
 
+def _bestcase_worker(task: tuple):
+    stem, frame, cfg, model = task
+    gold = _load_gold(cfg.gold_dir, stem)
+    if gold is None:
+        return None, {"error": "FileNotFoundError", "message": "missing gold contours"}
+    try:
+        return bestcase_frame(frame, cfg, *gold, model), None
+    except SegmentationError as exc:
+        return None, _error_record(exc)
+
+
 # ---------------------------------------------------------------------------
 # Command-line front end
 # ---------------------------------------------------------------------------
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _tunables() -> dict:
+    """{field name: field} of the RunConfig fields that are CLI flags."""
+    return {f.name: f for f in fields(RunConfig) if "parse" in f.metadata}
+
+
+def _add_tunable_flags(p: argparse.ArgumentParser) -> None:
+    # Absent flags stay out of the namespace, so a config-file value or the
+    # RunConfig default shows through.
     p.add_argument("--config", type=Path, help="key=value config file; flags override it")
-    p.add_argument("--outdir", type=Path, default=Path("out"))
-    p.add_argument("--mm-per-px", type=float, dest="mm_per_px")
-    p.add_argument("--alpha", type=float, default=erel.DEFAULT_ALPHA)
-    p.add_argument("--beta", type=int, default=erel.DEFAULT_BETA)
-    p.add_argument("--amin-frac", type=float, dest="amin_frac", default=erel.DEFAULT_AMIN_FRAC)
-    p.add_argument("--amax-frac", type=float, dest="amax_frac", default=erel.DEFAULT_AMAX_FRAC)
-    p.add_argument("--ringdown-threshold", type=int, dest="ringdown_threshold",
-                   default=preprocess.DEFAULT_RINGDOWN_THRESHOLD)
-    p.add_argument("--no-ringdown", action="store_true", dest="no_ringdown")
-    p.add_argument("--min-peaks", type=int, dest="min_peaks", default=selection.DEFAULT_MIN_PEAKS)
-    p.add_argument("--zmin", type=float, dest="z_min", default=selection.DEFAULT_Z_MIN)
-    p.add_argument("--zmax", type=float, dest="z_max", default=selection.DEFAULT_Z_MAX)
-    p.add_argument("--seed", type=str, help="seed pixel as x,y (default: frame centre)")
-    p.add_argument("--despeckle-radius", type=int, dest="despeckle_radius", default=1)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--contour-points", type=int, dest="contour_points", default=360)
+    for name, f in _tunables().items():
+        flag = f.metadata["flag"] or "--" + name.replace("_", "-")
+        if f.metadata["parse"] is _truthy:
+            p.add_argument(flag, dest=name, action="store_true", default=argparse.SUPPRESS)
+        else:
+            p.add_argument(flag, dest=name, type=f.metadata["parse"],
+                           default=argparse.SUPPRESS, help=f.metadata["help"])
 
 
-def _parse_config_file(path: Path) -> dict:
-    values: dict = {}
-    for raw in path.read_text().splitlines():
+def _read_config_file(path: Path) -> dict:
+    """Parsed values of a key=value config file; keys are RunConfig field names."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    tunables = _tunables()
+    values = {}
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"bad config line {raw!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in tunables:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            values[key] = tunables[key].metadata["parse"](value)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value {key}={value!r}") from exc
     return values
 
 
-_CONFIG_TYPES = {
-    "alpha": float, "beta": int, "amin_frac": float, "amax_frac": float,
-    "ringdown_threshold": int, "no_ringdown": lambda v: v.lower() in ("1", "true", "yes"),
-    "min_peaks": int, "z_min": float, "z_max": float, "seed": str,
-    "despeckle_radius": int, "jobs": int, "mm_per_px": float,
-    "trace": lambda v: v.lower() in ("1", "true", "yes"),
-    "contour_points": int, "outdir": Path,
-}
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    pre, _ = parser.parse_known_args(argv)
-    if getattr(pre, "config", None):
-        try:
-            raw = _parse_config_file(pre.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        defaults = {}
-        for key, value in raw.items():
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            defaults[key] = _CONFIG_TYPES[key](value)
-        parser.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _config_from_args(args: argparse.Namespace, inputs: list[Path],
-                      gold_dir: Path | None) -> RunConfig:
-    seed = None
-    if getattr(args, "seed", None):
-        try:
-            x, y = (int(v) for v in str(args.seed).split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --seed value {args.seed!r}; expected x,y") from exc
-        seed = (x, y)
-    cfg = RunConfig(
-        inputs=inputs,
-        gold_dir=gold_dir,
-        outdir=args.outdir,
-        mm_per_px=args.mm_per_px,
-        alpha=args.alpha,
-        beta=args.beta,
-        amin_frac=args.amin_frac,
-        amax_frac=args.amax_frac,
-        ringdown_threshold=args.ringdown_threshold,
-        no_ringdown=args.no_ringdown,
-        min_peaks=args.min_peaks,
-        z_min=args.z_min,
-        z_max=args.z_max,
-        seed=seed,
-        despeckle_radius=args.despeckle_radius,
-        jobs=args.jobs,
-        trace=args.trace,
-        contour_points=args.contour_points,
-    )
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """RunConfig from the flags given, then the config file, then the defaults."""
+    values = _read_config_file(args.config) if args.config else {}
+    tunables = _tunables()
+    values.update((k, v) for k, v in vars(args).items() if k in tunables)
+    cfg = RunConfig(inputs=args.inputs, gold_dir=args.gold, **values)
     cfg.validate()
     return cfg
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, args.inputs, args.gold)
+    cfg = _config_from_args(args)
     summary = run_batch(cfg)
     print(f"segmented {summary.processed} frame(s), {summary.failed} failure(s)")
     return summary.exit_code
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, args.inputs, args.gold)
+    cfg = _config_from_args(args)
     summary = run_batch(cfg)
     if not summary.reports:
         print("no frames could be scored against gold", file=sys.stderr)
@@ -555,42 +571,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bestcase(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, args.inputs, args.gold)
-    files = _collect_inputs(cfg.inputs)
-    if not files:
-        raise ConfigError("no input frames found")
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    loaded = []
-    failed = 0
-    for path in files:
-        try:
-            loaded.append((path, load_frame(path)))
-        except SegmentationError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            failed += 1
-    model = _build_artifact_model([f for _, f in loaded], cfg)
-    results = []
-    for path, frame in loaded:
-        stem = path.stem
-        gl, gm = _gold_paths(cfg.gold_dir, stem)
-        if not gl.exists() or not gm.exists():
-            print(f"{stem}: missing gold contours", file=sys.stderr)
-            failed += 1
-            continue
-        try:
-            entry = bestcase_frame(frame, cfg, load_contour(gl), load_contour(gm), model)
-        except SegmentationError as exc:
-            print(f"{stem}: {exc}", file=sys.stderr)
-            failed += 1
-            continue
-        entry["frame"] = stem
-        results.append(entry)
-    (cfg.outdir / "bestcase.json").write_text(json.dumps(results, indent=2) + "\n")
-    if results:
-        jl = float(np.mean([r["lumen"]["jm"] for r in results]))
-        jm = float(np.mean([r["media"]["jm"] for r in results]))
-        print(f"best-case over {len(results)} frame(s): lumen JM {jl:.3f}, media JM {jm:.3f}")
-    return 0 if failed == 0 else 2
+    cfg = _config_from_args(args)
+    files, frames, results, errors = _map_frames(cfg, _bestcase_worker)
+    entries = []
+    for i, path in enumerate(files):
+        if i not in errors:
+            entries.append({**results[i], "frame": path.stem})
+        elif i in frames:
+            print(f"{path.stem}: {errors[i]['message']}", file=sys.stderr)
+        else:  # the frame itself could not be loaded
+            print(f"{path}: {errors[i]['message']}", file=sys.stderr)
+    (cfg.outdir / "bestcase.json").write_text(json.dumps(entries, indent=2) + "\n")
+    if entries:
+        jl = float(np.mean([r["lumen"]["jm"] for r in entries]))
+        jm = float(np.mean([r["media"]["jm"] for r in entries]))
+        print(f"best-case over {len(entries)} frame(s): lumen JM {jl:.3f}, media JM {jm:.3f}")
+    return 0 if not errors else 2
 
 
 def _cmd_phantom(args: argparse.Namespace) -> int:
@@ -618,23 +614,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_seg = sub.add_parser("segment", help="segment frames; score them when gold is given")
-    p_seg.add_argument("inputs", nargs="+", type=Path)
-    p_seg.add_argument("--gold", type=Path, help="directory of gold-standard contours")
-    _add_common_flags(p_seg)
-    p_seg.set_defaults(func=_cmd_segment)
-
-    p_eval = sub.add_parser("evaluate", help="segment and report metrics against gold")
-    p_eval.add_argument("inputs", nargs="+", type=Path)
-    p_eval.add_argument("--gold", type=Path, required=True)
-    _add_common_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_evaluate)
-
-    p_best = sub.add_parser("bestcase", help="per-frame maximum-JM region over all candidates")
-    p_best.add_argument("inputs", nargs="+", type=Path)
-    p_best.add_argument("--gold", type=Path, required=True)
-    _add_common_flags(p_best)
-    p_best.set_defaults(func=_cmd_bestcase)
+    for name, func, text in (
+        ("segment", _cmd_segment, "segment frames; score them when gold is given"),
+        ("evaluate", _cmd_evaluate, "segment and report metrics against gold"),
+        ("bestcase", _cmd_bestcase, "per-frame maximum-JM region over all candidates"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("inputs", nargs="+", type=Path)
+        p.add_argument("--gold", type=Path, required=name != "segment",
+                       help="directory of gold-standard contours")
+        _add_tunable_flags(p)
+        p.set_defaults(func=func)
 
     p_ph = sub.add_parser("phantom", help="generate synthetic frames with ground truth")
     p_ph.add_argument("--spec", type=Path, help="phantom spec file (key=value)")
@@ -648,11 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        args = _apply_config_file(parser, list(argv))
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

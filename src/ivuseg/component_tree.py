@@ -173,21 +173,16 @@ def build_component_tree(
                 np.add.at(comp_size, fr, pre_sizes)
             np.add.at(comp_size, roots_new, 1)
             if t >= seed_level and comp_size[_find(uf, seed_arr)[0]] > stop_area:
-                return ComponentTree(
-                    levels=flat.copy(), parent=parent, shape=(h, w),
-                    complete=False, canonical=canonical,
-                )
+                break
 
-    return ComponentTree(
-        levels=flat.copy(), parent=parent, shape=(h, w), canonical=canonical,
-    )
+    return ComponentTree(levels=flat.copy(), parent=parent, shape=(h, w), canonical=canonical)
 
 
 class ComponentTree:
     """Canonical parent-image form of a min-tree; nodes are canonical pixels.
 
-    A tree built with a stop cap is marked incomplete: it is a forest whose
-    seed-rooted chain is exact up to the level where the cap was crossed.
+    A tree built with a stop cap is a forest whose seed-rooted chain is
+    exact up to the level where the cap was crossed.
     """
 
     def __init__(
@@ -195,15 +190,11 @@ class ComponentTree:
         levels: np.ndarray,
         parent: np.ndarray,
         shape: tuple[int, int],
-        complete: bool = True,
-        canonical: np.ndarray | None = None,
+        canonical: np.ndarray,
     ):
         self._levels = levels
         self._parent = parent
         self._shape = shape
-        self.complete = complete
-        if canonical is None:
-            canonical = (parent == np.arange(levels.size)) | (levels[parent] != levels)
         self._canonical = canonical
         self._node_areas: np.ndarray | None = None
         self._node_index: np.ndarray | None = None
@@ -238,9 +229,6 @@ class ComponentTree:
 
     def node_level(self, node: int) -> int:
         return int(self._levels[node])
-
-    def node_parent(self, node: int) -> int:
-        return int(self._parent[node])
 
     @property
     def root(self) -> int:

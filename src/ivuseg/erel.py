@@ -56,11 +56,21 @@ class ErelParams:
         amin_frac: float = DEFAULT_AMIN_FRAC,
         amax_frac: float = DEFAULT_AMAX_FRAC,
     ) -> "ErelParams":
+        """Area band as fractions of the frame's pixel count.
+
+        A frame too small for the fractions to leave an area band has no
+        candidate regions, which is a per-frame failure, not a bad config.
+        """
         n = shape[0] * shape[1]
         a_min = int(n * amin_frac)
         a_max = int(n * amax_frac)
         if a_max > n:
             raise ValueError("a_max cannot exceed the pixel count")
+        if not 0 < a_min < a_max:
+            raise NoCandidateRegionsError(
+                f"no candidate regions: a {shape[1]}x{shape[0]} frame leaves an "
+                f"empty area band [{a_min}, {a_max}]"
+            )
         return cls(alpha=alpha, beta=beta, a_min=a_min, a_max=a_max)
 
 
@@ -98,14 +108,7 @@ class Region:
     def boundary(self) -> Contour:
         """Ordered outer-boundary trace."""
         if self._chain is not None and self.chain_index >= 0:
-            cycle, w2, ox, oy = _candidate_cycle(self._chain, self.chain_index)
-            arr = np.asarray(cycle)
-            pts = np.column_stack(
-                [arr % w2 - 1 + ox, arr // w2 - 1 + oy]
-            ).astype(np.float64)
-            if pts.shape[0] >= 3:
-                return Contour(points=pts, closed=True)
-            return Contour(points=pts, closed=False)
+            return _cycle_contour(*_candidate_cycle(self._chain, self.chain_index))
         return trace_outer_boundary(self.mask)
 
 
@@ -212,42 +215,14 @@ for _b in range(8):
     _NEXT_BACKTRACK.append(row)
 
 
-def _trace_cycle(mask: np.ndarray) -> list[int]:
-    """Flat padded-image indices of the Moore walk cycle over a bool mask."""
-    ys, xs = np.nonzero(mask)
-    y0, x0 = int(ys[0]), int(xs[0])
-    h2, w2 = mask.shape[0] + 2, mask.shape[1] + 2
-    padded = np.zeros((h2, w2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask
-    flat = padded.tobytes()  # byte indexing beats ndarray scalar lookups
-    steps = [dy * w2 + dx for dy, dx in _MOORE_STEPS]
-    probe = [[steps[(b + i) % 8] for i in range(1, 9)] for b in range(8)]
-    nxt_b = _NEXT_BACKTRACK
+def _moore_cycle(vals, k: int, start_flat: int, w2: int) -> list[int]:
+    """Flat padded-grid indices of the Moore walk cycle from start_flat.
 
-    cur = (y0 + 1) * w2 + (x0 + 1)
-    b = 0
-    path = [cur]
-    seen = {(cur << 3) | b: 0}
-    while True:
-        offs = probe[b]
-        for i in range(8):
-            cand = cur + offs[i]
-            if flat[cand]:
-                break
-        else:
-            return path  # defensive; unreachable for 4-connected regions
-        cur = cand
-        b = nxt_b[b][i]
-        state = (cur << 3) | b
-        idx = seen.get(state)
-        if idx is not None:
-            return path[idx:]
-        seen[state] = len(path)
-        path.append(cur)
-
-
-def _trace_cycle_join(vals: list[int], k: int, start_flat: int, w2: int) -> list[int]:
-    """Moore walk over the shared padded join array: inside means vals <= k."""
+    vals is a flat indexable over a grid with a one-pixel outside border of
+    width w2; a pixel is inside the region when its value is <= k.  The
+    walk starts at the region's first pixel in raster order, whose west
+    neighbour is outside.
+    """
     steps = [dy * w2 + dx for dy, dx in _MOORE_STEPS]
     probe = [[steps[(b + i) % 8] for i in range(1, 9)] for b in range(8)]
     nxt_b = _NEXT_BACKTRACK
@@ -263,7 +238,7 @@ def _trace_cycle_join(vals: list[int], k: int, start_flat: int, w2: int) -> list
             if vals[cand] <= k:
                 break
         else:
-            return path
+            return path  # an isolated pixel
         cur = cand
         b = nxt_b[b][i]
         state = (cur << 3) | b
@@ -272,6 +247,29 @@ def _trace_cycle_join(vals: list[int], k: int, start_flat: int, w2: int) -> list
             return path[idx:]
         seen[state] = len(path)
         path.append(cur)
+
+
+def _mask_cycle(mask: np.ndarray) -> tuple[list[int], int]:
+    """(Moore walk cycle, padded width) of a bool mask's outer boundary."""
+    if not mask.any():
+        raise ValueError("cannot trace an empty region")
+    ys, xs = np.nonzero(mask)
+    w2 = mask.shape[1] + 2
+    # byte indexing beats ndarray scalar lookups
+    outside = np.pad(~mask, 1, constant_values=True).astype(np.uint8).tobytes()
+    return _moore_cycle(outside, 0, (int(ys[0]) + 1) * w2 + int(xs[0]) + 1, w2), w2
+
+
+def _cycle_xy(cycle, w2: int, ox: int = 0, oy: int = 0) -> np.ndarray:
+    """(n, 2) integer frame (x, y) of flat padded-grid indices."""
+    arr = np.asarray(cycle)
+    return np.column_stack([arr % w2 - 1 + ox, arr // w2 - 1 + oy])
+
+
+def _cycle_contour(cycle, w2: int, ox: int = 0, oy: int = 0) -> Contour:
+    """A walk cycle as a contour; closed when it has at least 3 points."""
+    pts = _cycle_xy(cycle, w2, ox, oy).astype(np.float64)
+    return Contour(points=pts, closed=pts.shape[0] >= 3)
 
 
 def trace_outer_boundary(mask: np.ndarray) -> Contour:
@@ -284,32 +282,13 @@ def trace_outer_boundary(mask: np.ndarray) -> Contour:
     covers the complete outer boundary exactly once (spurs appear twice,
     once per side).
     """
-    if not mask.any():
-        raise ValueError("cannot trace an empty region")
-    if mask.sum() == 1:
-        ys, xs = np.nonzero(mask)
-        return Contour(
-            points=np.array([[xs[0], ys[0]]], dtype=np.float64), closed=False
-        )
-    cycle = _trace_cycle(mask)
-    w2 = mask.shape[1] + 2
-    arr = np.asarray(cycle)
-    pts = np.empty((len(cycle), 2), dtype=np.float64)
-    pts[:, 0] = arr % w2 - 1
-    pts[:, 1] = arr // w2 - 1
-    if pts.shape[0] < 3:
-        return Contour(points=pts, closed=False)
-    return Contour(points=pts, closed=True)
+    return _cycle_contour(*_mask_cycle(mask))
 
 
 def boundary_pixel_set(mask: np.ndarray) -> np.ndarray:
     """Distinct (x, y) pixels on the Moore-traced outer boundary."""
-    if mask.sum() == 1:
-        ys, xs = np.nonzero(mask)
-        return np.column_stack([xs, ys]).astype(np.int64)
-    cycle = np.unique(np.asarray(_trace_cycle(mask)))
-    w2 = mask.shape[1] + 2
-    return np.column_stack([cycle % w2 - 1, cycle // w2 - 1])
+    cycle, w2 = _mask_cycle(mask)
+    return _cycle_xy(np.unique(cycle), w2)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +393,13 @@ def _candidate_cycle(chain: SeedChain, k: int) -> tuple[list[int], int, int, int
     vals, w2, ox, oy = chain.walk_grid()
     sx, sy = chain.first_pixel(k)
     start = (sy - oy + 1) * w2 + (sx - ox + 1)
-    return _trace_cycle_join(vals, k, start, w2), w2, ox, oy
+    return _moore_cycle(vals, k, start, w2), w2, ox, oy
 
 
 def _candidate_boundary(chain: SeedChain, k: int) -> np.ndarray:
     """Distinct outer-boundary pixels (frame x, y) of chain node k."""
-    if chain.areas[k] == 1:
-        x0, y0 = chain.first_pixel(k)
-        return np.array([[x0, y0]], dtype=np.int64)
     cycle, w2, ox, oy = _candidate_cycle(chain, k)
-    cycle = np.unique(np.asarray(cycle))
-    return np.column_stack([cycle % w2 - 1 + ox, cycle // w2 - 1 + oy])
+    return _cycle_xy(np.unique(cycle), w2, ox, oy)
 
 
 def extract_qplus(

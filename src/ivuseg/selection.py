@@ -51,11 +51,11 @@ def remove_outliers(
     """Drop regions whose area is a modified Z-score outlier.
 
     M_i = 0.6745 (A_i - median) / MAD; regions with M_i < z_min or
-    M_i > z_max are removed.  A zero MAD keeps everything.  Outlier removal
-    must never remove more than it keeps: a majority of "outliers" means
-    the area distribution itself is not MAD-testable (e.g. two separated
-    size clusters), which is the degenerate case the caller handles by
-    keeping the unfiltered series.
+    M_i > z_max are removed.  A zero MAD keeps everything.  Dropping more
+    than a quarter of the series raises DegenerateSelectionError: that many
+    "outliers" means the area distribution itself is not MAD-testable (e.g.
+    two separated size clusters), and the caller keeps the unfiltered
+    series instead.
     """
     if len(series) == 0:
         raise ValueError("cannot filter an empty series")
@@ -198,8 +198,8 @@ def select_regions(
 ) -> tuple[Region, Region, StabilityProfile]:
     """Full selection: outlier pruning, scoring, peak analysis, labelling.
 
-    Degenerate outlier removal (everything dropped) falls back to the
-    unfiltered series.
+    When the outlier screen would drop more than a quarter of the series
+    (DegenerateSelectionError), the unfiltered series is used instead.
     """
     try:
         pruned = remove_outliers(series, z_min=z_min, z_max=z_max)

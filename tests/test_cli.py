@@ -1,11 +1,25 @@
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import acceptance_phantom_spec
-from ivuseg.cli import RunConfig, main, run_batch, segment_frame, _polygon_mask
-from ivuseg.errors import ConfigError
+from ivuseg.cli import (
+    RunConfig,
+    _config_from_args,
+    _polygon_mask,
+    build_parser,
+    main,
+    run_batch,
+    segment_frame,
+)
+from ivuseg.errors import ConfigError, SegmentationError
 from ivuseg.geometry import Ellipse, ellipse_mask, rasterize_ellipse
 from ivuseg.imaging import Frame, load_contour, save_frame
 from ivuseg.metrics import jaccard
@@ -270,3 +284,137 @@ def test_batch_skips_implausible_artifact_model(tmp_path, capsys):
     assert summary.failed == 0
     agg_jm = [r.lumen.jm for r in summary.reports]
     assert np.mean(agg_jm) > 0.85  # removal skipped, segmentation intact
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 64), st.integers(1, 64))))
+def test_segment_frame_small_frames_segment_or_raise_segmentation_error(pixels):
+    try:
+        segment_frame(Frame(pixels=pixels), RunConfig())
+    except SegmentationError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def mixed_size_dir(phantom_dir, tmp_path_factory):
+    """Two phantom frames and a 2x2 frame too small for any area band."""
+    frames, _ = phantom_dir
+    root = tmp_path_factory.mktemp("mixed")
+    for name in ("frame_00.pgm", "frame_01.pgm"):
+        (root / name).write_bytes((frames / name).read_bytes())
+    save_frame(Frame(pixels=np.array([[1, 2], [3, 4]], np.uint8)), root / "tiny.pgm")
+    return root
+
+
+@pytest.mark.parametrize("ringdown", [[], ["--no-ringdown"]])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_tiny_frame_fails_alone(mixed_size_dir, tmp_path, jobs, ringdown):
+    out = tmp_path / "out"
+    code = main(["segment", str(mixed_size_dir), "--outdir", str(out), "--jobs", jobs, *ringdown])
+    assert code == 2
+    for stem in ("frame_00", "frame_01"):
+        for suffix in ("lumen.txt", "media.txt", "overlay.ppm"):
+            assert (out / f"{stem}_{suffix}").exists()
+    record = json.loads((out / "tiny_error.json").read_text())
+    assert record["error"] == "NoCandidateRegionsError"
+
+
+def test_cli_bestcase_honours_jobs_and_reports_failures(phantom_dir, tmp_path, capsys):
+    frames, gold = phantom_dir
+    inputs = tmp_path / "frames"
+    inputs.mkdir()
+    for name in ("frame_00.pgm", "frame_01.pgm"):
+        (inputs / name).write_bytes((frames / name).read_bytes())
+    (inputs / "frame_98.pgm").write_bytes((frames / "frame_02.pgm").read_bytes())  # no gold
+    (inputs / "frame_99.pgm").write_bytes(b"P5\n8 8\n255\n\x00\x01")  # truncated
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        code = main([
+            "bestcase", str(inputs), "--gold", str(gold), "--outdir", str(out),
+            "--no-ringdown", "--jobs", jobs,
+        ])
+        assert code == 2
+        runs[jobs] = (sorted(p.name for p in out.iterdir()),
+                      (out / "bestcase.json").read_bytes(), capsys.readouterr())
+    assert runs["1"] == runs["2"]
+    names, best, printed = runs["1"]
+    assert names == ["bestcase.json"]
+    assert [e["frame"] for e in json.loads(best)] == ["frame_00", "frame_01"]
+    errors = printed.err.splitlines()
+    assert "frame_98: missing gold contours" in errors
+    assert any(line.startswith(f"{inputs / 'frame_99.pgm'}: ") for line in errors)
+    assert "best-case over 2 frame(s)" in printed.out
+
+
+# -- the command line is derived from RunConfig ------------------------------------
+
+# Every flag the tunable subcommands accept; none may be renamed or added.
+CLI_FLAGS = {
+    "--help", "--gold", "--config", "--outdir", "--mm-per-px", "--alpha", "--beta",
+    "--amin-frac", "--amax-frac", "--ringdown-threshold", "--no-ringdown",
+    "--min-peaks", "--zmin", "--zmax", "--seed", "--despeckle-radius", "--jobs",
+    "--trace", "--contour-points",
+}
+DEFAULTS = RunConfig(inputs=[Path("x")])
+
+
+def parse(*argv):
+    return _config_from_args(build_parser().parse_args(["segment", "x", *argv]))
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate", "bestcase"])
+def test_cli_flag_spellings(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == CLI_FLAGS
+
+
+def test_cli_without_flags_gives_run_config_defaults():
+    assert parse() == DEFAULTS
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["--gold", "g"], "gold_dir", Path("g")),
+    (["--outdir", "o"], "outdir", Path("o")),
+    (["--mm-per-px", "0.026"], "mm_per_px", 0.026),
+    (["--alpha", "1.5"], "alpha", 1.5),
+    (["--beta", "2"], "beta", 2),
+    (["--amin-frac", "0.02"], "amin_frac", 0.02),
+    (["--amax-frac", "0.5"], "amax_frac", 0.5),
+    (["--ringdown-threshold", "100"], "ringdown_threshold", 100),
+    (["--no-ringdown"], "no_ringdown", True),
+    (["--min-peaks", "2"], "min_peaks", 2),
+    (["--zmin", "-2.5"], "z_min", -2.5),
+    (["--zmax", "2.5"], "z_max", 2.5),
+    (["--seed", "3,4"], "seed", (3, 4)),
+    (["--despeckle-radius", "2"], "despeckle_radius", 2),
+    (["--jobs", "2"], "jobs", 2),
+    (["--trace"], "trace", True),
+    (["--contour-points", "64"], "contour_points", 64),
+])
+def test_cli_flag_sets_exactly_its_field(argv, name, value):
+    assert parse(*argv) == replace(DEFAULTS, **{name: value})
+
+
+def test_cli_config_file_applies_under_the_flags(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text(
+        "# comment\ncontour_points=64\nz-min = -2\nseed=5,6\nno_ringdown=yes\n"
+    )
+    cfg = parse("--config", str(config), "--contour-points", "128")
+    assert cfg == replace(DEFAULTS, contour_points=128, z_min=-2.0, seed=(5, 6), no_ringdown=True)
+
+
+@pytest.mark.parametrize("text", ["zmin=-2\n", "alpha=abc\n", "alpha\n", "seed=1\n"])
+def test_cli_bad_config_file_exits_3(tmp_path, text):
+    config = tmp_path / "bad.conf"
+    config.write_text(text)
+    assert main(["segment", "x", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 3
+
+
+def test_cli_bad_flag_values():
+    with pytest.raises(SystemExit) as usage:
+        main(["segment", "x", "--alpha", "abc"])
+    assert usage.value.code == 2
+    assert main(["segment", "x", "--seed", "3"]) == 3

@@ -44,6 +44,12 @@ def test_params_validation():
         ErelParams(a_min=100, a_max=100)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (9, 11)])
+def test_params_for_frame_without_area_band_has_no_candidates(shape):
+    with pytest.raises(NoCandidateRegionsError):
+        ErelParams.for_frame(shape)
+
+
 # -- boundary machinery ----------------------------------------------------------
 
 def test_square_boundary_count_and_trace():
@@ -84,6 +90,24 @@ def test_trace_is_connected_cycle_within_flood_superset(seed):
         loop = np.vstack([pts, pts[:1]])
         steps = np.abs(np.diff(loop, axis=0)).max(axis=1)
         assert (steps <= 1).all()
+
+
+def test_single_pixel_boundary():
+    mask = np.zeros((5, 6), dtype=bool)
+    mask[2, 3] = True
+    contour = trace_outer_boundary(mask)
+    assert not contour.closed
+    assert contour.points.tolist() == [[3.0, 2.0]]
+    assert boundary_pixel_set(mask).tolist() == [[3, 2]]
+
+
+def test_chain_walk_matches_mask_walk():
+    frame, _ = generate_phantom(PhantomSpec(rng_seed=5))
+    series = extract_from_frame(median_filter(frame, 1))
+    for region in series.regions[:: max(1, len(series) // 8)]:
+        traced = trace_outer_boundary(region.mask)
+        assert np.array_equal(region.boundary.points, traced.points)
+        assert np.array_equal(region.boundary_pixels, boundary_pixel_set(region.mask))
 
 
 # -- attributes -------------------------------------------------------------------
