@@ -6,20 +6,17 @@ ellipse contours plus overlap/distance metrics against gold-standard
 contours.
 """
 
-from .component_tree import ComponentTree, SeedChain, build_component_tree
 from .erel import (
     ErelParams,
     Region,
     RegionSeries,
-    extract_from_frame,
     extract_qplus,
     gradient_magnitude_maxima,
-    region_attributes,
     select_extremum_levels,
-    trace_outer_boundary,
 )
 from .errors import (
     ConfigError,
+    ContourFormatError,
     DegenerateMaskError,
     DegenerateRegionError,
     DegenerateSelectionError,

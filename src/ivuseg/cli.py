@@ -95,9 +95,11 @@ class RunConfig:
     contour_points: int = _tunable(360, int)
 
     def validate(self) -> None:
+        try:
+            erel.check_criterion(self.alpha, self.beta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         checks = [
-            (0 <= self.alpha <= 2.5, "alpha must lie in [0, 2.5]"),
-            (self.beta >= 1, "beta must be >= 1"),
             (0 < self.amin_frac < self.amax_frac <= 1, "need 0 < amin-frac < amax-frac <= 1"),
             (0 <= self.ringdown_threshold <= 255, "ringdown threshold must lie in [0, 255]"),
             (self.min_peaks >= 1, "min-peaks must be >= 1"),
@@ -143,8 +145,8 @@ def _extract(
         amin_frac=cfg.amin_frac,
         amax_frac=cfg.amax_frac,
     )
-    tree = build_component_tree(despeckled.pixels, stop_seed=seed, stop_area=params.a_max)
-    return seed, params, erel.extract_qplus(tree, params, seed, despeckled)
+    tree = build_component_tree(despeckled.pixels, seed, params.a_max)
+    return seed, params, erel.extract_qplus(tree, params, despeckled)
 
 
 def segment_frame(
@@ -314,7 +316,10 @@ def _write_overlay(path: Path, frame: Frame, lumen: Contour, media: Contour,
 
 
 def _load_gold(gold_dir: Path, stem: str) -> tuple[Contour, Contour] | None:
-    """(lumen, media) gold contours of a frame; None when either is missing."""
+    """(lumen, media) gold contours of a frame; None when either is missing.
+
+    A malformed contour file raises ContourFormatError.
+    """
     paths = gold_dir / f"{stem}_lumen.txt", gold_dir / f"{stem}_media.txt"
     if not all(p.exists() for p in paths):
         return None
@@ -388,13 +393,20 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
 
     Frames are processed independently (optionally in parallel) and results
     are written in input order, so outputs are byte-identical regardless of
-    the parallelism degree.  Per-frame failures are recorded and the batch
-    continues.
+    the parallelism degree.  Per-frame failures, malformed gold included,
+    are recorded and the batch continues.
     """
     files, frames, results, errors = _map_frames(cfg, _segment_worker)
     reports: list[metrics.EvaluationReport] = []
     for i, path in enumerate(files):
         stem = path.stem
+        gold = None
+        if i not in errors and cfg.gold_dir is not None:
+            # before any output, so a frame with bad gold gets only its error
+            try:
+                gold = _load_gold(cfg.gold_dir, stem)
+            except SegmentationError as exc:
+                errors[i] = _error_record(exc)
         if i in errors:
             (cfg.outdir / f"{stem}_error.json").write_text(
                 json.dumps({"frame": stem, **errors[i]}, indent=2) + "\n"
@@ -406,7 +418,6 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
         media_contour = rasterize_ellipse(result.media, cfg.contour_points)
         save_contour(lumen_contour, cfg.outdir / f"{stem}_lumen.txt")
         save_contour(media_contour, cfg.outdir / f"{stem}_media.txt")
-        gold = None if cfg.gold_dir is None else _load_gold(cfg.gold_dir, stem)
         if gold is not None:
             report = _score_frame(
                 stem, result.lumen, result.media, frame.pixels.shape, gold, cfg.mm_per_px,
@@ -424,7 +435,7 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
 
     if reports:
         metrics.write_report_csv(reports, cfg.outdir / "summary.csv")
-    return BatchSummary(processed=len(results), failed=len(errors), reports=reports)
+    return BatchSummary(processed=len(files) - len(errors), failed=len(errors), reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +485,10 @@ def bestcase_frame(
 
 def _bestcase_worker(task: tuple):
     stem, frame, cfg, model = task
-    gold = _load_gold(cfg.gold_dir, stem)
-    if gold is None:
-        return None, {"error": "FileNotFoundError", "message": "missing gold contours"}
     try:
+        gold = _load_gold(cfg.gold_dir, stem)
+        if gold is None:
+            return None, {"error": "FileNotFoundError", "message": "missing gold contours"}
         return bestcase_frame(frame, cfg, *gold, model), None
     except SegmentationError as exc:
         return None, _error_record(exc)

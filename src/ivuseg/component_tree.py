@@ -15,6 +15,10 @@ canonical pixel (the first raster-order pixel at the node's level inside
 the component); non-canonical pixels point at their node's canonical
 pixel, canonical pixels point at the parent node's canonical pixel, and
 the root points at itself.
+
+The sweep stops once the seed's component outgrows the extraction's area
+cap, and the only view of the result is the seed's chain of nested
+components (SeedChain), which is all the pipeline reads.
 """
 
 from __future__ import annotations
@@ -46,17 +50,18 @@ def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def build_component_tree(
     pixels: np.ndarray,
-    stop_seed: tuple[int, int] | None = None,
-    stop_area: int | None = None,
+    seed: tuple[int, int],
+    stop_area: int,
 ) -> "ComponentTree":
-    """Build the min-tree of an 8-bit image by the batched level sweep.
+    """Build the seed's part of the min-tree of an 8-bit image by the batched
+    level sweep.
 
-    When stop_seed and stop_area are given, the sweep halts after the level
-    at which the seed's component first exceeds stop_area pixels.  The
-    result is then a forest that is exact for every component of area
-    <= stop_area containing the seed (it stops strictly after the cap is
-    crossed), which is all the extraction stage ever reads; pass None to
-    build the complete tree.
+    The sweep halts after the level at which the seed's (x, y) component
+    first exceeds stop_area pixels.  The result is a forest that is exact
+    for every component of area <= stop_area containing the seed (it stops
+    strictly after the cap is crossed), which is all the extraction stage
+    ever reads.  With stop_area = pixels.size the cap is never crossed, the
+    sweep runs every level and the forest is the complete tree.
     """
     img = np.asarray(pixels)
     if img.ndim != 2 or img.size == 0:
@@ -76,15 +81,13 @@ def build_component_tree(
     scratch = np.empty(n, dtype=np.int32)      # per-root minima, only touched slots used
     canonical = np.zeros(n, dtype=bool)        # node canonical pixels, grown per level
 
-    capped = stop_seed is not None and stop_area is not None
+    sx, sy = seed
+    if not (0 <= sx < w and 0 <= sy < h):
+        raise ValueError(f"seed {seed} outside {w}x{h} frame")
+    seed_arr = np.array([sy * w + sx], dtype=np.int32)
+    seed_level = int(flat[seed_arr[0]])
+    comp_size = np.zeros(n, dtype=np.int32)
     tracking = False  # size bookkeeping starts once the cap is reachable
-    if capped:
-        sx, sy = stop_seed
-        if not (0 <= sx < w and 0 <= sy < h):
-            raise ValueError(f"stop seed {stop_seed} outside {w}x{h} frame")
-        seed_arr = np.array([sy * w + sx], dtype=np.int32)
-        seed_level = int(flat[seed_arr[0]])
-        comp_size = np.zeros(n, dtype=np.int32)
 
     for t in range(256):
         a0, a1 = px_starts[t], px_starts[t + 1]
@@ -112,7 +115,7 @@ def build_component_tree(
         active = flat[v] <= t
         u, v = u[active], v[active]
 
-        if capped and not tracking and px_starts[t + 1] >= stop_area:
+        if not tracking and px_starts[t + 1] >= stop_area:
             # the seed component can only exceed the cap once at least that
             # many pixels are active; reconstruct sizes here, then maintain
             # them incrementally
@@ -175,14 +178,17 @@ def build_component_tree(
             if t >= seed_level and comp_size[_find(uf, seed_arr)[0]] > stop_area:
                 break
 
-    return ComponentTree(levels=flat.copy(), parent=parent, shape=(h, w), canonical=canonical)
+    return ComponentTree(
+        levels=flat.copy(), parent=parent, shape=(h, w), canonical=canonical, seed=(sx, sy)
+    )
 
 
 class ComponentTree:
     """Canonical parent-image form of a min-tree; nodes are canonical pixels.
 
-    A tree built with a stop cap is a forest whose seed-rooted chain is
-    exact up to the level where the cap was crossed.
+    A tree built with a stop cap is a forest whose chain from the build
+    seed is exact up to the level where the cap was crossed, so the tree
+    keeps that seed and only ever hands out its chain.
     """
 
     def __init__(
@@ -191,120 +197,21 @@ class ComponentTree:
         parent: np.ndarray,
         shape: tuple[int, int],
         canonical: np.ndarray,
+        seed: tuple[int, int],
     ):
         self._levels = levels
         self._parent = parent
         self._shape = shape
         self._canonical = canonical
-        self._node_areas: np.ndarray | None = None
-        self._node_index: np.ndarray | None = None
+        self.seed = seed
 
-    def _nodes_of_all(self) -> np.ndarray:
-        """Canonical pixel of every pixel's node, cached."""
-        if self._node_index is None:
-            self._node_index = np.where(
-                self._canonical,
-                np.arange(self._levels.size, dtype=np.int32),
-                self._parent.astype(np.int32, copy=False),
-            )
-        return self._node_index
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def levels(self) -> np.ndarray:
-        return self._levels.reshape(self._shape)
-
-    @property
-    def parent(self) -> np.ndarray:
-        return self._parent
-
-    def node_of(self, flat_index: int) -> int:
-        """Canonical pixel of the node containing a pixel."""
-        return int(flat_index if self._canonical[flat_index] else self._parent[flat_index])
-
-    def node_level(self, node: int) -> int:
-        return int(self._levels[node])
-
-    @property
-    def root(self) -> int:
-        r = int(np.flatnonzero(self._parent == np.arange(self._levels.size))[0])
-        return r
-
-    def canonical_pixels(self) -> np.ndarray:
-        return np.flatnonzero(self._canonical)
-
-    def children_of(self, node: int) -> list[int]:
-        cs = self.canonical_pixels()
-        kids = cs[(self._parent[cs] == node) & (cs != node)]
-        return [int(c) for c in kids]
-
-    def node_areas(self) -> np.ndarray:
-        """Pixel count of every node's component, indexed by canonical pixel.
-
-        Accumulated leaf-to-root; parent levels are strictly higher than
-        child levels, so sweeping levels in increasing order respects the
-        topological order of the tree.
-        """
-        if self._node_areas is not None:
-            return self._node_areas
-        n = self._levels.size
-        area = np.zeros(n, dtype=np.int64)
-        np.add.at(area, self._nodes_of_all(), 1)
-        cs = self.canonical_pixels()
-        cs = cs[np.argsort(self._levels[cs], kind="stable")]
-        clv = self._levels[cs]
-        bounds = np.searchsorted(clv, np.arange(257))
-        for t in range(256):
-            sel = cs[bounds[t] : bounds[t + 1]]
-            if sel.size == 0:
-                continue
-            sel = sel[self._parent[sel] != sel]  # root has no parent to feed
-            if sel.size:
-                np.add.at(area, self._parent[sel], area[sel])
-        self._node_areas = area
-        return area
-
-    def node_mask(self, node: int) -> np.ndarray:
-        """Boolean mask of all pixels in the node's component.
-
-        Membership propagates root-to-leaf: a node is inside the component
-        exactly when its parent is (children sit at strictly lower levels,
-        so a single descending level sweep suffices).
-        """
-        n = self._levels.size
-        under = np.zeros(n, dtype=bool)
-        under[node] = True
-        cs = self.canonical_pixels()
-        cs = cs[np.argsort(self._levels[cs], kind="stable")][::-1]  # root first
-        clv = self._levels[cs]
-        starts = np.flatnonzero(np.r_[True, clv[1:] != clv[:-1]])
-        stops = np.r_[starts[1:], clv.size]
-        for s, e in zip(starts.tolist(), stops.tolist()):
-            sel = cs[s:e]
-            under[sel] |= under[self._parent[sel]]
-        return under[self._nodes_of_all()].reshape(self._shape)
-
-    # -- seed-rooted view ----------------------------------------------------
-
-    def seed_chain(self, seed_xy: tuple[int, int]) -> "SeedChain":
-        x, y = seed_xy
-        h, w = self._shape
-        if not (0 <= x < w and 0 <= y < h):
-            raise ValueError(f"seed {seed_xy} outside {w}x{h} frame")
-        return SeedChain(self, y * w + x)
-
-    def component_at(self, seed_xy: tuple[int, int], t: int) -> np.ndarray | None:
-        """Component of {I <= t} containing the seed, or None if inactive."""
-        return self.seed_chain(seed_xy).component_at(t)
+    def seed_chain(self) -> "SeedChain":
+        """The nested components containing the build seed."""
+        return SeedChain(self)
 
 
 class SeedChain:
-    """The nested components containing one seed pixel, one per growth level.
+    """The nested components containing a tree's seed, one per growth level.
 
     Every pixel of the frame is assigned the index of the smallest chain
     node containing it (its join index), so any additive attribute of chain
@@ -312,13 +219,16 @@ class SeedChain:
     attribute extraction O(1) after a single O(N) pass.
     """
 
-    def __init__(self, tree: ComponentTree, seed_flat: int):
-        self._tree = tree
-        self.seed = seed_flat
+    def __init__(self, tree: ComponentTree):
         levels = tree._levels
         parent = tree._parent
+        canonical = tree._canonical
+        self._levels = levels
+        self._shape = tree._shape
 
-        chain = [tree.node_of(seed_flat)]
+        x, y = tree.seed
+        seed = y * self._shape[1] + x
+        chain = [seed if canonical[seed] else int(parent[seed])]
         while parent[chain[-1]] != chain[-1]:
             chain.append(int(parent[chain[-1]]))
         self.nodes = np.asarray(chain, dtype=np.int64)
@@ -331,11 +241,11 @@ class SeedChain:
         # Top-down over canonical pixels (parents have strictly higher
         # levels): a node inherits its parent's join index unless it is a
         # chain node itself.  Pixels with no chain ancestor (possible only
-        # in a capped tree, which is a forest) land in an overflow bucket
-        # one past the chain so prefix sums ignore them.
+        # when the sweep stopped at its cap, leaving a forest) land in an
+        # overflow bucket one past the chain so prefix sums ignore them.
         k = len(chain)
         join_node = np.full(n, -1, dtype=np.int32)
-        cs = tree.canonical_pixels()
+        cs = np.flatnonzero(canonical)
         cs = cs[np.argsort(levels[cs], kind="stable")][::-1]
         clv = levels[cs]
         starts = np.flatnonzero(np.r_[True, clv[1:] != clv[:-1]])
@@ -345,45 +255,35 @@ class SeedChain:
             own = chain_pos[sel]
             inherited = join_node[parent[sel]]
             join_node[sel] = np.where(own >= 0, own, inherited)
-        ji = join_node[tree._nodes_of_all()]
+        # a pixel's node is itself when canonical, else its parent pointer
+        pixel_node = np.where(canonical, np.arange(n, dtype=np.int32), parent)
+        ji = join_node[pixel_node]
         ji[ji < 0] = k
         self.join_index = ji
 
         self.areas = np.cumsum(np.bincount(ji, minlength=k + 1)[:k])
 
-        self._shape = tree._shape
         self._kmax = len(chain) - 1
         self._crop: tuple | None = None
         self._prefix: dict[str, np.ndarray] | None = None
         self._hist: np.ndarray | None = None
         self._walk_grid: tuple | None = None
         self._first_pixel: np.ndarray | None = None
-        self._bboxes: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
 
     def mask(self, k: int) -> np.ndarray:
         """Pixel mask of chain node k."""
         return (self.join_index <= k).reshape(self._shape)
 
-    def component_at(self, t: int) -> np.ndarray | None:
-        if t < self.levels[0]:
-            return None
-        k = int(np.searchsorted(self.levels, t, side="right")) - 1
-        return self.mask(k)
-
     # -- attribute tables -----------------------------------------------------
     #
     # Every attribute of chain node k is a sum over the pixels with join
     # index <= k, so all tables are bucket sums followed by a cumulative
-    # sum.  When the caller only ever asks about nodes up to kmax (the area
-    # band), restrict() lets the tables run on node kmax's bounding box
-    # instead of the full frame; every smaller node lies inside it.
+    # sum.  The tables run on the bounding box of node kmax (the last chain
+    # node, or the area band's last one after restrict()); every smaller
+    # node lies inside it.
 
     def restrict(self, kmax: int) -> None:
         """Limit attribute queries to chain nodes <= kmax (before first use)."""
@@ -398,26 +298,22 @@ class SeedChain:
             raise ValueError(f"chain index {k} above the restricted maximum {self._kmax}")
 
     def _cropped(self):
-        """(join values clipped to kmax+1, levels, x0, y0, crop width, crop height)."""
+        """(join values clipped to kmax+1, levels, x0, y0, crop width, crop height)
+        over the tight bounding box of node kmax."""
         if self._crop is None:
             h, w = self._shape
             kk = self._kmax
             join2d = self.join_index.reshape(h, w)
-            if kk >= len(self.nodes) - 1:
-                x0 = y0 = 0
-                x1, y1 = w, h
-            else:
-                inside_rows = (join2d <= kk).any(axis=1)
-                inside_cols = (join2d <= kk).any(axis=0)
-                y0 = int(np.argmax(inside_rows))
-                y1 = h - int(np.argmax(inside_rows[::-1]))
-                x0 = int(np.argmax(inside_cols))
-                x1 = w - int(np.argmax(inside_cols[::-1]))
+            inside_rows = (join2d <= kk).any(axis=1)
+            inside_cols = (join2d <= kk).any(axis=0)
+            y0 = int(np.argmax(inside_rows))
+            y1 = h - int(np.argmax(inside_rows[::-1]))
+            x0 = int(np.argmax(inside_cols))
+            x1 = w - int(np.argmax(inside_cols[::-1]))
             sub = np.minimum(join2d[y0:y1, x0:x1], kk + 1)
-            lv = self._tree._levels.reshape(h, w)[y0:y1, x0:x1]
+            lv = self._levels.reshape(h, w)[y0:y1, x0:x1]
             self._crop = (sub, lv, x0, y0, x1 - x0, y1 - y0)
         return self._crop
-
     def _prefix_sums(self) -> dict[str, np.ndarray]:
         if self._prefix is None:
             sub, lv, x0, y0, cw, ch = self._cropped()
@@ -473,32 +369,6 @@ class SeedChain:
         counts = self._hist_table()[k]
         p = counts[counts > 0] / self.areas[k]
         return float(-(p * np.log2(p)).sum())
-
-    def bounding_box(self, k: int) -> tuple[int, int, int, int]:
-        """(x0, y0, x1, y1) half-open bbox of chain node k."""
-        self._check(k)
-        if self._bboxes is None:
-            sub, lv, x0, y0, cw, ch = self._cropped()
-            j = sub.ravel()
-            nb = self._kmax + 2
-            ys, xs = np.divmod(np.arange(j.size), cw)
-            x_min = np.full(nb, cw, dtype=np.int64)
-            x_max = np.full(nb, -1, dtype=np.int64)
-            y_min = np.full(nb, ch, dtype=np.int64)
-            y_max = np.full(nb, -1, dtype=np.int64)
-            np.minimum.at(x_min, j, xs)
-            np.maximum.at(x_max, j, xs)
-            np.minimum.at(y_min, j, ys)
-            np.maximum.at(y_max, j, ys)
-            m = self._kmax + 1
-            self._bboxes = (
-                np.minimum.accumulate(x_min[:m]) + x0,
-                np.minimum.accumulate(y_min[:m]) + y0,
-                np.maximum.accumulate(x_max[:m]) + x0,
-                np.maximum.accumulate(y_max[:m]) + y0,
-            )
-        bx0, by0, bx1, by1 = (b[k] for b in self._bboxes)
-        return int(bx0), int(by0), int(bx1) + 1, int(by1) + 1
 
     # -- boundary-walk support ---------------------------------------------------
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
-from .component_tree import ComponentTree, SeedChain, build_component_tree
+from .component_tree import ComponentTree, SeedChain
 from .errors import NoCandidateRegionsError
 from .imaging import Contour, Frame
-
-EIGHT = np.ones((3, 3), dtype=bool)
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 1
@@ -28,6 +25,14 @@ DEFAULT_AMAX_FRAC = 1.0 / 3.0
 # area band: the selection stage reads the evolution of the series (stability
 # of consecutive scores), which a handful of isolated snapshots cannot carry.
 MIN_RETAINED_LEVELS = 24
+
+
+def check_criterion(alpha: float, beta: int) -> None:
+    """Raise ValueError unless the extremum criterion's alpha and beta are valid."""
+    if not 0 <= alpha <= 2.5:
+        raise ValueError("alpha must lie in [0, 2.5]")
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
 
 
 @dataclass
@@ -40,10 +45,7 @@ class ErelParams:
     a_max: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.alpha <= 2.5:
-            raise ValueError("alpha must lie in [0, 2.5]")
-        if self.beta < 1:
-            raise ValueError("beta must be >= 1")
+        check_criterion(self.alpha, self.beta)
         if not 0 < self.a_min < self.a_max:
             raise ValueError("area band must satisfy 0 < a_min < a_max")
 
@@ -89,27 +91,20 @@ class Region:
     mu_yy: float
     chain_index: int = -1
     _chain: SeedChain | None = field(default=None, repr=False)
-    _boundary_pixels: np.ndarray | None = field(default=None, repr=False)
+
+    def _source(self) -> SeedChain:
+        if self._chain is None:
+            raise ValueError("region carries no pixel set")
+        return self._chain
 
     @property
     def mask(self) -> np.ndarray:
-        if self._chain is None:
-            raise ValueError("region carries no pixel set")
-        return self._chain.mask(self.chain_index)
-
-    @property
-    def boundary_pixels(self) -> np.ndarray:
-        """(n, 2) integer (x, y) coordinates of the outer boundary pixels."""
-        if self._boundary_pixels is None:
-            self._boundary_pixels = boundary_pixel_set(self.mask)
-        return self._boundary_pixels
+        return self._source().mask(self.chain_index)
 
     @property
     def boundary(self) -> Contour:
-        """Ordered outer-boundary trace."""
-        if self._chain is not None and self.chain_index >= 0:
-            return _cycle_contour(*_candidate_cycle(self._chain, self.chain_index))
-        return trace_outer_boundary(self.mask)
+        """Ordered outer-boundary trace (see _moore_cycle)."""
+        return _cycle_contour(*_candidate_cycle(self._source(), self.chain_index))
 
 
 @dataclass
@@ -181,23 +176,9 @@ def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Boundary machinery.  boundary_length is the number of distinct pixels on
-# the Moore-traced outer contour; hole boundaries do not count.  The walk
-# also skips pocket pixels that touch the outside only across a diagonal
-# gap, so the flood-based set below is a superset used for cross-checks.
+# the Moore-traced outer contour; hole boundaries do not count, and neither
+# do pocket pixels that touch the outside only across a diagonal gap.
 # ---------------------------------------------------------------------------
-
-def outer_adjacent_pixels(mask: np.ndarray) -> np.ndarray:
-    """(n, 2) (x, y) region pixels 8-adjacent to the border-connected
-    background; a superset of the traced outer boundary."""
-    padded = np.pad(mask, 1, mode="constant", constant_values=False)
-    border = np.zeros_like(padded)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    outer_bg = ndimage.binary_propagation(border & ~padded, mask=~padded, structure=EIGHT)
-    boundary = padded & ndimage.binary_dilation(outer_bg, structure=EIGHT)
-    ys, xs = np.nonzero(boundary[1:-1, 1:-1])
-    return np.column_stack([xs, ys])
-
 
 # Clockwise Moore neighbourhood in image coordinates (y down), west first.
 _MOORE_STEPS = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
@@ -249,17 +230,6 @@ def _moore_cycle(vals, k: int, start_flat: int, w2: int) -> list[int]:
         path.append(cur)
 
 
-def _mask_cycle(mask: np.ndarray) -> tuple[list[int], int]:
-    """(Moore walk cycle, padded width) of a bool mask's outer boundary."""
-    if not mask.any():
-        raise ValueError("cannot trace an empty region")
-    ys, xs = np.nonzero(mask)
-    w2 = mask.shape[1] + 2
-    # byte indexing beats ndarray scalar lookups
-    outside = np.pad(~mask, 1, constant_values=True).astype(np.uint8).tobytes()
-    return _moore_cycle(outside, 0, (int(ys[0]) + 1) * w2 + int(xs[0]) + 1, w2), w2
-
-
 def _cycle_xy(cycle, w2: int, ox: int = 0, oy: int = 0) -> np.ndarray:
     """(n, 2) integer frame (x, y) of flat padded-grid indices."""
     arr = np.asarray(cycle)
@@ -270,25 +240,6 @@ def _cycle_contour(cycle, w2: int, ox: int = 0, oy: int = 0) -> Contour:
     """A walk cycle as a contour; closed when it has at least 3 points."""
     pts = _cycle_xy(cycle, w2, ox, oy).astype(np.float64)
     return Contour(points=pts, closed=pts.shape[0] >= 3)
-
-
-def trace_outer_boundary(mask: np.ndarray) -> Contour:
-    """Ordered Moore-neighbourhood walk around the outer contour.
-
-    Starts at the first region pixel in raster order (whose west neighbour
-    is outside the region) and walks clockwise.  The walk is a deterministic
-    function of its (pixel, backtrack) state, so it must eventually repeat a
-    state; the contour is the pixel cycle between the two occurrences, which
-    covers the complete outer boundary exactly once (spurs appear twice,
-    once per side).
-    """
-    return _cycle_contour(*_mask_cycle(mask))
-
-
-def boundary_pixel_set(mask: np.ndarray) -> np.ndarray:
-    """Distinct (x, y) pixels on the Moore-traced outer boundary."""
-    cycle, w2 = _mask_cycle(mask)
-    return _cycle_xy(np.unique(cycle), w2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +316,6 @@ def select_extremum_levels(
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _attributes_from_mask(mask: np.ndarray, pixels: np.ndarray):
-    """Directly summed attributes of a pixel set; the slow reference path."""
-    ys, xs = np.nonzero(mask)
-    area = ys.size
-    if area == 0:
-        raise ValueError("empty region has no attributes")
-    values = pixels[ys, xs]
-    counts = np.bincount(values, minlength=256)
-    p = counts[counts > 0] / area
-    entropy = float(-(p * np.log2(p)).sum())
-    xbar, ybar = float(xs.mean()), float(ys.mean())
-    mu_xx = float(((xs - xbar) ** 2).mean())
-    mu_xy = float(((xs - xbar) * (ys - ybar)).mean())
-    mu_yy = float(((ys - ybar) ** 2).mean())
-    boundary_length = len(boundary_pixel_set(mask))
-    return boundary_length, float(values.mean()), entropy, (xbar, ybar), (mu_xx, mu_xy, mu_yy)
-
-
-def region_attributes(tree: ComponentTree, node: int, frame: Frame):
-    """(boundary_length, mean_intensity, entropy, centroid, moments) of a node."""
-    return _attributes_from_mask(tree.node_mask(node), frame.pixels)
-
-
 def _candidate_cycle(chain: SeedChain, k: int) -> tuple[list[int], int, int, int]:
     """(padded-crop walk cycle, padded width, x offset, y offset)."""
     vals, w2, ox, oy = chain.walk_grid()
@@ -402,21 +330,17 @@ def _candidate_boundary(chain: SeedChain, k: int) -> np.ndarray:
     return _cycle_xy(np.unique(cycle), w2, ox, oy)
 
 
-def extract_qplus(
-    tree: ComponentTree,
-    params: ErelParams,
-    seed: tuple[int, int],
-    frame: Frame,
-) -> RegionSeries:
-    """Extract the nested dark-core regions rooted at the seed.
+def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> RegionSeries:
+    """Extract the nested dark-core regions rooted at the tree's seed.
 
-    The seed's component chain is restricted to the [a_min, a_max] area
-    band, scored by the extremum-level criterion, and materialised into
+    The tree is built from frame's pixels with a stop cap of at least
+    a_max.  The seed's component chain is restricted to the [a_min, a_max]
+    area band, scored by the extremum-level criterion, and materialised into
     Regions carrying the attributes the selection stage needs.  Chain nodes
     are already deduplicated by construction: a node only exists at levels
     where the component gained pixels, so areas are strictly increasing.
     """
-    chain = tree.seed_chain(seed)
+    chain = tree.seed_chain()
     band = [
         k for k in range(len(chain))
         if params.a_min <= chain.areas[k] <= params.a_max
@@ -448,13 +372,14 @@ def extract_qplus(
         )
         for k in band
     ]
-    # All candidate boundaries live inside the largest candidate's bbox, so
-    # the gradient map only needs computing there (padded for the Sobel and
-    # suppression neighbourhoods).
+    # All candidate boundaries live inside the largest candidate's bbox,
+    # which is the restricted chain's attribute crop, so the gradient map
+    # only needs computing there (padded for the Sobel and suppression
+    # neighbourhoods).
     h, w = frame.pixels.shape
-    bx0, by0, bx1, by1 = chain.bounding_box(band[-1])
-    bx0, by0 = max(0, bx0 - 2), max(0, by0 - 2)
-    bx1, by1 = min(w, bx1 + 2), min(h, by1 + 2)
+    *_, x0, y0, cw, ch = chain._cropped()
+    bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
+    bx1, by1 = min(w, x0 + cw + 2), min(h, y0 + ch + 2)
     mgm = np.zeros((h, w), dtype=bool)
     mgm[by0:by1, bx0:bx1] = gradient_magnitude_maxima(frame.pixels[by0:by1, bx0:bx1])
     retained = select_extremum_levels(candidates, params, mgm)
@@ -477,31 +402,6 @@ def extract_qplus(
                 mu_yy=mu_yy,
                 chain_index=k,
                 _chain=chain,
-                _boundary_pixels=cand.boundary_pixels,
             )
         )
     return RegionSeries(regions=regions)
-
-
-def extract_from_frame(
-    frame: Frame,
-    params: ErelParams | None = None,
-    seed: tuple[int, int] | None = None,
-    capped: bool = True,
-) -> RegionSeries:
-    """Convenience wrapper: build the tree for a frame and extract.
-
-    capped truncates tree construction once the seed component exceeds
-    a_max, which cannot change the extracted series.
-    """
-    from .imaging import frame_center
-
-    if params is None:
-        params = ErelParams.for_frame(frame.pixels.shape)
-    if seed is None:
-        seed = frame_center(frame)
-    if capped:
-        tree = build_component_tree(frame.pixels, stop_seed=seed, stop_area=params.a_max)
-    else:
-        tree = build_component_tree(frame.pixels)
-    return extract_qplus(tree, params, seed, frame)

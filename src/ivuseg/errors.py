@@ -13,6 +13,10 @@ class PgmFormatError(SegmentationError):
     """Raised for malformed or unsupported PGM input."""
 
 
+class ContourFormatError(SegmentationError):
+    """Raised for contour text that is not one "x y" pair per line."""
+
+
 class DimensionMismatchError(SegmentationError):
     """Raised when rasters that must share dimensions do not."""
 

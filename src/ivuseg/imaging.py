@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PgmFormatError
+from .errors import ContourFormatError, DimensionMismatchError, PgmFormatError
 
 
 @dataclass
@@ -167,18 +167,31 @@ def save_frame(frame: Frame, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def load_contour(path: str | Path, closed: bool = True) -> Contour:
+    """Read a contour file.
+
+    Raises ContourFormatError for text that does not decode, a line that is
+    not two numbers, a file without points, and points that Contour rejects.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ContourFormatError(f"contour file {path} is not text: {exc}") from exc
     pts = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad contour line {line!r} in {path}")
-        pts.append((float(parts[0]), float(parts[1])))
+        try:
+            x, y = (float(v) for v in line.split())
+        except ValueError as exc:
+            raise ContourFormatError(f"bad contour line {line!r} in {path}") from exc
+        pts.append((x, y))
     if not pts:
-        raise ValueError(f"empty contour file {path}")
-    return Contour(points=np.array(pts, dtype=np.float64), closed=closed)
+        raise ContourFormatError(f"empty contour file {path}")
+    try:
+        return Contour(points=np.array(pts, dtype=np.float64), closed=closed)
+    except ValueError as exc:
+        raise ContourFormatError(f"bad contour in {path}: {exc}") from exc
 
 
 def save_contour(contour: Contour, path: str | Path) -> None:

@@ -1,9 +1,9 @@
 """Independent brute-force reference implementations for the test suite.
 
-Everything here favours obviousness over speed and stays independent of
-the library's own code paths: components come from scipy labelling, medians
-from sorting full windows, moments from direct summation, distances from
-all-pairs scans.
+Everything here favours obviousness over speed and, except for the mask
+walk below, stays independent of the library's own code paths: components
+come from scipy labelling, medians from sorting full windows, moments from
+direct summation, distances from all-pairs scans.
 """
 
 import math
@@ -11,7 +11,11 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from ivuseg.erel import _cycle_contour, _cycle_xy, _moore_cycle
+from ivuseg.imaging import Contour
+
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+EIGHT = np.ones((3, 3), dtype=bool)
 
 
 def brute_median_filter(pixels: np.ndarray, radius: int) -> np.ndarray:
@@ -36,6 +40,15 @@ def brute_component(pixels: np.ndarray, t: int, seed_xy: tuple[int, int]) -> np.
         return None
     labels, _ = ndimage.label(pixels <= t, structure=FOUR)
     return labels == labels[y, x]
+
+
+def chain_component_at(chain, t: int) -> np.ndarray | None:
+    """Mask of the seed chain's component of {I <= t}, or None below the
+    seed's own level: the last chain node at a level <= t."""
+    if t < chain.levels[0]:
+        return None
+    k = int(np.searchsorted(chain.levels, t, side="right")) - 1
+    return chain.mask(k)
 
 
 def brute_moments(mask: np.ndarray) -> tuple[tuple[float, float], float, float, float]:
@@ -88,3 +101,55 @@ def rasterize_ellipse_mask(cx, cy, a, b, theta, shape) -> np.ndarray:
     u = dx * np.cos(theta) + dy * np.sin(theta)
     v = -dx * np.sin(theta) + dy * np.cos(theta)
     return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Outer boundaries of a bool mask.  The library walks a chain node's boundary
+# on the chain's join-index grid; the references below walk a plain mask
+# instead.  The mask walk reuses the library's _moore_cycle on a padded
+# ~mask byte grid (a pixel is inside when its byte is 0), so it checks the
+# chain's grid, crop and start pixel rather than the walk itself; the flood
+# from the frame border in outer_adjacent_pixels is independent of it.
+# ---------------------------------------------------------------------------
+
+def _mask_cycle(mask: np.ndarray) -> tuple[list[int], int]:
+    """(Moore walk cycle, padded width) of a bool mask's outer boundary."""
+    if not mask.any():
+        raise ValueError("cannot trace an empty region")
+    ys, xs = np.nonzero(mask)
+    w2 = mask.shape[1] + 2
+    outside = np.pad(~mask, 1, constant_values=True).astype(np.uint8).tobytes()
+    return _moore_cycle(outside, 0, (int(ys[0]) + 1) * w2 + int(xs[0]) + 1, w2), w2
+
+
+def trace_outer_boundary(mask: np.ndarray) -> Contour:
+    """Ordered Moore-neighbourhood walk around the outer contour.
+
+    Starts at the first region pixel in raster order (whose west neighbour
+    is outside the region) and walks clockwise.  The walk is a deterministic
+    function of its (pixel, backtrack) state, so it must eventually repeat a
+    state; the contour is the pixel cycle between the two occurrences, which
+    covers the complete outer boundary exactly once (spurs appear twice,
+    once per side).
+    """
+    return _cycle_contour(*_mask_cycle(mask))
+
+
+def boundary_pixel_set(mask: np.ndarray) -> np.ndarray:
+    """Distinct (x, y) pixels on the Moore-traced outer boundary."""
+    cycle, w2 = _mask_cycle(mask)
+    return _cycle_xy(np.unique(cycle), w2)
+
+
+def outer_adjacent_pixels(mask: np.ndarray) -> np.ndarray:
+    """(n, 2) (x, y) region pixels 8-adjacent to the border-connected
+    background; a superset of the traced outer boundary, which skips pocket
+    pixels that touch the outside only across a diagonal gap."""
+    padded = np.pad(mask, 1, mode="constant", constant_values=False)
+    border = np.zeros_like(padded)
+    border[0, :] = border[-1, :] = True
+    border[:, 0] = border[:, -1] = True
+    outer_bg = ndimage.binary_propagation(border & ~padded, mask=~padded, structure=EIGHT)
+    boundary = padded & ndimage.binary_dilation(outer_bg, structure=EIGHT)
+    ys, xs = np.nonzero(boundary[1:-1, 1:-1])
+    return np.column_stack([xs, ys])

@@ -16,15 +16,20 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_phantom_spec
-from ivuseg.cli import RunConfig, _polygon_mask, main, segment_frame
+from ivuseg.cli import RunConfig, _extract, _polygon_mask, main, segment_frame
 from ivuseg.component_tree import build_component_tree
-from ivuseg.erel import extract_from_frame
 from ivuseg.geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
-from ivuseg.imaging import Contour, Frame, median_filter, save_contour, save_frame
+from ivuseg.imaging import Contour, Frame, save_contour, save_frame
 from ivuseg.metrics import densify, hausdorff, jaccard
 from ivuseg.phantom import generate_phantom
 from ivuseg.selection import find_peaks, remove_outliers, select_regions, stability_scores
-from oracles import brute_component, brute_entropy, brute_hausdorff, brute_moments
+from oracles import (
+    brute_component,
+    brute_entropy,
+    brute_hausdorff,
+    brute_moments,
+    chain_component_at,
+)
 
 
 def report(criterion: str, detail: str) -> None:
@@ -43,11 +48,11 @@ def test_criterion_1_component_tree_oracle():
         hi = int(rng.choice([4, 8, 64, 256]))
         pixels = rng.integers(0, hi, (h, w)).astype(np.uint8)
         seed = (int(rng.integers(0, w)), int(rng.integers(0, h)))
-        chain = build_component_tree(pixels).seed_chain(seed)
+        chain = build_component_tree(pixels, seed, pixels.size).seed_chain()
         # components only change at levels present in the image, so testing
         # each distinct level (plus the extremes) covers every threshold
         for t in np.unique(pixels).tolist() + [255]:
-            ours = chain.component_at(int(t))
+            ours = chain_component_at(chain, int(t))
             ref = brute_component(pixels, int(t), seed)
             if ref is None:
                 assert ours is None
@@ -196,7 +201,7 @@ def phantom_population():
         for s in range(50):
             spec = acceptance_phantom_spec(s, shadow)
             frame, truth = generate_phantom(spec)
-            series = extract_from_frame(median_filter(frame, 1))
+            _, _, series = _extract(frame, RunConfig(), None)
             lumen_r, media_r, _ = select_regions(series)
             le = ellipse_from_moments(
                 lumen_r.centroid, lumen_r.mu_xx, lumen_r.mu_xy, lumen_r.mu_yy
@@ -276,7 +281,7 @@ def test_criterion_5_formula_fixtures():
     values = np.array([10] * 32 + [200] * 32, dtype=np.uint8)
     assert brute_entropy(values) == 1.0
     pixels = np.sort(values).reshape(8, 8)
-    chain = build_component_tree(pixels).seed_chain((0, 0))
+    chain = build_component_tree(pixels, (0, 0), pixels.size).seed_chain()
     assert chain.entropy(len(chain) - 1) == 1.0
 
     # stability of [1, 2, 3] is exactly 1.0

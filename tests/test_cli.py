@@ -13,6 +13,7 @@ from conftest import acceptance_phantom_spec
 from ivuseg.cli import (
     RunConfig,
     _config_from_args,
+    _extract,
     _polygon_mask,
     build_parser,
     main,
@@ -206,10 +207,8 @@ def test_cli_bestcase_dominates_selection(phantom_dir, tmp_path):
         spec = acceptance_phantom_spec(i)
         frame, truth = generate_phantom(spec)
         from ivuseg.selection import select_regions
-        from ivuseg.erel import extract_from_frame
-        from ivuseg.imaging import median_filter
 
-        series = extract_from_frame(median_filter(frame, 1))
+        _, _, series = _extract(frame, RunConfig(), None)
         lumen_r, media_r, _ = select_regions(series)
         gold_lumen = _polygon_mask(truth.lumen_contour, frame.pixels.shape)
         gold_media = _polygon_mask(truth.media_contour, frame.pixels.shape)
@@ -295,6 +294,32 @@ def test_segment_frame_small_frames_segment_or_raise_segmentation_error(pixels):
         pass
 
 
+@st.composite
+def valid_configs(draw):
+    """A RunConfig whose extraction and selection tunables pass validate()."""
+    unit = dict(allow_nan=False, exclude_max=True)
+    amin = draw(st.floats(0.0, 1.0, exclude_min=True, **unit), label="amin_frac")
+    cfg = RunConfig(
+        alpha=draw(st.floats(0.0, 2.5, allow_nan=False), label="alpha"),
+        beta=draw(st.integers(1, 8), label="beta"),
+        amin_frac=amin,
+        amax_frac=draw(st.floats(amin, 1.0, exclude_min=True, allow_nan=False), label="amax_frac"),
+        despeckle_radius=draw(st.integers(1, 3), label="despeckle_radius"),
+        min_peaks=draw(st.integers(1, 6), label="min_peaks"),
+    )
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 64), st.integers(1, 64))), valid_configs())
+def test_segment_frame_any_valid_config_segments_or_raises_segmentation_error(pixels, cfg):
+    try:
+        segment_frame(Frame(pixels=pixels), cfg)
+    except SegmentationError:
+        pass
+
+
 @pytest.fixture(scope="module")
 def mixed_size_dir(phantom_dir, tmp_path_factory):
     """Two phantom frames and a 2x2 frame too small for any area band."""
@@ -345,6 +370,51 @@ def test_cli_bestcase_honours_jobs_and_reports_failures(phantom_dir, tmp_path, c
     assert "frame_98: missing gold contours" in errors
     assert any(line.startswith(f"{inputs / 'frame_99.pgm'}: ") for line in errors)
     assert "best-case over 2 frame(s)" in printed.out
+
+
+@pytest.fixture(scope="module")
+def bad_gold_demo(tmp_path_factory):
+    """Three demo frames with gold; the middle frame's media file has a bad line."""
+    root = tmp_path_factory.mktemp("bad_gold")
+    assert main(["phantom", "--outdir", str(root), "--frames", "3", "--rng-seed", "7"]) == 0
+    media = root / "phantom_001_media.txt"
+    media.write_text(media.read_text() + "abc\n")
+    return root
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_malformed_gold_fails_only_its_frame(bad_gold_demo, tmp_path, capsys, jobs):
+    out = tmp_path / "eval"
+    code = main(["evaluate", str(bad_gold_demo), "--gold", str(bad_gold_demo),
+                 "--outdir", str(out), "--jobs", jobs])
+    assert code == 2
+    names = sorted(p.name for p in out.iterdir())
+    assert [n for n in names if n.startswith("phantom_001")] == ["phantom_001_error.json"]
+    record = json.loads((out / "phantom_001_error.json").read_text())
+    assert record["error"] == "ContourFormatError"
+    assert "abc" in record["message"]
+    for stem in ("phantom_000", "phantom_002"):
+        for suffix in ("lumen.txt", "media.txt", "metrics.json", "overlay.ppm"):
+            assert (out / f"{stem}_{suffix}").exists()
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["phantom_000", "phantom_002"]
+    assert "frames 2:" in capsys.readouterr().out
+
+    best = tmp_path / "best"
+    code = main(["bestcase", str(bad_gold_demo), "--gold", str(bad_gold_demo),
+                 "--outdir", str(best), "--jobs", jobs])
+    assert code == 2
+    entries = json.loads((best / "bestcase.json").read_text())
+    assert [e["frame"] for e in entries] == ["phantom_000", "phantom_002"]
+    errors = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("phantom_001: bad contour line 'abc'") for line in errors)
+
+
+def test_cli_alpha_out_of_range_exits_3(tmp_path, capsys):
+    code = main(["evaluate", str(tmp_path), "--gold", str(tmp_path),
+                 "--outdir", str(tmp_path / "o"), "--alpha", "3"])
+    assert code == 3
+    assert "alpha must lie in [0, 2.5]" in capsys.readouterr().err
 
 
 # -- the command line is derived from RunConfig ------------------------------------

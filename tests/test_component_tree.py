@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivuseg.component_tree import build_component_tree
-from oracles import brute_component
+from oracles import brute_component, chain_component_at
 
 tree_frames = arrays(
     np.uint8,
@@ -19,11 +19,15 @@ plateau_frames = arrays(
 )
 
 
+def whole_chain(pixels, seed):
+    """The seed's chain with a cap the sweep never crosses."""
+    return build_component_tree(pixels, seed, pixels.size).seed_chain()
+
+
 def chain_matches_brute_force(pixels, seed):
-    tree = build_component_tree(pixels)
-    chain = tree.seed_chain(seed)
+    chain = whole_chain(pixels, seed)
     for t in np.unique(pixels).tolist() + [255]:
-        ours = chain.component_at(int(t))
+        ours = chain_component_at(chain, int(t))
         ref = brute_component(pixels, int(t), seed)
         if (ours is None) != (ref is None):
             return False
@@ -34,28 +38,27 @@ def chain_matches_brute_force(pixels, seed):
 
 def test_constant_frame_single_node():
     pixels = np.full((6, 8), 42, np.uint8)
-    tree = build_component_tree(pixels)
-    assert len(tree.canonical_pixels()) == 1
-    chain = tree.seed_chain((3, 2))
-    assert chain.component_at(41) is None
+    chain = whole_chain(pixels, (3, 2))
+    assert len(chain) == 1
+    assert chain.areas.tolist() == [48]
+    assert chain_component_at(chain, 41) is None
     for t in (42, 100, 255):
-        assert chain.component_at(t).all()
+        assert chain_component_at(chain, t).all()
 
 
 def test_two_blobs_merge_at_background_level():
     pixels = np.full((7, 9), 200, np.uint8)
     pixels[1:3, 1:3] = 10
     pixels[4:6, 6:8] = 30
-    tree = build_component_tree(pixels)
-    root = tree.root
-    assert tree.node_level(root) == 200
-    child_levels = sorted(tree.node_level(c) for c in tree.children_of(root))
-    assert child_levels == [10, 30]
-    areas = tree.node_areas()
-    assert areas[root] == 63
-    leaf10 = tree.node_of(1 * 9 + 1)
-    assert areas[leaf10] == 4
-    assert tree.node_mask(leaf10).sum() == 4
+    # each blob is its own leaf and both join the root at level 200
+    for seed, leaf_level in (((1, 1), 10), ((6, 4), 30)):
+        chain = whole_chain(pixels, seed)
+        assert chain.levels.tolist() == [leaf_level, 200]
+        assert chain.areas.tolist() == [4, 63]
+    # a background seed sees only the root
+    chain = whole_chain(pixels, (0, 0))
+    assert chain.levels.tolist() == [200]
+    assert chain.areas.tolist() == [63]
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,7 +91,7 @@ def test_chain_components_are_nested(pixels, data):
         data.draw(st.integers(0, w - 1), label="seed_x"),
         data.draw(st.integers(0, h - 1), label="seed_y"),
     )
-    chain = build_component_tree(pixels).seed_chain(seed)
+    chain = whole_chain(pixels, seed)
     previous = None
     for k in range(len(chain)):
         mask = chain.mask(k)
@@ -108,7 +111,7 @@ def test_chain_attributes_match_direct_summation(pixels, data):
         data.draw(st.integers(0, w - 1), label="seed_x"),
         data.draw(st.integers(0, h - 1), label="seed_y"),
     )
-    chain = build_component_tree(pixels).seed_chain(seed)
+    chain = whole_chain(pixels, seed)
     for k in range(len(chain)):
         mask = chain.mask(k)
         ys, xs = np.nonzero(mask)
@@ -134,17 +137,9 @@ def test_capped_build_matches_full_on_retained_band(rng):
         pixels = rng.integers(0, 256, (h, w)).astype(np.uint8)
         seed = (int(rng.integers(0, w)), int(rng.integers(0, h)))
         cap = max(4, (h * w) // 3)
-        full = build_component_tree(pixels).seed_chain(seed)
-        capped = build_component_tree(pixels, stop_seed=seed, stop_area=cap).seed_chain(seed)
+        full = whole_chain(pixels, seed)
+        capped = build_component_tree(pixels, seed, cap).seed_chain()
         retained = [k for k in range(len(full)) if full.areas[k] <= cap]
         for k in retained:
             assert full.areas[k] == capped.areas[k]
             assert np.array_equal(full.mask(k), capped.mask(k))
-
-
-def test_node_areas_match_masks(rng):
-    pixels = rng.integers(0, 12, (15, 17)).astype(np.uint8)
-    tree = build_component_tree(pixels)
-    areas = tree.node_areas()
-    for c in tree.canonical_pixels().tolist():
-        assert areas[c] == tree.node_mask(c).sum()

@@ -3,26 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ivuseg.cli import RunConfig, _extract
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import (
     CandidateLevel,
     ErelParams,
-    boundary_pixel_set,
-    extract_from_frame,
+    _candidate_boundary,
+    _local_maxima,
+    _moving_average,
     extract_qplus,
     gradient_magnitude_maxima,
-    region_attributes,
     select_extremum_levels,
-    trace_outer_boundary,
-    outer_adjacent_pixels,
-    _moving_average,
-    _local_maxima,
 )
 from ivuseg.errors import NoCandidateRegionsError
 from ivuseg.geometry import Ellipse
-from ivuseg.imaging import Frame, frame_center, median_filter
+from ivuseg.imaging import Frame, median_filter
 from ivuseg.phantom import PhantomSpec, generate_phantom
-from oracles import FOUR, brute_entropy, brute_moments, rasterize_disk
+from oracles import (
+    FOUR,
+    boundary_pixel_set,
+    brute_entropy,
+    brute_moments,
+    outer_adjacent_pixels,
+    rasterize_disk,
+    trace_outer_boundary,
+)
 
 from scipy import ndimage
 
@@ -103,11 +108,11 @@ def test_single_pixel_boundary():
 
 def test_chain_walk_matches_mask_walk():
     frame, _ = generate_phantom(PhantomSpec(rng_seed=5))
-    series = extract_from_frame(median_filter(frame, 1))
+    _, _, series = _extract(frame, RunConfig(), None)
     for region in series.regions[:: max(1, len(series) // 8)]:
         traced = trace_outer_boundary(region.mask)
         assert np.array_equal(region.boundary.points, traced.points)
-        assert np.array_equal(region.boundary_pixels, boundary_pixel_set(region.mask))
+        assert region.boundary_length == len(boundary_pixel_set(region.mask))
 
 
 # -- attributes -------------------------------------------------------------------
@@ -115,16 +120,12 @@ def test_chain_walk_matches_mask_walk():
 def test_region_attributes_on_square():
     pixels = np.full((20, 20), 200, np.uint8)
     pixels[4:14, 3:13] = 10
-    tree = build_component_tree(pixels)
-    node = tree.node_of(4 * 20 + 3)
-    frame = Frame(pixels=pixels)
-    boundary_length, mean_intensity, entropy, centroid, moments = region_attributes(
-        tree, node, frame
-    )
-    assert boundary_length == 36
-    assert mean_intensity == 10.0
-    assert entropy == 0.0
-    assert centroid == (7.5, 8.5)  # 10x10 block starting at x=3, y=4
+    chain = build_component_tree(pixels, (3, 4), pixels.size).seed_chain()
+    assert chain.areas[0] == 100
+    assert len(_candidate_boundary(chain, 0)) == 36
+    assert chain.mean_intensity(0) == 10.0
+    assert chain.entropy(0) == 0.0
+    assert chain.centroid(0) == (7.5, 8.5)  # 10x10 block starting at x=3, y=4
 
 
 def test_entropy_two_equal_bins_is_one_bit():
@@ -133,8 +134,7 @@ def test_entropy_two_equal_bins_is_one_bit():
     pixels = np.full((10, 10), 10, np.uint8)
     pixels.ravel()[50:] = 200
     pixels = np.sort(pixels.ravel()).reshape(10, 10)
-    tree = build_component_tree(pixels)
-    chain = tree.seed_chain((0, 0))
+    chain = build_component_tree(pixels, (0, 0), pixels.size).seed_chain()
     k = len(chain) - 1  # whole frame
     assert chain.entropy(k) == pytest.approx(1.0, abs=1e-12)
 
@@ -216,8 +216,9 @@ def test_extract_dark_disk_smallest_region_matches():
     disk = (ys - 64) ** 2 + (xs - 64) ** 2 <= 31 ** 2  # ~3019 px
     pixels[disk] = 30
     frame = Frame(pixels=pixels)
-    params = ErelParams(a_min=1474, a_max=128 * 128 // 3)
-    series = extract_from_frame(frame, params=params, seed=(64, 64))
+    # area band [1474, 5461], as a_min = int(128 * 128 * 0.09)
+    _, params, series = _extract(frame, RunConfig(seed=(64, 64), amin_frac=0.09), None)
+    assert (params.a_min, params.a_max) == (1474, 128 * 128 // 3)
     smallest = series[0]
     assert smallest.area == pytest.approx(3019, rel=0.10)
     areas = [r.area for r in series]
@@ -230,9 +231,9 @@ def test_extract_empty_band_raises():
     pixels = np.tile(np.arange(32, dtype=np.uint8) * 8, (32, 1))
     frame = Frame(pixels=pixels)
     params = ErelParams(a_min=995, a_max=1000)  # between area steps of 32
-    tree = build_component_tree(pixels)
+    tree = build_component_tree(pixels, (0, 16), pixels.size)
     with pytest.raises(NoCandidateRegionsError):
-        extract_qplus(tree, params, (0, 16), frame)
+        extract_qplus(tree, params, frame)
 
 
 def test_extremum_levels_cluster_at_crisp_edges():
@@ -245,7 +246,7 @@ def test_extremum_levels_cluster_at_crisp_edges():
         layer_means=(40, 160, 70, 180),
     )
     frame, truth = generate_phantom(spec)
-    series = extract_from_frame(frame)
+    _, _, series = _extract(frame, RunConfig(), None)
     levels = sorted({r.level for r in series})
     # regions exist only at the distinct layer levels that contain the seed
     assert set(levels) <= {40, 70, 160}
@@ -256,7 +257,9 @@ def test_capped_extraction_equals_full(rng):
     spec = PhantomSpec(rng_seed=7)
     frame, _ = generate_phantom(spec)
     f = median_filter(frame, 1)
-    full = extract_from_frame(f, capped=False)
-    capped = extract_from_frame(f, capped=True)
+    params = ErelParams.for_frame(f.pixels.shape)
+    seed = (f.width // 2, f.height // 2)
+    full = extract_qplus(build_component_tree(f.pixels, seed, f.pixels.size), params, f)
+    capped = extract_qplus(build_component_tree(f.pixels, seed, params.a_max), params, f)
     assert [r.area for r in full] == [r.area for r in capped]
     assert [r.level for r in full] == [r.level for r in capped]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ivuseg.errors import PgmFormatError
+from ivuseg.errors import ContourFormatError, PgmFormatError, SegmentationError
 from ivuseg.imaging import (
     Contour,
     Frame,
@@ -89,6 +89,54 @@ def test_load_frame_rejects_wrong_maxval(tmp_path):
         load_frame(path)
 
 
+VALID_PGM = b"P5\n4 3\n255\n" + bytes(range(12))
+
+
+@st.composite
+def mutated_pgm(draw):
+    """VALID_PGM after a few random byte replacements, insertions, deletions
+    and truncations."""
+    data = bytearray(VALID_PGM)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        pos = draw(st.integers(0, len(data)))
+        if kind == "replace" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=6))
+        elif kind == "delete":
+            del data[pos : pos + draw(st.integers(1, 4))]
+        elif kind == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+@st.composite
+def random_header_pgm(draw):
+    """A header of random magic and tokens, then random raster bytes."""
+    token = st.one_of(
+        st.integers(-3, 10**12).map(lambda v: str(v).encode()),
+        st.sampled_from([b"0", b"255", b"#c\n", b"4", b"3"]),
+        st.binary(max_size=4),
+    )
+    magic = draw(st.sampled_from([b"P5", b"P2", b"P6", b"P", b""]))
+    sep = draw(st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" #x\n"]))
+    tokens = draw(st.lists(token, max_size=4))
+    return magic + sep + sep.join(tokens) + sep + draw(st.binary(max_size=24))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(mutated_pgm(), random_header_pgm()))
+def test_load_frame_raises_only_pgm_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.pgm"
+    path.write_bytes(data)
+    try:
+        frame = load_frame(path)
+    except PgmFormatError:
+        return
+    assert frame.pixels.dtype == np.uint8
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_frames)
 def test_pgm_round_trip_bit_exact(pixels):
@@ -120,6 +168,26 @@ def test_contour_text_round_trip(tmp_path):
     again = load_contour(path)
     assert np.allclose(again.points, pts)
     assert again.closed
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b"1 2\nabc\n3 4\n", id="not-a-pair"),
+        pytest.param(b"1 2\n3 4 5\n6 7\n", id="three-fields"),
+        pytest.param(b"1 2\nx 4\n6 7\n", id="not-numbers"),
+        pytest.param(b"\n  \n", id="no-points"),
+        pytest.param(b"1 2\n3 4\n", id="two-points-closed"),
+        pytest.param(b"1 2\n1 2\n3 4\n", id="duplicate-points"),
+        pytest.param(b"1 2\n3 4\n\xff\xfe 5\n", id="not-utf8"),
+    ],
+)
+def test_load_contour_rejects_malformed_text(tmp_path, data):
+    path = tmp_path / "c.txt"
+    path.write_bytes(data)
+    with pytest.raises(ContourFormatError):
+        load_contour(path)
+    assert issubclass(ContourFormatError, SegmentationError)
 
 
 # -- Median filter ---------------------------------------------------------------
