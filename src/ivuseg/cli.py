@@ -351,7 +351,15 @@ def _score_frame(
 
 
 def _polygon_mask(contour: Contour, shape: tuple[int, int]) -> np.ndarray:
-    """Even-odd scanline fill of a closed polygon at pixel centres."""
+    """Even-odd scanline fill of a closed polygon at pixel centres.
+
+    Edge p -> q crosses the rows y with min(py, qy) <= y < max(py, qy), so
+    a vertex on a row is crossed once and a horizontal edge never.  A pixel
+    centre is inside when an odd number of its row's crossings lie at or
+    left of it: each crossing toggles the row from the first centre at or
+    right of it, and a cumulative sum along the row counts the toggles.
+    All rows are filled in one pass.
+    """
     h, w = shape
     pts = contour.points
     x0 = max(0, int(np.floor(pts[:, 0].min())))
@@ -361,19 +369,21 @@ def _polygon_mask(contour: Contour, shape: tuple[int, int]) -> np.ndarray:
     out = np.zeros((h, w), dtype=bool)
     if x0 >= x1 or y0 >= y1:
         return out
-    xs = np.arange(x0, x1, dtype=np.float64)
     px, py = pts[:, 0], pts[:, 1]
     qx, qy = np.roll(px, -1), np.roll(py, -1)
-    keep = py != qy
-    px, py, qx, qy = px[keep], py[keep], qx[keep], qy[keep]
-    for row, y in enumerate(range(y0, y1)):
-        crosses = ((py <= y) & (qy > y)) | ((qy <= y) & (py > y))
-        if not crosses.any():
-            continue
-        x_at = px[crosses] + (y - py[crosses]) * (qx[crosses] - px[crosses]) / (qy[crosses] - py[crosses])
-        x_at.sort()
-        # odd number of crossings strictly right of a pixel centre = inside
-        out[y, x0:x1] = (np.searchsorted(x_at, xs, side="right") % 2).astype(bool)
+    # the integer rows in [lo, hi) are those in [ceil(lo), ceil(hi))
+    first_row = np.ceil(np.minimum(py, qy)).clip(y0, y1).astype(np.int64)
+    n_rows = np.ceil(np.maximum(py, qy)).clip(y0, y1).astype(np.int64) - first_row
+    edge = np.repeat(np.arange(len(px)), n_rows)
+    nth = np.arange(n_rows.sum()) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+    y = first_row[edge] + nth
+    x_at = px[edge] + (y - py[edge]) * (qx[edge] - px[edge]) / (qy[edge] - py[edge])
+    xs = np.arange(x0, x1, dtype=np.float64)
+    toggle_at = np.searchsorted(xs, x_at, side="left")
+    width = x1 - x0 + 1
+    toggles = np.bincount((y - y0) * width + toggle_at, minlength=(y1 - y0) * width)
+    inside = np.cumsum(toggles.reshape(y1 - y0, width)[:, :-1], axis=1) % 2 == 1
+    out[y0:y1, x0:x1] = inside
     return out
 
 

@@ -83,6 +83,8 @@ class Contour:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("contour points must be an (n, 2) array with n >= 1")
+        if not np.isfinite(pts).all():
+            raise ValueError("contour points must be finite")
         if self.closed and pts.shape[0] < 3:
             raise ValueError("closed contour needs at least 3 points")
         if pts.shape[0] > 1:

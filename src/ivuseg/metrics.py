@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -35,20 +34,25 @@ def jaccard(auto_mask: np.ndarray, man_mask: np.ndarray) -> float:
 
 
 def densify(contour: Contour, max_spacing: float = DENSIFY_SPACING) -> np.ndarray:
-    """Points on the contour polyline at most max_spacing apart."""
+    """Points on the contour polyline at most max_spacing apart.
+
+    Segment p -> q contributes p + (q - p) * i / steps for i in [0, steps),
+    steps = max(1, ceil(|q - p| / max_spacing)); a closed contour adds the
+    segment back to its first point, an open one ends with its last point.
+    Every segment is sampled in one pass.
+    """
     pts = contour.points
     if pts.shape[0] == 1:
         return pts.copy()
     segs = np.vstack([pts, pts[:1]]) if contour.closed else pts
-    out = []
-    for p, q in zip(segs[:-1], segs[1:]):
-        length = float(np.hypot(*(q - p)))
-        steps = max(1, int(math.ceil(length / max_spacing)))
-        frac = np.arange(steps, dtype=np.float64)[:, None] / steps
-        out.append(p + (q - p) * frac)
-    if not contour.closed:
-        out.append(pts[-1:])
-    return np.vstack(out)
+    start = segs[:-1]
+    delta = segs[1:] - start
+    length = np.hypot(delta[:, 0], delta[:, 1])
+    steps = np.maximum(1, np.ceil(length / max_spacing).astype(np.int64))
+    i = np.arange(steps.sum()) - np.repeat(np.cumsum(steps) - steps, steps)
+    frac = (i / np.repeat(steps, steps))[:, None]
+    out = np.repeat(start, steps, axis=0) + np.repeat(delta, steps, axis=0) * frac
+    return out if contour.closed else np.vstack([out, pts[-1:]])
 
 
 def hausdorff(c1: Contour, c2: Contour) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateMaskError, DimensionMismatchError
 from .imaging import Frame, Sequence
@@ -53,19 +54,33 @@ def build_artifact_model(sequence: Sequence, threshold: int = DEFAULT_RINGDOWN_T
     return ArtifactModel(min_image=mimg, mask=detect_artifact_mask(mimg, threshold), threshold=threshold)
 
 
+# Fill windows, smallest first, and the clean samples one must hold.
+_FILL_RADII = (3, 5, 7)
+_MIN_CLEAN = 5
+# Masked pixels whose windows are gathered at once: a chunk's windows take
+# 2 * 15 * 15 bytes per pixel, so memory stays flat however large the mask.
+_FILL_CHUNK = 4096
+# Window cells that are masked or off the frame read this value, above every
+# intensity, so they sort after a window's clean samples.
+_NOT_CLEAN = 256
+
+
 def _lower_median(values: np.ndarray) -> int:
-    ordered = np.sort(values)
-    return int(ordered[(ordered.size - 1) // 2])
+    """Lower median of uint8 values, from their histogram."""
+    cumulative = np.cumsum(np.bincount(values, minlength=256))
+    return int(np.searchsorted(cumulative, (values.size - 1) // 2, side="right"))
 
 
 def remove_artifacts(frame: Frame, model: ArtifactModel) -> Frame:
     """Replace masked pixels with the median of nearby unmasked pixels.
 
-    Each masked pixel takes the median of unmasked pixels inside a 7x7
-    window; the window grows by 2 px per side (up to 15x15) until at least
-    5 unmasked samples exist, else the frame's global unmasked median is
-    used.  Unmasked pixels are never modified, and every replacement is
-    computed from the original frame so the result is order-independent.
+    Each masked pixel takes the lower median of the unmasked pixels inside
+    a 7x7 window; the window grows by 2 px per side (up to 15x15) until at
+    least 5 unmasked samples exist, else the frame's global unmasked lower
+    median is used.  Windows are clipped to the frame.  Unmasked pixels are
+    never modified, and every replacement is computed from the original
+    frame so the result is order-independent.  The windows of all masked
+    pixels are gathered and sorted as arrays, a chunk of pixels at a time.
     """
     mask = model.mask
     if mask.shape != frame.pixels.shape:
@@ -76,19 +91,25 @@ def remove_artifacts(frame: Frame, model: ArtifactModel) -> Frame:
         return Frame(pixels=frame.pixels.copy(), mm_per_px=frame.mm_per_px)
 
     src = frame.pixels
-    h, w = src.shape
-    global_fill = _lower_median(src[~mask])
-    out = src.copy()
+    r = _FILL_RADII[-1]
+    grid = np.full((src.shape[0] + 2 * r, src.shape[1] + 2 * r), _NOT_CLEAN, dtype=np.uint16)
+    grid[r:-r, r:-r][~mask] = src[~mask]
+    windows = sliding_window_view(grid, (2 * r + 1, 2 * r + 1))
     ys, xs = np.nonzero(mask)
-    for y, x in zip(ys.tolist(), xs.tolist()):
-        fill = global_fill
-        for radius in (3, 5, 7):
-            y0, y1 = max(0, y - radius), min(h, y + radius + 1)
-            x0, x1 = max(0, x - radius), min(w, x + radius + 1)
-            window = src[y0:y1, x0:x1]
-            clean = window[~mask[y0:y1, x0:x1]]
-            if clean.size >= 5:
-                fill = _lower_median(clean)
+    fill = np.full(ys.size, _lower_median(src[~mask]), dtype=src.dtype)
+    for start in range(0, ys.size, _FILL_CHUNK):
+        chunk = windows[ys[start : start + _FILL_CHUNK], xs[start : start + _FILL_CHUNK]]
+        todo = np.arange(chunk.shape[0])
+        for radius in _FILL_RADII:
+            cells = chunk[todo, r - radius : r + radius + 1, r - radius : r + radius + 1]
+            cells = cells.reshape(todo.size, -1)
+            clean = np.count_nonzero(cells != _NOT_CLEAN, axis=1)
+            done = clean >= _MIN_CLEAN
+            ordered = np.sort(cells[done], axis=1)
+            fill[start + todo[done]] = ordered[np.arange(ordered.shape[0]), (clean[done] - 1) // 2]
+            todo = todo[~done]
+            if not todo.size:
                 break
-        out[y, x] = fill
+    out = src.copy()
+    out[ys, xs] = fill
     return Frame(pixels=out, mm_per_px=frame.mm_per_px)

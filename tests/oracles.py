@@ -12,7 +12,8 @@ import numpy as np
 from scipy import ndimage
 
 from ivuseg.erel import _cycle_contour, _cycle_xy, _moore_cycle
-from ivuseg.imaging import Contour
+from ivuseg.errors import DegenerateMaskError, DimensionMismatchError
+from ivuseg.imaging import Contour, Frame
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 EIGHT = np.ones((3, 3), dtype=bool)
@@ -31,6 +32,88 @@ def brute_median_filter(pixels: np.ndarray, radius: int) -> np.ndarray:
             ordered = np.sort(window)
             out[y, x] = ordered[(ordered.size - 1) // 2]
     return out
+
+
+def brute_densify(contour: Contour, max_spacing: float = 0.5) -> np.ndarray:
+    """Points on the contour polyline at most max_spacing apart, one
+    segment at a time."""
+    pts = contour.points
+    if pts.shape[0] == 1:
+        return pts.copy()
+    segs = np.vstack([pts, pts[:1]]) if contour.closed else pts
+    out = []
+    for p, q in zip(segs[:-1], segs[1:]):
+        length = float(np.hypot(*(q - p)))
+        steps = max(1, int(math.ceil(length / max_spacing)))
+        frac = np.arange(steps, dtype=np.float64)[:, None] / steps
+        out.append(p + (q - p) * frac)
+    if not contour.closed:
+        out.append(pts[-1:])
+    return np.vstack(out)
+
+
+def brute_polygon_mask(contour: Contour, shape: tuple[int, int]) -> np.ndarray:
+    """Even-odd scanline fill of a closed polygon at pixel centres, one row
+    at a time."""
+    h, w = shape
+    pts = contour.points
+    x0 = max(0, int(np.floor(pts[:, 0].min())))
+    x1 = min(w, int(np.ceil(pts[:, 0].max())) + 1)
+    y0 = max(0, int(np.floor(pts[:, 1].min())))
+    y1 = min(h, int(np.ceil(pts[:, 1].max())) + 1)
+    out = np.zeros((h, w), dtype=bool)
+    if x0 >= x1 or y0 >= y1:
+        return out
+    xs = np.arange(x0, x1, dtype=np.float64)
+    px, py = pts[:, 0], pts[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    keep = py != qy
+    px, py, qx, qy = px[keep], py[keep], qx[keep], qy[keep]
+    for row, y in enumerate(range(y0, y1)):
+        crosses = ((py <= y) & (qy > y)) | ((qy <= y) & (py > y))
+        if not crosses.any():
+            continue
+        x_at = px[crosses] + (y - py[crosses]) * (qx[crosses] - px[crosses]) / (qy[crosses] - py[crosses])
+        x_at.sort()
+        # odd number of crossings strictly right of a pixel centre = inside
+        out[y, x0:x1] = (np.searchsorted(x_at, xs, side="right") % 2).astype(bool)
+    return out
+
+
+def _lower_median(values: np.ndarray) -> int:
+    ordered = np.sort(values)
+    return int(ordered[(ordered.size - 1) // 2])
+
+
+def brute_remove_artifacts(frame: Frame, model) -> Frame:
+    """Masked pixels replaced one at a time by the lower median of the
+    unmasked pixels in the first of the 7x7, 11x11, 15x15 windows (clipped
+    to the frame) holding at least 5 of them, else of all unmasked pixels."""
+    mask = model.mask
+    if mask.shape != frame.pixels.shape:
+        raise DimensionMismatchError("artifact mask dimensions must match the frame")
+    if mask.all():
+        raise DegenerateMaskError("degenerate mask: artifact mask covers the entire frame")
+    if not mask.any():
+        return Frame(pixels=frame.pixels.copy(), mm_per_px=frame.mm_per_px)
+
+    src = frame.pixels
+    h, w = src.shape
+    global_fill = _lower_median(src[~mask])
+    out = src.copy()
+    ys, xs = np.nonzero(mask)
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        fill = global_fill
+        for radius in (3, 5, 7):
+            y0, y1 = max(0, y - radius), min(h, y + radius + 1)
+            x0, x1 = max(0, x - radius), min(w, x + radius + 1)
+            window = src[y0:y1, x0:x1]
+            clean = window[~mask[y0:y1, x0:x1]]
+            if clean.size >= 5:
+                fill = _lower_median(clean)
+                break
+        out[y, x] = fill
+    return Frame(pixels=out, mm_per_px=frame.mm_per_px)
 
 
 def brute_component(pixels: np.ndarray, t: int, seed_xy: tuple[int, int]) -> np.ndarray | None:
@@ -152,4 +235,18 @@ def outer_adjacent_pixels(mask: np.ndarray) -> np.ndarray:
     outer_bg = ndimage.binary_propagation(border & ~padded, mask=~padded, structure=EIGHT)
     boundary = padded & ndimage.binary_dilation(outer_bg, structure=EIGHT)
     ys, xs = np.nonzero(boundary[1:-1, 1:-1])
+    return np.column_stack([xs, ys])
+
+
+def border_exposed_pixels(mask: np.ndarray) -> np.ndarray:
+    """(n, 2) (x, y) region pixels, in raster order, with a 4-neighbour in
+    the background that is 4-connected to the frame border (the one-pixel
+    padding around the frame counts as border).  A flood-fill statement of
+    the Moore walk's boundary set: it leaves out the hole boundaries and
+    the pocket pixels that touch the outside only across a diagonal gap."""
+    padded = np.pad(mask, 1, mode="constant", constant_values=False)
+    labels, _ = ndimage.label(~padded, structure=FOUR)
+    outside = labels == labels[0, 0]
+    exposed = padded & ndimage.binary_dilation(outside, structure=FOUR)
+    ys, xs = np.nonzero(exposed[1:-1, 1:-1])
     return np.column_stack([xs, ys])

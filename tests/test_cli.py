@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import acceptance_phantom_spec
+from oracles import brute_polygon_mask
 from ivuseg.cli import (
     RunConfig,
     _config_from_args,
@@ -22,7 +26,7 @@ from ivuseg.cli import (
 )
 from ivuseg.errors import ConfigError, SegmentationError
 from ivuseg.geometry import Ellipse, ellipse_mask, rasterize_ellipse
-from ivuseg.imaging import Frame, load_contour, save_frame
+from ivuseg.imaging import Contour, Frame, load_contour, save_contour, save_frame
 from ivuseg.metrics import jaccard
 from ivuseg.phantom import PhantomSpec, generate_phantom
 
@@ -226,6 +230,27 @@ def test_polygon_mask_matches_ellipse_mask():
     assert (poly ^ direct).sum() <= 0.02 * direct.sum()
 
 
+@st.composite
+def polygons(draw):
+    """Closed polygons around and beyond a small frame; integer and
+    half-integer vertices put vertices on pixel rows and make horizontal
+    edges likely."""
+    coord = st.one_of(
+        st.integers(-12, 52).map(lambda v: v / 2),
+        st.floats(-8, 28, allow_nan=False),
+    )
+    raw = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=30))
+    pts = [p for i, p in enumerate(raw) if i == 0 or p != raw[i - 1]]
+    assume(len(pts) >= 3)
+    return Contour(points=np.array(pts, dtype=float), closed=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygons(), st.tuples(st.integers(1, 24), st.integers(1, 24)))
+def test_polygon_mask_matches_row_loop(contour, shape):
+    assert np.array_equal(_polygon_mask(contour, shape), brute_polygon_mask(contour, shape))
+
+
 def test_batch_pullback_ringdown_removal(tmp_path):
     # a real pullback: same vessel, independent speckle, constant ring-down
     # square; the artifact model must locate and fill it in every frame
@@ -408,6 +433,99 @@ def test_malformed_gold_fails_only_its_frame(bad_gold_demo, tmp_path, capsys, jo
     assert [e["frame"] for e in entries] == ["phantom_000", "phantom_002"]
     errors = capsys.readouterr().err.splitlines()
     assert any(line.startswith("phantom_001: bad contour line 'abc'") for line in errors)
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _outputs(outdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def small_demo(tmp_path_factory):
+    """Three 96x96 phantom frames f1, f3, f5 with gold, and the outputs and
+    stdout of evaluate and bestcase on those three alone."""
+    root = tmp_path_factory.mktemp("small_demo")
+    good = root / "good"
+    good.mkdir()
+    for i, stem in enumerate(("f1", "f3", "f5")):
+        spec = PhantomSpec(
+            width=96, height=96, rng_seed=i,
+            lumen=Ellipse(48.0, 48.0, 15.0, 13.0, 0.3),
+            media=Ellipse(48.0, 48.0, 29.0, 26.0, -0.2),
+        )
+        frame, truth = generate_phantom(spec)
+        save_frame(frame, good / f"{stem}.pgm")
+        save_contour(truth.lumen_contour, good / f"{stem}_lumen.txt")
+        save_contour(truth.media_contour, good / f"{stem}_media.txt")
+    ref = {}
+    for command in ("evaluate", "bestcase"):
+        out = root / command
+        code, stdout = _run_quietly([command, str(good), "--gold", str(good),
+                                     "--outdir", str(out), "--no-ringdown"])
+        assert code == 0
+        ref[command] = (_outputs(out), stdout)
+    return good, ref
+
+
+@st.composite
+def bad_frames(draw):
+    """(kind, detail): a truncated PGM cut at some byte, a 2x2 frame, or a
+    good frame whose lumen or media gold is malformed."""
+    kind = draw(st.sampled_from(["truncated", "tiny", "gold"]))
+    if kind == "truncated":
+        return kind, draw(st.integers(0, len(b"P5\n96 96\n255\n") + 96 * 96 - 1))
+    if kind == "gold":
+        part = draw(st.sampled_from(["lumen", "media"]))
+        text = draw(st.sampled_from(["abc\n", "nan 3\n", "1 2 3\n"]))
+        return kind, (part, text)
+    return kind, None
+
+
+@settings(max_examples=12, deadline=None)
+@given(bad_frames(), st.integers(0, 3), st.sampled_from(["1", "2"]))
+@example(("truncated", 20), 0, "2")
+@example(("tiny", None), 3, "1")
+@example(("gold", ("media", "nan 3\n")), 1, "2")
+def test_bad_frame_never_costs_the_others_their_outputs(small_demo, bad, position, jobs):
+    good, ref = small_demo
+    kind, detail = bad
+    stem = f"f{2 * position}"  # sorts before, between or after f1, f3, f5
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "in"
+        inputs.mkdir()
+        for p in good.iterdir():
+            (inputs / p.name).write_bytes(p.read_bytes())
+        for part in ("lumen", "media"):
+            (inputs / f"{stem}_{part}.txt").write_bytes((good / f"f1_{part}.txt").read_bytes())
+        frame_bytes = (good / "f1.pgm").read_bytes()
+        if kind == "truncated":
+            frame_bytes = frame_bytes[:detail]
+        elif kind == "tiny":
+            frame_bytes = b"P5\n2 2\n255\n\x01\x02\x03\x04"
+        else:
+            part, text = detail
+            gold = inputs / f"{stem}_{part}.txt"
+            gold.write_text(gold.read_text() + text)
+        (inputs / f"{stem}.pgm").write_bytes(frame_bytes)
+
+        for command in ("evaluate", "bestcase"):
+            out = Path(tmp) / command
+            code, stdout = _run_quietly([command, str(inputs), "--gold", str(inputs),
+                                         "--outdir", str(out), "--no-ringdown", "--jobs", jobs])
+            assert code == 2
+            outputs = _outputs(out)
+            ref_outputs, ref_stdout = ref[command]
+            assert stdout == ref_stdout
+            if command == "evaluate":
+                error = outputs.pop(f"{stem}_error.json")
+                assert json.loads(error)["frame"] == stem
+            assert outputs == ref_outputs
 
 
 def test_cli_alpha_out_of_range_exits_3(tmp_path, capsys):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import acceptance_phantom_spec
+from ivuseg import erel
 from ivuseg.cli import RunConfig, _extract
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import (
@@ -21,6 +23,7 @@ from ivuseg.imaging import Frame, median_filter
 from ivuseg.phantom import PhantomSpec, generate_phantom
 from oracles import (
     FOUR,
+    border_exposed_pixels,
     boundary_pixel_set,
     brute_entropy,
     brute_moments,
@@ -113,6 +116,28 @@ def test_chain_walk_matches_mask_walk():
         traced = trace_outer_boundary(region.mask)
         assert np.array_equal(region.boundary.points, traced.points)
         assert region.boundary_length == len(boundary_pixel_set(region.mask))
+
+
+@pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
+def test_moore_boundary_is_the_border_exposed_set(monkeypatch, seed, shadow):
+    # every area-band candidate, not only the retained regions
+    candidates = []
+    select = erel.select_extremum_levels
+
+    def capture(cands, params, mgm):
+        candidates.extend(cands)
+        return select(cands, params, mgm)
+
+    monkeypatch.setattr(erel, "select_extremum_levels", capture)
+    frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
+    _, _, series = _extract(frame, RunConfig(), None)
+    chain = series[0]._chain
+    assert len(candidates) >= len(series)
+    for cand in candidates:
+        mask = chain.mask(cand.chain_index)
+        exposed = border_exposed_pixels(mask)
+        assert np.array_equal(exposed, boundary_pixel_set(mask))
+        assert np.array_equal(exposed, cand.boundary_pixels)
 
 
 # -- attributes -------------------------------------------------------------------

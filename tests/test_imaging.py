@@ -180,6 +180,8 @@ def test_contour_text_round_trip(tmp_path):
         pytest.param(b"1 2\n3 4\n", id="two-points-closed"),
         pytest.param(b"1 2\n1 2\n3 4\n", id="duplicate-points"),
         pytest.param(b"1 2\n3 4\n\xff\xfe 5\n", id="not-utf8"),
+        pytest.param(b"1 2\nnan 4\n6 7\n", id="nan-point"),
+        pytest.param(b"1 2\n3 inf\n6 7\n", id="inf-point"),
     ],
 )
 def test_load_contour_rejects_malformed_text(tmp_path, data):

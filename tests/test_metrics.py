@@ -16,7 +16,7 @@ from ivuseg.metrics import (
     structure_metrics,
     write_report_csv,
 )
-from oracles import brute_hausdorff
+from oracles import brute_densify, brute_hausdorff
 
 random_contours = st.builds(
     lambda pts: Contour(points=np.array(pts, dtype=float), closed=False),
@@ -120,6 +120,29 @@ def test_densify_spacing_bound():
     loop = np.vstack([pts, pts[:1]])
     gaps = np.hypot(*np.diff(loop, axis=0).T)
     assert gaps.max() <= 0.5 + 1e-12
+
+
+@st.composite
+def polylines(draw):
+    """Open or closed contours, one point upward, with repeated points;
+    integer coordinates make repeats and axis-parallel segments likely.
+    A closed contour may end on its first point: a zero-length segment."""
+    coord = st.one_of(st.integers(-3, 8).map(float), st.floats(-40, 40, allow_nan=False))
+    raw = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    pts = [p for i, p in enumerate(raw) if i == 0 or p != raw[i - 1]]
+    closed = len(pts) >= 3 and draw(st.booleans())
+    if closed and pts[-1] != pts[0] and draw(st.booleans()):
+        pts.append(pts[0])
+    return Contour(points=np.array(pts, dtype=float), closed=closed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polylines(), st.sampled_from([0.5, 0.7]))
+def test_densify_matches_segment_loop_bytewise(contour, spacing):
+    ours = densify(contour, spacing)
+    ref = brute_densify(contour, spacing)
+    assert ours.shape == ref.shape
+    assert ours.tobytes() == ref.tobytes()
 
 
 # -- pad -------------------------------------------------------------------------

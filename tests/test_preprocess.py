@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ivuseg.errors import DegenerateMaskError, DimensionMismatchError
 from ivuseg.imaging import Frame, Sequence
@@ -12,6 +13,7 @@ from ivuseg.preprocess import (
     minimum_image,
     remove_artifacts,
 )
+from oracles import brute_remove_artifacts
 
 
 def frames_from(arrays_list):
@@ -155,3 +157,47 @@ def test_remove_artifacts_fills_square_from_speckle(rng):
     filled_mean = out.pixels[mask].mean()
     surround = base[~mask].mean()
     assert abs(filled_mean - surround) <= 10
+
+
+@st.composite
+def masked_frames(draw):
+    """(pixels, mask): a frame up to 40x40 and a mask made of a rectangle,
+    which may reach the frame edge, plus scattered pixels of any density."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    pixels = draw(arrays(np.uint8, (h, w)))
+    y0, y1 = sorted(draw(st.tuples(st.integers(0, h), st.integers(0, h))))
+    x0, x1 = sorted(draw(st.tuples(st.integers(0, w), st.integers(0, w))))
+    density = draw(st.sampled_from([0.0, 0.03, 0.3, 0.8, 0.97]))
+    scatter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((h, w)) < density
+    mask = scatter.copy()
+    mask[y0:y1, x0:x1] = True
+    assume(mask.any() and not mask.all())
+    return pixels, mask
+
+
+def _block_case(h, w, block):
+    pixels = np.random.default_rng(7).integers(0, 256, (h, w)).astype(np.uint8)
+    mask = np.zeros((h, w), dtype=bool)
+    mask[block] = True
+    return pixels, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_frames())
+# a 34x34 block inside a 3-px clean rim: rows of the block need the 7x7,
+# 11x11 and 15x15 windows in turn, and its centre the global median
+@example(_block_case(40, 40, np.s_[3:37, 3:37]))
+# a block on the frame edge, so windows are clipped on two sides
+@example(_block_case(30, 30, np.s_[0:20, 12:30]))
+def test_remove_artifacts_matches_pixel_loop(case):
+    pixels, mask = case
+    model = ArtifactModel(
+        min_image=Frame(pixels=np.where(mask, 255, 0).astype(np.uint8)),
+        mask=mask,
+        threshold=200,
+    )
+    frame = Frame(pixels=pixels, mm_per_px=0.026)
+    ours = remove_artifacts(frame, model)
+    ref = brute_remove_artifacts(frame, model)
+    assert ours.mm_per_px == ref.mm_per_px
+    assert np.array_equal(ours.pixels, ref.pixels)
