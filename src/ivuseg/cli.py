@@ -22,7 +22,7 @@ import numpy as np
 
 from . import erel, metrics, phantom, preprocess, selection
 from .component_tree import build_component_tree
-from .errors import ConfigError, SegmentationError
+from .errors import ConfigError, ContourFormatError, SegmentationError
 from .geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
 from .imaging import (
     Contour,
@@ -315,15 +315,30 @@ def _write_overlay(path: Path, frame: Frame, lumen: Contour, media: Contour,
     path.write_bytes(header + rgb.tobytes())
 
 
-def _load_gold(gold_dir: Path, stem: str) -> tuple[Contour, Contour] | None:
-    """(lumen, media) gold contours of a frame; None when either is missing.
+def _load_gold(
+    gold_dir: Path, stem: str, shape: tuple[int, int]
+) -> tuple[Contour, Contour] | None:
+    """(lumen, media) gold contours of a frame of the given (height, width);
+    None when either is missing.
 
-    A malformed contour file raises ContourFormatError.
+    A malformed contour file raises ContourFormatError, and so does a point
+    more than one frame width or height outside the frame: scoring samples
+    every gold segment at half-pixel spacing, so a far-off point would cost
+    memory without bound.
     """
     paths = gold_dir / f"{stem}_lumen.txt", gold_dir / f"{stem}_media.txt"
     if not all(p.exists() for p in paths):
         return None
-    return load_contour(paths[0]), load_contour(paths[1])
+    h, w = shape
+    gold = load_contour(paths[0]), load_contour(paths[1])
+    for path, contour in zip(paths, gold):
+        x, y = contour.points.T
+        if (x < -w).any() or (x > 2 * w).any() or (y < -h).any() or (y > 2 * h).any():
+            raise ContourFormatError(
+                f"gold contour {path} has a point more than one frame size "
+                f"outside the {w}x{h} frame"
+            )
+    return gold
 
 
 def _score_frame(
@@ -414,7 +429,7 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
         if i not in errors and cfg.gold_dir is not None:
             # before any output, so a frame with bad gold gets only its error
             try:
-                gold = _load_gold(cfg.gold_dir, stem)
+                gold = _load_gold(cfg.gold_dir, stem, frames[i].pixels.shape)
             except SegmentationError as exc:
                 errors[i] = _error_record(exc)
         if i in errors:
@@ -496,7 +511,7 @@ def bestcase_frame(
 def _bestcase_worker(task: tuple):
     stem, frame, cfg, model = task
     try:
-        gold = _load_gold(cfg.gold_dir, stem)
+        gold = _load_gold(cfg.gold_dir, stem, frame.pixels.shape)
         if gold is None:
             return None, {"error": "FileNotFoundError", "message": "missing gold contours"}
         return bestcase_frame(frame, cfg, *gold, model), None

@@ -48,6 +48,18 @@ def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
+def _distinct(x: np.ndarray, stamp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, first) of an index array x: first marks one occurrence of
+    each value, so x[first] are the distinct values, and slot[i] is the
+    position of the marked occurrence of x[i]'s value.  stamp is scratch
+    indexed by value; whichever duplicate wins the scattered store, exactly
+    one occurrence per value reads its own position back."""
+    pos = np.arange(x.size, dtype=np.int32)
+    stamp[x] = pos
+    slot = stamp[x]
+    return slot, slot == pos
+
+
 def build_component_tree(
     pixels: np.ndarray,
     seed: tuple[int, int],
@@ -73,12 +85,13 @@ def build_component_tree(
     n = flat.size
 
     order = np.argsort(flat, kind="stable").astype(np.int32)
-    px_starts = np.searchsorted(flat[order], np.arange(257))
+    px_starts = np.r_[0, np.cumsum(np.bincount(flat, minlength=256))]
 
     uf = np.arange(n, dtype=np.int32)
     parent = np.arange(n, dtype=np.int32)
     node_rep = np.full(n, -1, dtype=np.int32)  # current node canonical pixel, per UF root
     scratch = np.empty(n, dtype=np.int32)      # per-root minima, only touched slots used
+    stamp = np.empty(n, dtype=np.int32)        # per-root scratch of _distinct
     canonical = np.zeros(n, dtype=bool)        # node canonical pixels, grown per level
 
     sx, sy = seed
@@ -98,9 +111,10 @@ def build_component_tree(
         # An edge carries the max of its endpoint levels, so every edge of
         # this level leaves a pixel that just activated.  Enumerating the
         # active 4-neighbours of the new pixels therefore yields exactly the
-        # level-t edges (t-t edges twice, which unions tolerate).
+        # level-t edges: those to older pixels from every direction, and
+        # those between two new pixels once, from the lower one's side.
         nx = new_px % w
-        us, vs = [], []
+        u_old, v_old, u_new, v_new = [], [], [], []
         for off, valid in (
             (-1, nx > 0),
             (1, nx < w - 1),
@@ -108,12 +122,17 @@ def build_component_tree(
             (w, new_px < n - w),
         ):
             src = new_px[valid]
-            us.append(src)
-            vs.append(src + off)
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-        active = flat[v] <= t
-        u, v = u[active], v[active]
+            dst = src + off
+            lv = flat[dst]
+            older = lv < t
+            u_old.append(src[older])
+            v_old.append(dst[older])
+            if off > 0:
+                same = lv == t
+                u_new.append(src[same])
+                v_new.append(dst[same])
+        u = np.concatenate(u_old)
+        v = np.concatenate(v_old)
 
         if not tracking and px_starts[t + 1] >= stop_area:
             # the seed component can only exceed the cap once at least that
@@ -121,34 +140,32 @@ def build_component_tree(
             # them incrementally
             active = order[: px_starts[t]]
             if active.size:
-                np.add.at(comp_size, _find(uf, active), 1)
+                comp_size[:] = np.bincount(_find(uf, active), minlength=n)
             tracking = True
 
-        if u.size:
-            # new pixels are their own roots before any union of this level
-            rv = _find(uf, v)
-            # only the v side can carry pre-existing components: the u side
-            # is fresh (node_rep -1, component size 0).  Size bookkeeping
-            # must see each component once; the reps pass tolerates
-            # duplicates (same parent written repeatedly).
-            pre_roots = np.unique(rv) if tracking else rv
-            ru = u
-            # Batched unions: hook the larger root under the smaller until
-            # every edge of this level is internal to one component.  Plain
-            # scatter stores suffice: every write points at a strictly
-            # smaller index, so no cycle can form, and an edge whose hook
-            # was overwritten by a conflicting one stays open and re-hooks
-            # on the next round.
-            while True:
-                open_ = ru != rv
-                if not open_.any():
-                    break
-                ru, rv = ru[open_], rv[open_]
-                uf[np.maximum(ru, rv)] = np.minimum(ru, rv)
-                ru = _find(uf, ru)
-                rv = _find(uf, rv)
-        else:
-            pre_roots = np.empty(0, dtype=np.int32)
+        # only older pixels carry pre-existing components; new pixels are
+        # their own roots before any union of this level (node_rep -1,
+        # component size 0).  Size bookkeeping must see each component
+        # once; the reps pass tolerates duplicates (same parent written
+        # repeatedly).
+        rv = _find(uf, v)
+        pre_roots = rv[_distinct(rv, stamp)[1]] if tracking else rv
+        ru = np.concatenate([u, *u_new])
+        rv = np.concatenate([rv, *v_new])
+        # Batched unions: hook the larger root under the smaller until
+        # every edge of this level is internal to one component.  Plain
+        # scatter stores suffice: every write points at a strictly smaller
+        # index, so no cycle can form, and an edge whose hook was
+        # overwritten by a conflicting one stays open and re-hooks on the
+        # next round.
+        while True:
+            open_ = ru != rv
+            if not open_.any():
+                break
+            ru, rv = ru[open_], rv[open_]
+            uf[np.maximum(ru, rv)] = np.minimum(ru, rv)
+            ru = _find(uf, ru)
+            rv = _find(uf, rv)
 
         if tracking:
             pre_sizes = comp_size[pre_roots]
@@ -170,11 +187,13 @@ def build_component_tree(
         node_rep[roots_new] = c_new
 
         if tracking:
-            if pre_roots.size:
-                fr = _find(uf, pre_roots)
-                comp_size[fr] = 0
-                np.add.at(comp_size, fr, pre_sizes)
-            np.add.at(comp_size, roots_new, 1)
+            # a touched component's size is the sizes of the components it
+            # swallowed plus its new pixels
+            roots = np.concatenate([_find(uf, pre_roots), roots_new])
+            slot, first = _distinct(roots, stamp)
+            gained = np.concatenate([pre_sizes, np.ones(new_px.size, dtype=np.int32)])
+            sizes = np.bincount(slot, weights=gained, minlength=roots.size)
+            comp_size[roots[first]] = sizes[first]
             if t >= seed_level and comp_size[_find(uf, seed_arr)[0]] > stop_area:
                 break
 
@@ -304,8 +323,9 @@ class SeedChain:
             h, w = self._shape
             kk = self._kmax
             join2d = self.join_index.reshape(h, w)
-            inside_rows = (join2d <= kk).any(axis=1)
-            inside_cols = (join2d <= kk).any(axis=0)
+            inside = join2d <= kk
+            inside_rows = inside.any(axis=1)
+            inside_cols = inside.any(axis=0)
             y0 = int(np.argmax(inside_rows))
             y1 = h - int(np.argmax(inside_rows[::-1]))
             x0 = int(np.argmax(inside_cols))
@@ -314,22 +334,32 @@ class SeedChain:
             lv = self._levels.reshape(h, w)[y0:y1, x0:x1]
             self._crop = (sub, lv, x0, y0, x1 - x0, y1 - y0)
         return self._crop
+
     def _prefix_sums(self) -> dict[str, np.ndarray]:
         if self._prefix is None:
             sub, lv, x0, y0, cw, ch = self._cropped()
-            nb = self._kmax + 2
-            j = sub.ravel()
-            ys, xs = np.divmod(np.arange(j.size, dtype=np.float64), cw)
-            xs += x0
-            ys += y0
-            tables = {}
-            for name, weights in (
-                ("x", xs), ("y", ys), ("xx", xs * xs), ("xy", xs * ys),
-                ("yy", ys * ys), ("i", lv.ravel().astype(np.float64)),
-            ):
-                tables[name] = np.cumsum(
-                    np.bincount(j, weights=weights, minlength=nb)[: self._kmax + 1]
-                )
+            kk = self._kmax
+            nb = kk + 2
+            # Every table entry is a sum of integers below 2**53, so these
+            # bucket sums are exact: pixel counts per (bucket, row) and per
+            # (bucket, column), x summed per (bucket, row), and intensities
+            # from the histogram table, which is cumulative already.
+            xs = np.arange(x0, x0 + cw, dtype=np.int64)
+            ys = np.arange(y0, y0 + ch, dtype=np.int64)
+            by_row = (sub * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
+            by_col = (sub * cw + np.arange(cw, dtype=np.int32)).ravel()
+            n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[: kk + 1]
+            n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[: kk + 1]
+            x_row = np.bincount(
+                by_row, weights=np.broadcast_to(xs.astype(np.float64), sub.shape).ravel(),
+                minlength=nb * ch,
+            ).reshape(nb, ch)[: kk + 1]
+            sums = {
+                "x": n_col @ xs, "y": n_row @ ys, "xx": n_col @ (xs * xs),
+                "xy": x_row @ ys.astype(np.float64), "yy": n_row @ (ys * ys),
+            }
+            tables = {name: np.cumsum(v.astype(np.float64)) for name, v in sums.items()}
+            tables["i"] = (self._hist_table() @ np.arange(256)).astype(np.float64)
             self._prefix = tables
         return self._prefix
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .component_tree import ComponentTree, SeedChain
 from .errors import NoCandidateRegionsError
@@ -175,9 +177,13 @@ def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Boundary machinery.  boundary_length is the number of distinct pixels on
-# the Moore-traced outer contour; hole boundaries do not count, and neither
-# do pocket pixels that touch the outside only across a diagonal gap.
+# Boundary machinery.  boundary_length is the number of border-exposed
+# pixels: region pixels with a 4-neighbour in the background that is
+# 4-connected to the outside.  Hole boundaries do not count, and neither do
+# pocket pixels that touch the outside only across a diagonal gap.  All
+# candidates are counted in one widest-path pass (_boundary_counts).  The
+# Moore walk below only draws a region's ordered contour (Region.boundary),
+# the one bestcase scores by Hausdorff distance.
 # ---------------------------------------------------------------------------
 
 # Clockwise Moore neighbourhood in image coordinates (y down), west first.
@@ -242,6 +248,95 @@ def _cycle_contour(cycle, w2: int, ox: int = 0, oy: int = 0) -> Contour:
     return Contour(points=pts, closed=pts.shape[0] >= 3)
 
 
+def _boundary_counts(
+    join: np.ndarray, band: np.ndarray, maxima: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(boundary lengths, gradient-maxima hits) of all candidates in one pass.
+
+    join is a restricted chain's join-index crop, clipped at band[-1] + 1:
+    every candidate lies inside it, and everything outside it is background
+    that reaches the frame border.  band holds the candidates' chain
+    indices in ascending order, and maxima is a bool map over the crop.
+
+    Let L(p) be the position in band of the first candidate that contains
+    pixel p, or len(band) when none does, as on a one-pixel pad around the
+    crop.  Let e(q) be the widest-path value of q: the largest, over 4-paths
+    from the pad to q, of the smallest L on the path (T. C. Hu, "The maximum
+    capacity route problem", 1961; L. Vincent, IEEE TIP 1993, computes it
+    as a grey reconstruction).  q lies in candidate c's outside background
+    exactly when e(q) > c.  So p lies on c's boundary exactly when
+    L(p) <= c < E(p), where E(p) is the largest e over p's 4-neighbours,
+    and the counts are a difference array summed up to each candidate.
+
+    L, and so e, is constant on each horizontal run of equal L.  The runs
+    are the nodes of a graph with one edge per pair of 4-adjacent runs,
+    weighted so that its minimum spanning tree maximises the smaller L of
+    the edges' ends.  The tree path from the pad to a run is then a widest
+    path, and pointer jumping takes the running minimum of L along it.
+    """
+    m = len(band)
+    dt = np.min_scalar_type(m)
+    first = np.searchsorted(band, np.arange(int(band[-1]) + 2)).astype(dt)
+    ch, cw = join.shape
+    w2 = cw + 2
+    lp = np.full((ch + 2, w2), m, dtype=dt)
+    lp[1:-1, 1:-1] = first[join]
+    flat = lp.ravel()
+
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::w2] = True
+    run = np.cumsum(starts, dtype=np.int32)
+    run -= 1
+    n_runs = int(run[-1]) + 1
+    # Renumber runs by decreasing L (stable, so the pad's first run stays
+    # node 0) and file each edge under its lower-L end: the edge weights
+    # then grow with the row, the graph's data is already sorted, and the
+    # spanning tree's sort of the weights costs one pass.
+    run_l = flat[starts]
+    order = np.argsort(m - run_l, kind="stable")
+    rank = np.empty(n_runs, dtype=np.int32)
+    rank[order] = np.arange(n_runs, dtype=np.int32)
+    run_l = run_l[order]
+
+    # A run meets the run to its left in its row, and every run of the
+    # next row it overlaps; an overlap begins where a run of either row
+    # starts, so those columns list each vertical pair exactly once.
+    right = np.flatnonzero(starts)
+    right = right[right % w2 != 0]
+    grid = starts.reshape(-1, w2)
+    below = np.flatnonzero(grid[:-1] | grid[1:])
+    a = rank[np.concatenate([run[right] - 1, run[below]])]
+    b = rank[np.concatenate([run[right], run[below + w2]])]
+    lower = np.maximum(a, b)
+    weight = m + 2.0 - run_l[lower]
+    graph = csr_matrix((weight, (lower, np.minimum(a, b))), shape=(n_runs, n_runs))
+    tree = minimum_spanning_tree(graph, overwrite=True)
+    _, up = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
+    up[0] = 0
+    # e[v] is the smallest L on the tree path from v up to and including
+    # up[v]; each round doubles the path until it ends at the pad (node 0)
+    e = np.minimum(run_l, run_l[up])
+    while up.any():
+        e = np.minimum(e, e[up])
+        up = up[up]
+
+    ep = e[rank][run].reshape(ch + 2, w2)
+    reach = np.maximum(
+        np.maximum(ep[:-2, 1:-1], ep[2:, 1:-1]), np.maximum(ep[1:-1, :-2], ep[1:-1, 2:])
+    )
+    inner = lp[1:-1, 1:-1]
+    on = inner < reach
+    enter, leave, hit = inner[on], reach[on], maxima[on]
+
+    def per_candidate(lo, hi):
+        diff = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
+        return np.cumsum(diff[:m])
+
+    return per_candidate(enter, leave), per_candidate(enter[hit], leave[hit])
+
+
 # ---------------------------------------------------------------------------
 # Extremum-level retention
 # ---------------------------------------------------------------------------
@@ -273,42 +368,32 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-@dataclass
-class CandidateLevel:
-    """One area-band survivor of the seed chain, with its boundary pixels."""
-
-    chain_index: int
-    level: int
-    area: int
-    boundary_pixels: np.ndarray  # (n, 2) integer (x, y)
-
-
 def select_extremum_levels(
-    candidates: list[CandidateLevel],
+    lengths: np.ndarray,
+    hits: np.ndarray,
     params: ErelParams,
-    mgm: np.ndarray,
 ) -> list[int]:
     """Pick the candidate positions whose boundaries ride gradient maxima.
 
-    The per-level criterion is the fraction of boundary pixels that are
-    gradient-magnitude maxima; after smoothing with a moving average of
+    lengths[i] is candidate i's boundary length, the number of its
+    border-exposed pixels, and hits[i] how many of those are
+    gradient-magnitude maxima; extract_qplus counts both for every
+    candidate in one pass (_boundary_counts).  The per-level criterion is
+    the fraction hits / lengths; after smoothing with a moving average of
     half-width beta, local maxima at or above alpha times the mean raw
     criterion are retained.  Too few retained levels fall back to keeping
     every candidate: the selection stage downstream reads the evolution of
     the series, which a handful of isolated snapshots cannot carry.
     """
-    if not candidates:
+    lengths = np.asarray(lengths)
+    if not lengths.size:
         return []
-    q = np.empty(len(candidates), dtype=np.float64)
-    for i, cand in enumerate(candidates):
-        bp = cand.boundary_pixels
-        hits = int(mgm[bp[:, 1], bp[:, 0]].sum()) if bp.size else 0
-        q[i] = hits / max(len(bp), 1)
+    q = np.asarray(hits) / np.maximum(lengths, 1)
     smoothed = _moving_average(q, params.beta)
     threshold = params.alpha * float(q.mean())
     retained = [int(i) for i in _local_maxima(smoothed) if smoothed[i] >= threshold]
     if len(retained) < MIN_RETAINED_LEVELS:
-        return list(range(len(candidates)))
+        return list(range(len(lengths)))
     return retained
 
 
@@ -322,12 +407,6 @@ def _candidate_cycle(chain: SeedChain, k: int) -> tuple[list[int], int, int, int
     sx, sy = chain.first_pixel(k)
     start = (sy - oy + 1) * w2 + (sx - ox + 1)
     return _moore_cycle(vals, k, start, w2), w2, ox, oy
-
-
-def _candidate_boundary(chain: SeedChain, k: int) -> np.ndarray:
-    """Distinct outer-boundary pixels (frame x, y) of chain node k."""
-    cycle, w2, ox, oy = _candidate_cycle(chain, k)
-    return _cycle_xy(np.unique(cycle), w2, ox, oy)
 
 
 def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> RegionSeries:
@@ -360,40 +439,32 @@ def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> Regi
         last = chain.areas[thinned[-1]]
         if chain.areas[k] - last >= max(0.01 * last, 4):
             thinned.append(k)
-    band = thinned
-    chain.restrict(band[-1])
+    band = np.asarray(thinned)
+    chain.restrict(int(band[-1]))
 
-    candidates = [
-        CandidateLevel(
-            chain_index=k,
-            level=int(chain.levels[k]),
-            area=int(chain.areas[k]),
-            boundary_pixels=_candidate_boundary(chain, k),
-        )
-        for k in band
-    ]
-    # All candidate boundaries live inside the largest candidate's bbox,
-    # which is the restricted chain's attribute crop, so the gradient map
-    # only needs computing there (padded for the Sobel and suppression
-    # neighbourhoods).
+    # All candidates live inside the largest one's bbox, which is the
+    # restricted chain's attribute crop, so the gradient map only needs
+    # computing there (padded for the Sobel and suppression neighbourhoods,
+    # and clipped to the frame).
     h, w = frame.pixels.shape
-    *_, x0, y0, cw, ch = chain._cropped()
+    join, _, x0, y0, cw, ch = chain._cropped()
     bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
-    bx1, by1 = min(w, x0 + cw + 2), min(h, y0 + ch + 2)
-    mgm = np.zeros((h, w), dtype=bool)
-    mgm[by0:by1, bx0:bx1] = gradient_magnitude_maxima(frame.pixels[by0:by1, bx0:bx1])
-    retained = select_extremum_levels(candidates, params, mgm)
+    window = gradient_magnitude_maxima(
+        frame.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
+    )
+    maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
+    lengths, hits = _boundary_counts(join, band, maxima)
+    retained = select_extremum_levels(lengths, hits, params)
 
     regions = []
     for pos in retained:
-        cand = candidates[pos]
-        k = cand.chain_index
+        k = int(band[pos])
         mu_xx, mu_xy, mu_yy = chain.central_moments(k)
         regions.append(
             Region(
-                level=cand.level,
-                area=cand.area,
-                boundary_length=len(cand.boundary_pixels),
+                level=int(chain.levels[k]),
+                area=int(chain.areas[k]),
+                boundary_length=int(lengths[pos]),
                 mean_intensity=chain.mean_intensity(k),
                 entropy=chain.entropy(k),
                 centroid=chain.centroid(k),

@@ -18,13 +18,14 @@ from ivuseg.cli import (
     RunConfig,
     _config_from_args,
     _extract,
+    _load_gold,
     _polygon_mask,
     build_parser,
     main,
     run_batch,
     segment_frame,
 )
-from ivuseg.errors import ConfigError, SegmentationError
+from ivuseg.errors import ConfigError, ContourFormatError, SegmentationError
 from ivuseg.geometry import Ellipse, ellipse_mask, rasterize_ellipse
 from ivuseg.imaging import Contour, Frame, load_contour, save_contour, save_frame
 from ivuseg.metrics import jaccard
@@ -397,6 +398,20 @@ def test_cli_bestcase_honours_jobs_and_reports_failures(phantom_dir, tmp_path, c
     assert "best-case over 2 frame(s)" in printed.out
 
 
+@pytest.mark.parametrize("x, y, ok", [
+    (-40, 5, True), (80, 5, True), (5, -30, True), (5, 60, True),
+    (-40.5, 5, False), (80.5, 5, False), (5, -30.5, False), (5, 60.5, False),
+])
+def test_gold_may_reach_one_frame_size_outside_the_frame(tmp_path, x, y, ok):
+    for part in ("lumen", "media"):
+        (tmp_path / f"f_{part}.txt").write_text(f"1 1\n10 1\n{x} {y}\n")
+    if ok:
+        assert _load_gold(tmp_path, "f", (30, 40)) is not None
+    else:
+        with pytest.raises(ContourFormatError, match="outside the 40x30 frame"):
+            _load_gold(tmp_path, "f", (30, 40))
+
+
 @pytest.fixture(scope="module")
 def bad_gold_demo(tmp_path_factory):
     """Three demo frames with gold; the middle frame's media file has a bad line."""
@@ -476,13 +491,14 @@ def small_demo(tmp_path_factory):
 @st.composite
 def bad_frames(draw):
     """(kind, detail): a truncated PGM cut at some byte, a 2x2 frame, or a
-    good frame whose lumen or media gold is malformed."""
+    good frame whose lumen or media gold is malformed or reaches far outside
+    the frame."""
     kind = draw(st.sampled_from(["truncated", "tiny", "gold"]))
     if kind == "truncated":
         return kind, draw(st.integers(0, len(b"P5\n96 96\n255\n") + 96 * 96 - 1))
     if kind == "gold":
         part = draw(st.sampled_from(["lumen", "media"]))
-        text = draw(st.sampled_from(["abc\n", "nan 3\n", "1 2 3\n"]))
+        text = draw(st.sampled_from(["abc\n", "nan 3\n", "1 2 3\n", "1e12 5\n"]))
         return kind, (part, text)
     return kind, None
 
@@ -492,6 +508,7 @@ def bad_frames(draw):
 @example(("truncated", 20), 0, "2")
 @example(("tiny", None), 3, "1")
 @example(("gold", ("media", "nan 3\n")), 1, "2")
+@example(("gold", ("media", "1e12 5\n")), 2, "1")
 def test_bad_frame_never_costs_the_others_their_outputs(small_demo, bad, position, jobs):
     good, ref = small_demo
     kind, detail = bad

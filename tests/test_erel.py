@@ -1,16 +1,19 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import acceptance_phantom_spec
 from ivuseg import erel
 from ivuseg.cli import RunConfig, _extract
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import (
-    CandidateLevel,
     ErelParams,
-    _candidate_boundary,
+    _boundary_counts,
     _local_maxima,
     _moving_average,
     extract_qplus,
@@ -118,26 +121,123 @@ def test_chain_walk_matches_mask_walk():
         assert region.boundary_length == len(boundary_pixel_set(region.mask))
 
 
-@pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
-def test_moore_boundary_is_the_border_exposed_set(monkeypatch, seed, shadow):
-    # every area-band candidate, not only the retained regions
-    candidates = []
-    select = erel.select_extremum_levels
+def _counted_candidates(frame, run):
+    """Run extraction via run(frame) and return (chain, band, lengths, hits,
+    maxima) as _boundary_counts saw and answered them, for every thinned
+    candidate, not only the retained regions."""
+    seen = {}
+    count = erel._boundary_counts
 
-    def capture(cands, params, mgm):
-        candidates.extend(cands)
-        return select(cands, params, mgm)
+    def capture(join, band, maxima):
+        seen["args"] = band, maxima
+        seen["counts"] = count(join, band, maxima)
+        return seen["counts"]
 
-    monkeypatch.setattr(erel, "select_extremum_levels", capture)
-    frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
-    _, _, series = _extract(frame, RunConfig(), None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(erel, "_boundary_counts", capture)
+        series = run(frame)
     chain = series[0]._chain
-    assert len(candidates) >= len(series)
-    for cand in candidates:
-        mask = chain.mask(cand.chain_index)
-        exposed = border_exposed_pixels(mask)
-        assert np.array_equal(exposed, boundary_pixel_set(mask))
-        assert np.array_equal(exposed, cand.boundary_pixels)
+    band, maxima = seen["args"]
+    return chain, band, *seen["counts"], maxima
+
+
+def _oracle_counts(chain, k, maxima):
+    """(border-exposed pixel count, gradient maxima among them) of chain node
+    k, with maxima given over the chain's attribute crop."""
+    *_, x0, y0, _, _ = chain._cropped()
+    exposed = border_exposed_pixels(chain.mask(k))
+    return len(exposed), int(maxima[exposed[:, 1] - y0, exposed[:, 0] - x0].sum())
+
+
+@pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
+def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
+    frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
+    chain, band, lengths, hits, maxima = _counted_candidates(
+        frame, lambda f: _extract(f, RunConfig(), None)[2]
+    )
+    assert len(band) >= 40
+    for k, length, hit in zip(band, lengths, hits):
+        mask = chain.mask(k)
+        assert np.array_equal(border_exposed_pixels(mask), boundary_pixel_set(mask))
+        assert (length, hit) == _oracle_counts(chain, k, maxima)
+
+
+def _frame_with(shape, fill, dark, value=0):
+    pixels = np.full(shape, fill, np.uint8)
+    for y, x in dark:
+        pixels[y, x] = value
+    return pixels
+
+
+# a dark ring around a bright hole; the band includes the ring with its hole
+HOLE = _frame_with((7, 7), 100, [(y, x) for y in range(1, 6) for x in range(1, 6)])
+HOLE[3, 3] = 200
+# a 5x5 block whose pocket at (3, 3) meets the notch (4, 4)-(5, 4) only
+# across a diagonal gap, so the pocket's walls are not exposed
+POCKET = _frame_with(
+    (7, 7), 100,
+    [(y, x) for y in range(1, 6) for x in range(1, 6) if (y, x) not in {(3, 3), (4, 4), (5, 4)}],
+)
+# a dark block in the frame's corner, inside every larger region
+CORNER = _frame_with((8, 9), 100, [(y, x) for y in range(4) for x in range(5)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           elements=st.sampled_from([0, 40, 41, 90, 200, 255])),
+    st.tuples(st.integers(0, 11), st.integers(0, 11)),
+    st.integers(0, 1_000_000),
+)
+@example(HOLE, (1, 1), 0)
+@example(POCKET, (1, 1), 0)
+@example(CORNER, (0, 0), 0)
+@example(np.array([[40, 41, 0]], np.uint8), (0, 0), 0)  # maxima need 2 px of margin
+def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_draw):
+    h, w = pixels.shape
+    seed = (seed[0] % w, seed[1] % h)
+    n = pixels.size
+    if n < 2:
+        return
+    a_max = n - a_max_draw % (n - 1)  # a band [1, a_max] within the frame
+    params = ErelParams(a_min=1, a_max=a_max)
+    frame = Frame(pixels=pixels)
+    try:
+        chain, band, lengths, hits, maxima = _counted_candidates(
+            frame, lambda f: extract_qplus(build_component_tree(pixels, seed, a_max), params, f)
+        )
+    except NoCandidateRegionsError:
+        assume(False)  # the seed's first component outgrows the band
+    assert len(lengths) == len(hits) == len(band)
+    # the maxima come from a window 2 px wider than the crop, as wide as the
+    # Sobel and suppression neighbourhoods reach, so they equal the map of
+    # the whole frame
+    *_, x0, y0, cw, ch = chain._cropped()
+    assert np.array_equal(maxima, gradient_magnitude_maxima(pixels)[y0 : y0 + ch, x0 : x0 + cw])
+    for k, length, hit in zip(band, lengths, hits):
+        assert (length, hit) == _oracle_counts(chain, k, maxima)
+
+
+def test_pinned_boundary_counts():
+    # the hole's and the pocket's walls stay off the boundary: the ring
+    # counts its 16 outer pixels, the pocketed block its 15 outer pixels and
+    # the notch's 2 inner neighbours, the corner block its 14 edge pixels;
+    # the whole frame counts its border
+    for pixels, seed, counts in ((HOLE, (1, 1), [16, 24]), (POCKET, (1, 1), [17, 24]),
+                                 (CORNER, (0, 0), [14, 30])):
+        params = ErelParams(a_min=1, a_max=pixels.size)
+        chain, band, lengths, _, _ = _counted_candidates(
+            Frame(pixels=pixels),
+            lambda f: extract_qplus(build_component_tree(pixels, seed, pixels.size), params, f),
+        )
+        assert lengths.tolist() == counts
+
+
+def test_import_leaves_scipy_ndimage_out():
+    # scipy.ndimage costs about 0.1 s at import; the library does not need it
+    code = "import sys, ivuseg; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- attributes -------------------------------------------------------------------
@@ -147,7 +247,10 @@ def test_region_attributes_on_square():
     pixels[4:14, 3:13] = 10
     chain = build_component_tree(pixels, (3, 4), pixels.size).seed_chain()
     assert chain.areas[0] == 100
-    assert len(_candidate_boundary(chain, 0)) == 36
+    chain.restrict(0)
+    join, *_ = chain._cropped()
+    lengths, hits = _boundary_counts(join, np.array([0]), np.ones(join.shape, dtype=bool))
+    assert (lengths.tolist(), hits.tolist()) == ([36], [36])
     assert chain.mean_intensity(0) == 10.0
     assert chain.entropy(0) == 0.0
     assert chain.centroid(0) == (7.5, 8.5)  # 10x10 block starting at x=3, y=4
@@ -195,32 +298,15 @@ def test_local_maxima_takes_leftmost_of_plateau():
     assert _local_maxima(vals).tolist() == [1, 5]
 
 
-def make_candidates(qs):
-    # one synthetic boundary pixel per unit of q resolution: hits/len = q
-    cands = []
-    for i, q in enumerate(qs):
-        n = 100
-        hits = int(round(q * n))
-        bp = np.zeros((n, 2), dtype=np.int64)
-        bp[:, 0] = np.arange(n)
-        bp[:, 1] = 2 * i  # each candidate on its own row
-        cands.append(CandidateLevel(chain_index=i, level=i, area=10 * (i + 1), boundary_pixels=bp))
-    return cands
-
-
-def mgm_for(qs):
-    rows = 2 * len(qs) + 1
-    mgm = np.zeros((rows, 100), dtype=bool)
-    for i, q in enumerate(qs):
-        hits = int(round(q * 100))
-        mgm[2 * i, :hits] = True
-    return mgm
+def counts_for(qs):
+    # 100 boundary pixels per candidate, round(100 q) of them on maxima
+    return np.full(len(qs), 100), np.array([int(round(q * 100)) for q in qs])
 
 
 def test_alpha_zero_retains_all_local_maxima():
     qs = [0.1, 0.5, 0.2, 0.6, 0.1, 0.7, 0.3, 0.9, 0.2, 0.4]
     params = ErelParams(alpha=0.0, beta=1, a_min=1, a_max=10_000)
-    retained = select_extremum_levels(make_candidates(qs), params, mgm_for(qs))
+    retained = select_extremum_levels(*counts_for(qs), params)
     # fewer than the viability floor -> every candidate comes back
     assert retained == list(range(len(qs)))
 
@@ -228,7 +314,7 @@ def test_alpha_zero_retains_all_local_maxima():
 def test_retention_fallback_keeps_tiny_chains():
     qs = [0.5, 0.9, 0.4]
     params = ErelParams(alpha=0.5, beta=1, a_min=1, a_max=10_000)
-    retained = select_extremum_levels(make_candidates(qs), params, mgm_for(qs))
+    retained = select_extremum_levels(*counts_for(qs), params)
     assert retained == [0, 1, 2]
 
 
