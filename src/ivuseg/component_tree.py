@@ -1,29 +1,43 @@
-"""Min-tree construction over 8-bit frames.
+"""The seed's chain of nested components in the min-tree of an 8-bit frame.
 
-The tree's node at level t is the 4-connected component of the sub-level
-set {p : I(p) <= t}, ordered by inclusion.  Construction is an incremental
-union-find sweep over levels 0..255: pixels activate in increasing
-intensity order and union with already-active 4-neighbours.  The sweep is
-batched per level (all unions of one level are applied together with
-vectorised root-finding and hooking), which keeps the per-pixel cost at
-numpy speed while preserving exactly the sequential sweep's result: the
-sub-level set at one threshold is a single batch, so within-level ordering
-cannot matter.
+The min-tree's node at level t is a 4-connected component of the sub-level
+set {p : I(p) <= t}.  The pipeline reads only the components containing the
+seed pixel, one per level at which that component gains pixels: the seed
+chain.  Every pixel has a join level, the lowest t at which it lies in the
+seed's component, so chain node k is exactly the set of pixels whose join
+level is at most the node's level.
 
-The result is the canonical parent image: every node is identified by its
-canonical pixel (the first raster-order pixel at the node's level inside
-the component); non-canonical pixels point at their node's canonical
-pixel, canonical pixels point at the parent node's canonical pixel, and
-the root points at itself.
+The join levels come from an incremental union-find sweep over levels
+0..255: pixels activate in increasing intensity order and union with
+already-active 4-neighbours, one batch per level (all unions of a level
+are applied together with vectorised root-finding and hooking, so within-
+level order cannot matter).  The union-find runs on component numbers, not
+pixels: a pixel with no darker neighbour starts a new component, any other
+pixel takes the number of one its darker neighbours belong to, and hooking
+joins numbers.  Only the seed's component is tracked as such:
+
+- It has one virtual root, number 0.  Hooks point the larger root at the
+  smaller, so the virtual root never moves.
+- A pixel whose component reaches the virtual root in the level the pixel
+  activates joins at its own intensity.
+- A component of older pixels that merges into the seed's component (an
+  absorbed pool) becomes a root of its own again, flagged as part of the
+  seed's component and stamped with the level it merged at, so every pixel
+  under it joins at the stamp.  Later finds that end at a flagged root
+  count as the virtual root.
 
 The sweep stops once the seed's component outgrows the extraction's area
-cap, and the only view of the result is the seed's chain of nested
-components (SeedChain), which is all the pipeline reads.
+cap: the chain is exact for every component of area <= cap containing the
+seed, plus the first larger one, which is all the extraction stage reads.
+This is the seed-only form of the linear-time union-find trees of Najman &
+Couprie (IEEE TIP 2006) and Nister & Stewenius (ECCV 2008).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .imaging import Frame
 
 
 def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -48,16 +62,30 @@ def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _distinct(x: np.ndarray, stamp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(slot, first) of an index array x: first marks one occurrence of
-    each value, so x[first] are the distinct values, and slot[i] is the
-    position of the marked occurrence of x[i]'s value.  stamp is scratch
-    indexed by value; whichever duplicate wins the scattered store, exactly
-    one occurrence per value reads its own position back."""
-    pos = np.arange(x.size, dtype=np.int32)
+def _distinct(x: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """Mask marking one occurrence of each value of the index array x.
+    stamp is scratch indexed by value; whichever duplicate wins the
+    scattered store, exactly one occurrence per value reads its own
+    position back."""
+    pos = np.arange(x.size)
     stamp[x] = pos
-    slot = stamp[x]
-    return slot, slot == pos
+    return stamp[x] == pos
+
+
+def _neighbour_codes(img: np.ndarray) -> np.ndarray:
+    """Per pixel, bits 0-3: the W, E, N, S neighbour is strictly darker;
+    bits 4-5: the E, S neighbour is equal."""
+    codes = np.zeros(img.shape, dtype=np.uint8)
+    for bit, (here, there) in enumerate((
+        (np.s_[:, 1:], np.s_[:, :-1]),
+        (np.s_[:, :-1], np.s_[:, 1:]),
+        (np.s_[1:], np.s_[:-1]),
+        (np.s_[:-1], np.s_[1:]),
+    )):
+        codes[here] |= (img[there] < img[here]).view(np.uint8) << bit
+    codes[:, :-1] |= (img[:, 1:] == img[:, :-1]).view(np.uint8) << 4
+    codes[:-1] |= (img[1:] == img[:-1]).view(np.uint8) << 5
+    return codes.ravel()
 
 
 def build_component_tree(
@@ -65,164 +93,167 @@ def build_component_tree(
     seed: tuple[int, int],
     stop_area: int,
 ) -> "ComponentTree":
-    """Build the seed's part of the min-tree of an 8-bit image by the batched
-    level sweep.
+    """Sweep the levels of an 8-bit image and keep the seed's chain.
 
     The sweep halts after the level at which the seed's (x, y) component
-    first exceeds stop_area pixels.  The result is a forest that is exact
-    for every component of area <= stop_area containing the seed (it stops
-    strictly after the cap is crossed), which is all the extraction stage
-    ever reads.  With stop_area = pixels.size the cap is never crossed, the
-    sweep runs every level and the forest is the complete tree.
+    first exceeds stop_area pixels, so the chain is exact for every
+    component of area <= stop_area containing the seed and ends with the
+    first larger one.  With stop_area = pixels.size the cap is never
+    crossed, the sweep runs every level and the chain ends with the whole
+    frame.
     """
-    img = np.asarray(pixels)
-    if img.ndim != 2 or img.size == 0:
-        raise ValueError("component tree needs a non-empty 2-D image")
-    if img.dtype != np.uint8:
-        img = img.astype(np.uint8)
+    # Frame rejects anything but a non-empty 2-D image of integers in
+    # [0, 255]; the chain keeps a private copy of the levels
+    img = Frame(pixels=pixels).pixels.copy()
     h, w = img.shape
     flat = img.ravel()
     n = flat.size
-
-    order = np.argsort(flat, kind="stable").astype(np.int32)
-    px_starts = np.r_[0, np.cumsum(np.bincount(flat, minlength=256))]
-
-    uf = np.arange(n, dtype=np.int32)
-    parent = np.arange(n, dtype=np.int32)
-    node_rep = np.full(n, -1, dtype=np.int32)  # current node canonical pixel, per UF root
-    scratch = np.empty(n, dtype=np.int32)      # per-root minima, only touched slots used
-    stamp = np.empty(n, dtype=np.int32)        # per-root scratch of _distinct
-    canonical = np.zeros(n, dtype=bool)        # node canonical pixels, grown per level
-
     sx, sy = seed
     if not (0 <= sx < w and 0 <= sy < h):
         raise ValueError(f"seed {seed} outside {w}x{h} frame")
-    seed_arr = np.array([sy * w + sx], dtype=np.int32)
-    seed_level = int(flat[seed_arr[0]])
-    comp_size = np.zeros(n, dtype=np.int32)
-    tracking = False  # size bookkeeping starts once the cap is reachable
+    seed_px = sy * w + sx
+    seed_level = int(flat[seed_px])
+
+    order = np.argsort(flat, kind="stable")
+    px_starts = np.r_[0, np.cumsum(np.bincount(flat, minlength=256))]
+    codes = _neighbour_codes(img)[order]
+    # An edge carries the max of its endpoint levels, so every edge of a
+    # level leaves a pixel that just activated: the darker-neighbour bits
+    # list the level's edges to older pixels, and the equal bits those
+    # between two new pixels, once, from the lower index's side.
+    bits = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
+    offsets = np.array([-1, 1, -w, w, 1, w])
+
+    # Components are numbered in creation order and the union-find runs on
+    # the numbers, of which there are far fewer than pixels; each pixel
+    # keeps the number it joined under.  Numbers up to n + 1 can occur.
+    root = 0   # the seed component's virtual root
+    never = 1  # the pixels the sweep does not reach
+    label = np.full(n, never)
+    uf = np.empty(n + 2, dtype=np.intp)
+    alias = np.empty(n + 2, dtype=np.intp)  # a flagged pool reads as the root
+    stamp = np.empty(n + 2, dtype=np.int16)  # the level a pool merged at
+    scratch = np.empty(n + 2, dtype=np.intp)
+    uf[:2] = alias[:2] = (root, never)
+    stamp[:2] = (-1, 256)  # -1: joined in the level it activated
+    next_label = 2
+    size = None  # component sizes, per root, once the cap is reachable
 
     for t in range(256):
         a0, a1 = px_starts[t], px_starts[t + 1]
         if a0 == a1:
             continue
         new_px = order[a0:a1]
+        code = codes[a0:a1]
+        by_bit = [new_px[(code & bit) != 0] for bit in bits]
+        u = np.concatenate(by_bit)
+        v = u + np.repeat(offsets, [b.size for b in by_bit])
+        n_older = sum(b.size for b in by_bit[:4])
 
-        # An edge carries the max of its endpoint levels, so every edge of
-        # this level leaves a pixel that just activated.  Enumerating the
-        # active 4-neighbours of the new pixels therefore yields exactly the
-        # level-t edges: those to older pixels from every direction, and
-        # those between two new pixels once, from the lower one's side.
-        nx = new_px % w
-        u_old, v_old, u_new, v_new = [], [], [], []
-        for off, valid in (
-            (-1, nx > 0),
-            (1, nx < w - 1),
-            (-w, new_px >= w),
-            (w, new_px < n - w),
-        ):
-            src = new_px[valid]
-            dst = src + off
-            lv = flat[dst]
-            older = lv < t
-            u_old.append(src[older])
-            v_old.append(dst[older])
-            if off > 0:
-                same = lv == t
-                u_new.append(src[same])
-                v_new.append(dst[same])
-        u = np.concatenate(u_old)
-        v = np.concatenate(v_old)
+        # a new pixel without darker neighbours starts a component
+        lone = new_px[(code & 15) == 0]
+        first, next_label = next_label, next_label + lone.size
+        uf[first:next_label] = alias[first:next_label] = label[lone] = np.arange(first, next_label)
+        stamp[first:next_label] = 256
 
-        if not tracking and px_starts[t + 1] >= stop_area:
+        if size is None and a1 >= stop_area:
             # the seed component can only exceed the cap once at least that
-            # many pixels are active; reconstruct sizes here, then maintain
+            # many pixels are active; count the sizes here, then maintain
             # them incrementally
-            active = order[: px_starts[t]]
-            if active.size:
-                comp_size[:] = np.bincount(_find(uf, active), minlength=n)
-            tracking = True
+            size = np.zeros(n + 2, dtype=np.int64)
+            size[:next_label] = np.bincount(
+                alias[_find(uf, label[order[:a0]])], minlength=next_label
+            )
 
-        # only older pixels carry pre-existing components; new pixels are
-        # their own roots before any union of this level (node_rep -1,
-        # component size 0).  Size bookkeeping must see each component
-        # once; the reps pass tolerates duplicates (same parent written
-        # repeatedly).
-        rv = _find(uf, v)
-        pre_roots = rv[_distinct(rv, stamp)[1]] if tracking else rv
-        ru = np.concatenate([u, *u_new])
-        rv = np.concatenate([rv, *v_new])
-        # Batched unions: hook the larger root under the smaller until
-        # every edge of this level is internal to one component.  Plain
-        # scatter stores suffice: every write points at a strictly smaller
-        # index, so no cycle can form, and an edge whose hook was
+        # A new pixel with darker neighbours joins one of their components
+        # (whichever scattered store wins); only the component pairs it
+        # bridges, the same-level edges and, at its level, the seed's edge
+        # to the virtual root go through the hooking rounds.
+        u_old = u[:n_older]
+        rv = alias[_find(uf, label[v[:n_older]])]
+        label[u_old] = rv
+        ra = [label[u_old], label[u[n_older:]]]
+        rb = [rv, label[v[n_older:]]]
+        if t == seed_level:
+            ra.append(label[seed_px : seed_px + 1])
+            rb.append(np.array([root]))
+        ra = np.concatenate(ra)
+        rb = np.concatenate(rb)
+        # Batched unions: hook the larger root under the smaller until every
+        # pair is internal to one component.  Plain scatter stores suffice:
+        # every write points at a strictly smaller number, so no cycle can
+        # form, the virtual root is never hooked, and a pair whose hook was
         # overwritten by a conflicting one stays open and re-hooks on the
         # next round.
+        hooked = [np.empty(0, dtype=np.intp)]
         while True:
-            open_ = ru != rv
+            open_ = ra != rb
             if not open_.any():
                 break
-            ru, rv = ru[open_], rv[open_]
-            uf[np.maximum(ru, rv)] = np.minimum(ru, rv)
-            ru = _find(uf, ru)
-            rv = _find(uf, rv)
+            ra, rb = ra[open_], rb[open_]
+            hi = np.maximum(ra, rb)
+            uf[hi] = np.minimum(ra, rb)
+            hooked.append(hi)
+            both = _find(uf, np.concatenate([ra, rb]))
+            ra, rb = both[: hi.size], both[hi.size :]
+        hooked = np.concatenate(hooked)
+        hooked = hooked[_distinct(hooked, scratch)]
 
-        if tracking:
-            pre_sizes = comp_size[pre_roots]
+        # Every root that stopped being one this level was hooked, so the
+        # hooked roots that now end at the virtual root are the pools the
+        # seed's component absorbed.  They become roots again, flagged and
+        # stamped, so that their pixels keep this level.
+        ends = _find(uf, np.concatenate([hooked, label[new_px]]) if size is not None else hooked)
+        absorbed = hooked[ends[: hooked.size] == root]
+        uf[absorbed] = absorbed
+        alias[absorbed] = root
+        stamp[absorbed] = t
 
-        # Every component touched at this level gained at least one pixel of
-        # intensity t, so it becomes a node at t whose canonical pixel is the
-        # first such pixel in raster order.
-        roots_new = _find(uf, new_px)
-        scratch[roots_new] = n
-        np.minimum.at(scratch, roots_new, new_px)
-        c_new = scratch[roots_new]
-        parent[new_px] = c_new
-        canonical[c_new] = True
-        if pre_roots.size:
-            reps = node_rep[pre_roots]  # read before the update below
-            reps = reps[reps >= 0]
-            if reps.size:
-                parent[reps] = scratch[_find(uf, reps)]
-        node_rep[roots_new] = c_new
-
-        if tracking:
-            # a touched component's size is the sizes of the components it
-            # swallowed plus its new pixels
-            roots = np.concatenate([_find(uf, pre_roots), roots_new])
-            slot, first = _distinct(roots, stamp)
-            gained = np.concatenate([pre_sizes, np.ones(new_px.size, dtype=np.int32)])
-            sizes = np.bincount(slot, weights=gained, minlength=roots.size)
-            comp_size[roots[first]] = sizes[first]
-            if t >= seed_level and comp_size[_find(uf, seed_arr)[0]] > stop_area:
+        if size is not None:
+            # every final root gains the sizes of the roots hooked under it
+            # and one per new pixel; the virtual root's size is the seed's
+            gained = np.concatenate([size[hooked], np.ones(new_px.size, dtype=size.dtype)])
+            np.add.at(size, ends, gained)
+            if t >= seed_level and size[root] > stop_area:
                 break
 
+    # A pixel whose component ends at the virtual root joined in the level
+    # it activated; any other pixel's join level is the stamp its
+    # component's root carries (256 for never).
+    joined = stamp[_find(uf, np.arange(next_label))][label]
+    joined = np.where(joined < 0, flat, joined)
+    counts = np.bincount(joined, minlength=257)
+    # the sweep stopped right after the level whose cumulative count
+    # crossed the cap, so every join level found is a chain node
+    levels = np.flatnonzero(counts[:256])
+    node_of = np.full(257, levels.size, dtype=np.int32)
+    node_of[levels] = np.arange(levels.size, dtype=np.int32)
     return ComponentTree(
-        levels=flat.copy(), parent=parent, shape=(h, w), canonical=canonical, seed=(sx, sy)
+        levels=flat,
+        shape=(h, w),
+        join_index=node_of[joined],
+        chain_levels=levels,
+        areas=np.cumsum(counts[levels]),
     )
 
 
 class ComponentTree:
-    """Canonical parent-image form of a min-tree; nodes are canonical pixels.
-
-    A tree built with a stop cap is a forest whose chain from the build
-    seed is exact up to the level where the cap was crossed, so the tree
-    keeps that seed and only ever hands out its chain.
-    """
+    """The result of a seed sweep: each pixel's chain node and the chain's
+    levels and areas, which seed_chain() hands out."""
 
     def __init__(
         self,
         levels: np.ndarray,
-        parent: np.ndarray,
         shape: tuple[int, int],
-        canonical: np.ndarray,
-        seed: tuple[int, int],
+        join_index: np.ndarray,
+        chain_levels: np.ndarray,
+        areas: np.ndarray,
     ):
         self._levels = levels
-        self._parent = parent
         self._shape = shape
-        self._canonical = canonical
-        self.seed = seed
+        self._join_index = join_index
+        self._chain_levels = chain_levels
+        self._areas = areas
 
     def seed_chain(self) -> "SeedChain":
         """The nested components containing the build seed."""
@@ -232,57 +263,22 @@ class ComponentTree:
 class SeedChain:
     """The nested components containing a tree's seed, one per growth level.
 
-    Every pixel of the frame is assigned the index of the smallest chain
-    node containing it (its join index), so any additive attribute of chain
-    node k is a prefix sum over join-index buckets.  This keeps per-node
-    attribute extraction O(1) after a single O(N) pass.
+    Node k is the seed's component at levels[k], of areas[k] pixels.  Every
+    pixel carries the index of the smallest node containing it (its join
+    index: the chain position of its join level); pixels outside the last
+    node carry len(chain), one past the chain, so prefix sums ignore them.
+    Any additive attribute of node k is then a prefix sum over join-index
+    buckets, O(1) per node after one O(N) pass.
     """
 
     def __init__(self, tree: ComponentTree):
-        levels = tree._levels
-        parent = tree._parent
-        canonical = tree._canonical
-        self._levels = levels
+        self._levels = tree._levels
         self._shape = tree._shape
+        self.join_index = tree._join_index
+        self.levels = tree._chain_levels
+        self.areas = tree._areas
 
-        x, y = tree.seed
-        seed = y * self._shape[1] + x
-        chain = [seed if canonical[seed] else int(parent[seed])]
-        while parent[chain[-1]] != chain[-1]:
-            chain.append(int(parent[chain[-1]]))
-        self.nodes = np.asarray(chain, dtype=np.int64)
-        self.levels = levels[self.nodes].astype(np.int64)
-
-        n = levels.size
-        chain_pos = np.full(n, -1, dtype=np.int32)
-        chain_pos[self.nodes] = np.arange(len(chain), dtype=np.int32)
-
-        # Top-down over canonical pixels (parents have strictly higher
-        # levels): a node inherits its parent's join index unless it is a
-        # chain node itself.  Pixels with no chain ancestor (possible only
-        # when the sweep stopped at its cap, leaving a forest) land in an
-        # overflow bucket one past the chain so prefix sums ignore them.
-        k = len(chain)
-        join_node = np.full(n, -1, dtype=np.int32)
-        cs = np.flatnonzero(canonical)
-        cs = cs[np.argsort(levels[cs], kind="stable")][::-1]
-        clv = levels[cs]
-        starts = np.flatnonzero(np.r_[True, clv[1:] != clv[:-1]])
-        stops = np.r_[starts[1:], clv.size]
-        for s, e in zip(starts.tolist(), stops.tolist()):
-            sel = cs[s:e]
-            own = chain_pos[sel]
-            inherited = join_node[parent[sel]]
-            join_node[sel] = np.where(own >= 0, own, inherited)
-        # a pixel's node is itself when canonical, else its parent pointer
-        pixel_node = np.where(canonical, np.arange(n, dtype=np.int32), parent)
-        ji = join_node[pixel_node]
-        ji[ji < 0] = k
-        self.join_index = ji
-
-        self.areas = np.cumsum(np.bincount(ji, minlength=k + 1)[:k])
-
-        self._kmax = len(chain) - 1
+        self._kmax = len(self.levels) - 1
         self._crop: tuple | None = None
         self._prefix: dict[str, np.ndarray] | None = None
         self._hist: np.ndarray | None = None
@@ -290,7 +286,7 @@ class SeedChain:
         self._first_pixel: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.levels)
 
     def mask(self, k: int) -> np.ndarray:
         """Pixel mask of chain node k."""
@@ -308,7 +304,7 @@ class SeedChain:
         """Limit attribute queries to chain nodes <= kmax (before first use)."""
         if self._crop is not None:
             raise RuntimeError("restrict() must precede attribute queries")
-        if not 0 <= kmax < len(self.nodes):
+        if not 0 <= kmax < len(self.levels):
             raise ValueError(f"kmax {kmax} outside the chain")
         self._kmax = int(kmax)
 

@@ -229,17 +229,18 @@ def _median9_network(pixels: np.ndarray) -> np.ndarray:
     return v[4]
 
 
-def _clamped_median_strip(pixels: np.ndarray, radius: int, ys, xs) -> np.ndarray:
-    h, w = pixels.shape
-    out = np.empty(len(ys), dtype=np.uint8)
-    for i, (y, x) in enumerate(zip(ys, xs)):
-        window = pixels[
-            max(0, y - radius) : min(h, y + radius + 1),
-            max(0, x - radius) : min(w, x + radius + 1),
-        ]
-        ordered = np.sort(window, axis=None)
-        out[i] = ordered[(ordered.size - 1) // 2]
-    return out
+def _edge_medians(bands: np.ndarray) -> np.ndarray:
+    """Lower medians of the six-pixel windows along edge bands.
+
+    bands is (sides, 2, length): per side, the two lines nearest that edge.
+    Returns (sides, length - 2), the medians of the 2x3 windows centred on
+    the edge line's inner pixels.
+    """
+    length = bands.shape[2]
+    windows = np.stack([
+        bands[:, line, dx : length - 2 + dx] for line in range(2) for dx in range(3)
+    ])
+    return np.sort(windows, axis=0)[2]
 
 
 def median_filter(frame: Frame, radius: int = 1) -> Frame:
@@ -256,14 +257,14 @@ def median_filter(frame: Frame, radius: int = 1) -> Frame:
     k = 2 * radius + 1
 
     if radius == 1 and h > 2 and w > 2:
-        out = frame.pixels.copy()
-        out[1:-1, 1:-1] = _median9_network(frame.pixels)
-        border_ys, border_xs = np.nonzero(
-            np.pad(np.zeros((h - 2, w - 2), dtype=bool), 1, constant_values=True)
-        )
-        out[border_ys, border_xs] = _clamped_median_strip(
-            frame.pixels, radius, border_ys.tolist(), border_xs.tolist()
-        )
+        px = frame.pixels
+        out = np.empty_like(px)
+        out[1:-1, 1:-1] = _median9_network(px)
+        # clamped border windows: 2x3 along the edges, 2x2 at the corners
+        out[[0, -1], 1:-1] = _edge_medians(np.stack([px[:2], px[-2:]]))
+        out[1:-1, [0, -1]] = _edge_medians(np.stack([px[:, :2].T, px[:, -2:].T])).T
+        corners = np.stack([px[:2, :2], px[:2, -2:], px[-2:, :2], px[-2:, -2:]])
+        out[[0, 0, -1, -1], [0, -1, 0, -1]] = np.sort(corners.reshape(4, 4), axis=1)[:, 1]
         return Frame(pixels=out, mm_per_px=frame.mm_per_px)
 
     # general path: sort each clamped window, sentinel-padded so the per-

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,16 @@ def acceptance_phantom_spec(seed: int, shadow: bool = False) -> PhantomSpec:
         rng_seed=seed,
         artifacts=artifacts,
     )
+
+
+def scaled_phantom_spec(spec: PhantomSpec, size: int) -> PhantomSpec:
+    """spec's geometry on a size x size frame, scaled from the 384 x 384 one."""
+    scale = size / 384.0
+
+    def scaled(e: Ellipse) -> Ellipse:
+        return Ellipse(e.cx * scale, e.cy * scale, e.a * scale, e.b * scale, e.theta)
+
+    return replace(spec, width=size, height=size, lumen=scaled(spec.lumen), media=scaled(spec.media))
 
 
 @pytest.fixture

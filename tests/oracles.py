@@ -2,8 +2,9 @@
 
 Everything here favours obviousness over speed and, except for the mask
 walk below, stays independent of the library's own code paths: components
-come from scipy labelling, medians from sorting full windows, moments from
-direct summation, distances from all-pairs scans.
+come from scipy labelling or a full canonical parent image, medians from
+sorting full windows, moments from direct summation, distances from
+all-pairs scans.
 """
 
 import math
@@ -250,3 +251,173 @@ def border_exposed_pixels(mask: np.ndarray) -> np.ndarray:
     exposed = padded & ndimage.binary_dilation(outside, structure=FOUR)
     ys, xs = np.nonzero(exposed[1:-1, 1:-1])
     return np.column_stack([xs, ys])
+
+
+# -- reference seed chain ----------------------------------------------------------
+#
+# A second seed-chain construction: a level sweep that builds the min-tree's
+# whole canonical parent image (every node named by its first raster pixel at
+# the node's level), then a top-down pass over the canonical pixels.  Unlike
+# brute_component it reproduces the stop cap and the exact arrays (dtypes
+# included) that the extraction stage reads, so the library's seed sweep must
+# equal it byte for byte.
+
+def _ref_find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if x.size == 0:
+        return x
+    r = uf[x]
+    rr = uf[r]
+    lag = rr != r
+    if lag.any():
+        idx = np.flatnonzero(lag)
+        sub = rr[idx]
+        while True:
+            nxt = uf[sub]
+            if (nxt == sub).all():
+                break
+            sub = nxt
+        r[idx] = sub
+        uf[x[idx]] = sub
+    return r
+
+
+def _ref_distinct(x: np.ndarray, stamp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    pos = np.arange(x.size, dtype=np.int32)
+    stamp[x] = pos
+    slot = stamp[x]
+    return slot, slot == pos
+
+
+def _reference_parent_image(pixels: np.ndarray, seed: tuple[int, int], stop_area: int):
+    """(levels, canonical parent image, canonical mask) of the min-tree,
+    swept level by level until the seed's component exceeds stop_area."""
+    img = np.asarray(pixels).astype(np.uint8)
+    h, w = img.shape
+    flat = img.ravel()
+    n = flat.size
+
+    order = np.argsort(flat, kind="stable").astype(np.int32)
+    px_starts = np.r_[0, np.cumsum(np.bincount(flat, minlength=256))]
+
+    uf = np.arange(n, dtype=np.int32)
+    parent = np.arange(n, dtype=np.int32)
+    node_rep = np.full(n, -1, dtype=np.int32)
+    scratch = np.empty(n, dtype=np.int32)
+    stamp = np.empty(n, dtype=np.int32)
+    canonical = np.zeros(n, dtype=bool)
+
+    sx, sy = seed
+    seed_arr = np.array([sy * w + sx], dtype=np.int32)
+    seed_level = int(flat[seed_arr[0]])
+    comp_size = np.zeros(n, dtype=np.int32)
+    tracking = False
+
+    for t in range(256):
+        a0, a1 = px_starts[t], px_starts[t + 1]
+        if a0 == a1:
+            continue
+        new_px = order[a0:a1]
+        nx = new_px % w
+        u_old, v_old, u_new, v_new = [], [], [], []
+        for off, valid in (
+            (-1, nx > 0),
+            (1, nx < w - 1),
+            (-w, new_px >= w),
+            (w, new_px < n - w),
+        ):
+            src = new_px[valid]
+            dst = src + off
+            lv = flat[dst]
+            older = lv < t
+            u_old.append(src[older])
+            v_old.append(dst[older])
+            if off > 0:
+                same = lv == t
+                u_new.append(src[same])
+                v_new.append(dst[same])
+        u = np.concatenate(u_old)
+        v = np.concatenate(v_old)
+
+        if not tracking and px_starts[t + 1] >= stop_area:
+            active = order[: px_starts[t]]
+            if active.size:
+                comp_size[:] = np.bincount(_ref_find(uf, active), minlength=n)
+            tracking = True
+
+        rv = _ref_find(uf, v)
+        pre_roots = rv[_ref_distinct(rv, stamp)[1]] if tracking else rv
+        ru = np.concatenate([u, *u_new])
+        rv = np.concatenate([rv, *v_new])
+        while True:
+            open_ = ru != rv
+            if not open_.any():
+                break
+            ru, rv = ru[open_], rv[open_]
+            uf[np.maximum(ru, rv)] = np.minimum(ru, rv)
+            ru = _ref_find(uf, ru)
+            rv = _ref_find(uf, rv)
+
+        if tracking:
+            pre_sizes = comp_size[pre_roots]
+
+        # every component touched at this level becomes a node at t whose
+        # canonical pixel is its first pixel of intensity t in raster order
+        roots_new = _ref_find(uf, new_px)
+        scratch[roots_new] = n
+        np.minimum.at(scratch, roots_new, new_px)
+        c_new = scratch[roots_new]
+        parent[new_px] = c_new
+        canonical[c_new] = True
+        if pre_roots.size:
+            reps = node_rep[pre_roots]
+            reps = reps[reps >= 0]
+            if reps.size:
+                parent[reps] = scratch[_ref_find(uf, reps)]
+        node_rep[roots_new] = c_new
+
+        if tracking:
+            roots = np.concatenate([_ref_find(uf, pre_roots), roots_new])
+            slot, first = _ref_distinct(roots, stamp)
+            gained = np.concatenate([pre_sizes, np.ones(new_px.size, dtype=np.int32)])
+            sizes = np.bincount(slot, weights=gained, minlength=roots.size)
+            comp_size[roots[first]] = sizes[first]
+            if t >= seed_level and comp_size[_ref_find(uf, seed_arr)[0]] > stop_area:
+                break
+
+    return flat, parent, canonical
+
+
+def reference_seed_chain(pixels: np.ndarray, seed: tuple[int, int], stop_area: int):
+    """(join_index, levels, areas) of the seed chain, from the canonical
+    parent image by a top-down pass over its canonical pixels."""
+    levels, parent, canonical = _reference_parent_image(pixels, seed, stop_area)
+    x, y = seed
+    seed_px = y * np.asarray(pixels).shape[1] + x
+    chain = [seed_px if canonical[seed_px] else int(parent[seed_px])]
+    while parent[chain[-1]] != chain[-1]:
+        chain.append(int(parent[chain[-1]]))
+    nodes = np.asarray(chain, dtype=np.int64)
+    n = levels.size
+    chain_pos = np.full(n, -1, dtype=np.int32)
+    chain_pos[nodes] = np.arange(len(chain), dtype=np.int32)
+
+    # parents have strictly higher levels, so top-down over canonical pixels
+    # a node inherits its parent's join index unless it is a chain node;
+    # pixels with no chain ancestor land one past the chain
+    k = len(chain)
+    join_node = np.full(n, -1, dtype=np.int32)
+    cs = np.flatnonzero(canonical)
+    cs = cs[np.argsort(levels[cs], kind="stable")][::-1]
+    clv = levels[cs]
+    starts = np.flatnonzero(np.r_[True, clv[1:] != clv[:-1]])
+    stops = np.r_[starts[1:], clv.size]
+    for s, e in zip(starts.tolist(), stops.tolist()):
+        sel = cs[s:e]
+        own = chain_pos[sel]
+        inherited = join_node[parent[sel]]
+        join_node[sel] = np.where(own >= 0, own, inherited)
+    pixel_node = np.where(canonical, np.arange(n, dtype=np.int32), parent)
+    join_index = join_node[pixel_node]
+    join_index[join_index < 0] = k
+    areas = np.cumsum(np.bincount(join_index, minlength=k + 1)[:k])
+    return join_index, levels[nodes].astype(np.int64), areas

@@ -1,10 +1,15 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg.component_tree import build_component_tree
-from oracles import brute_component, chain_component_at
+from ivuseg.erel import ErelParams
+from ivuseg.imaging import frame_center, median_filter
+from ivuseg.phantom import generate_phantom
+from oracles import brute_component, chain_component_at, reference_seed_chain
 
 tree_frames = arrays(
     np.uint8,
@@ -143,3 +148,148 @@ def test_capped_build_matches_full_on_retained_band(rng):
         for k in retained:
             assert full.areas[k] == capped.areas[k]
             assert np.array_equal(full.mask(k), capped.mask(k))
+
+
+# -- the sweep against the canonical-parent-image reference -----------------------
+
+def assert_matches_reference(pixels, seed, cap):
+    """join_index, levels and areas equal the reference's, dtypes included."""
+    chain = build_component_tree(pixels, seed, cap).seed_chain()
+    ref = reference_seed_chain(pixels, seed, cap)
+    for ours, theirs in zip((chain.join_index, chain.levels, chain.areas), ref):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+    assert len(chain) == len(ref[1])
+    return chain
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tree_frames, plateau_frames), st.data())
+def test_seed_sweep_equals_reference(pixels, data):
+    h, w = pixels.shape
+    seed = (
+        data.draw(st.integers(0, w - 1), label="seed_x"),
+        data.draw(st.integers(0, h - 1), label="seed_y"),
+    )
+    cap = data.draw(st.integers(1, pixels.size), label="cap")
+    assert_matches_reference(pixels, seed, cap)
+
+
+ACCEPTANCE_PHANTOMS = [(s, shadow) for shadow in (False, True) for s in range(20)]
+
+
+@pytest.mark.parametrize("size", [384, 768])
+@pytest.mark.parametrize("phantom_seed, shadow", ACCEPTANCE_PHANTOMS)
+def test_seed_sweep_equals_reference_on_acceptance_phantoms(phantom_seed, shadow, size):
+    spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
+    frame, _ = generate_phantom(spec)
+    pixels = median_filter(frame, 1).pixels
+    for cap in (ErelParams.for_frame(pixels.shape).a_max, pixels.size):
+        assert_matches_reference(pixels, frame_center(frame), cap)
+
+
+# -- the stop rule ---------------------------------------------------------------
+
+def nested_squares():
+    """A 2x2 block at 10 inside a 3x3 block at 20 in the corner of a 4x5
+    frame at 30: seed (0, 0) has the chain [10, 20, 30] of areas [4, 9, 20]."""
+    pixels = np.full((4, 5), 30, np.uint8)
+    pixels[:3, :3] = 20
+    pixels[:2, :2] = 10
+    return pixels
+
+
+@pytest.mark.parametrize("cap, levels, areas", [
+    (0, [10], [4]),
+    (3, [10], [4]),         # below the seed's first node: that node alone
+    (4, [10, 20], [4, 9]),  # equal to a node's area: the sweep goes on
+    (8, [10, 20], [4, 9]),
+    (9, [10, 20, 30], [4, 9, 20]),
+    (19, [10, 20, 30], [4, 9, 20]),
+    (20, [10, 20, 30], [4, 9, 20]),  # >= N: the whole tree
+    (100, [10, 20, 30], [4, 9, 20]),
+])
+def test_sweep_stops_once_the_area_exceeds_the_cap(cap, levels, areas):
+    pixels = nested_squares()
+    chain = assert_matches_reference(pixels, (0, 0), cap)
+    assert chain.levels.tolist() == levels
+    assert chain.areas.tolist() == areas
+    # pixels beyond the last node sit one past the chain
+    outside = pixels > levels[-1]
+    assert (chain.join_index.reshape(pixels.shape)[outside] == len(levels)).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1)])
+def test_single_line_frames(shape):
+    line = np.array([50, 20, 70, 10, 60, 30, 90, 5, 40], np.uint8).reshape(shape)
+    for seed_at in range(9):
+        seed = (seed_at, 0) if shape[0] == 1 else (0, seed_at)
+        for cap in range(1, 10):
+            assert_matches_reference(line, seed, cap)
+        assert chain_matches_brute_force(line, seed)
+    # from the 10: the 60 brings the 30 pool, the 70 the 20 and 50 pool
+    chain = whole_chain(line, (3, 0) if shape[0] == 1 else (0, 3))
+    assert chain.levels.tolist() == [10, 60, 70, 90]
+    assert chain.areas.tolist() == [1, 3, 6, 9]
+
+
+def test_seed_on_a_plateau_reaching_the_frame_edge():
+    pixels = np.full((6, 7), 200, np.uint8)
+    pixels[1:5, 0:4] = 50   # the plateau runs into the left edge
+    pixels[2, 1] = 30       # a darker pit inside it
+    pixels[0, 6] = 10       # a separate pool in the far corner
+    for seed in ((0, 1), (3, 4), (2, 3)):
+        for cap in range(1, pixels.size + 1):
+            assert_matches_reference(pixels, seed, cap)
+        assert chain_matches_brute_force(pixels, seed)
+    chain = whole_chain(pixels, (0, 1))
+    assert chain.levels.tolist() == [50, 200]
+    assert chain.areas.tolist() == [16, 42]
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_seed_with_only_darker_neighbours_joins_through_their_pools(ring):
+    # the seed's four neighbours are separate pools (diagonal contact only),
+    # or, with the ring, one pool around it
+    pixels = np.full((5, 5), 200, np.uint8)
+    if ring:
+        pixels[1:4, 1:4] = 20
+    else:
+        pixels[[1, 3, 2, 2], [2, 2, 1, 3]] = [20, 25, 30, 35]
+    pixels[2, 2] = 100
+    for cap in range(1, pixels.size + 1):
+        assert_matches_reference(pixels, (2, 2), cap)
+    chain = whole_chain(pixels, (2, 2))
+    assert chain.levels.tolist() == [100, 200]
+    assert chain.areas.tolist() == [9 if ring else 5, 25]
+    assert chain.mask(0).sum() == chain.areas[0]
+
+
+# -- input validation ------------------------------------------------------------
+
+@pytest.mark.parametrize("pixels", [
+    np.array([[1.0, 5.0, 40.0]]),
+    np.array([[-1.5, 5.0, 40.0]]),
+    np.array([[True, False, True]]),
+])
+def test_rejects_non_integer_intensities(pixels):
+    with pytest.raises(ValueError, match="integers"):
+        build_component_tree(pixels, (0, 0), 3)
+
+
+@pytest.mark.parametrize("pixels", [
+    np.array([[300, 5, 40]]),
+    np.array([[-1, 5, 40]], dtype=np.int8),
+    np.array([[256, 0, 0]], dtype=np.uint16),
+])
+def test_rejects_intensities_outside_0_255(pixels):
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        build_component_tree(pixels, (0, 0), 3)
+
+
+def test_accepts_wider_integer_dtypes_in_range():
+    pixels = np.array([[255, 5, 40], [0, 7, 7]], dtype=np.int64)
+    wide = build_component_tree(pixels, (1, 1), 6).seed_chain()
+    narrow = build_component_tree(pixels.astype(np.uint8), (1, 1), 6).seed_chain()
+    assert np.array_equal(wide.join_index, narrow.join_index)
+    assert wide.levels.tolist() == narrow.levels.tolist() == [7, 40, 255]

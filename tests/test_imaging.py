@@ -229,6 +229,27 @@ def test_median_matches_brute_force(pixels, radius):
     assert np.array_equal(out, brute_median_filter(pixels, radius))
 
 
+# the radius-1 fast path: sorting network inside, clamped windows on the border
+radius1_frames = st.one_of(
+    arrays(np.uint8, st.tuples(st.integers(3, 16), st.integers(3, 16)), elements=st.integers(0, hi))
+    for hi in (255, 3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(radius1_frames)
+def test_median_radius1_matches_brute_force(pixels):
+    out = median_filter(Frame(pixels=pixels), 1).pixels
+    assert np.array_equal(out, brute_median_filter(pixels, 1))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 11), (11, 3)])
+def test_median_radius1_thinnest_frames(shape):
+    pixels = np.random.default_rng(sum(shape)).integers(0, 256, shape).astype(np.uint8)
+    out = median_filter(Frame(pixels=pixels), 1).pixels
+    assert np.array_equal(out, brute_median_filter(pixels, 1))
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_frames)
 def test_median_output_values_come_from_input(pixels):
