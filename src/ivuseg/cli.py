@@ -306,39 +306,55 @@ def _draw_contour(rgb: np.ndarray, contour: Contour, color, dashed: bool = False
 
 def _write_overlay(path: Path, frame: Frame, lumen: Contour, media: Contour,
                    gold: tuple[Contour, ...]) -> None:
-    rgb = np.repeat(frame.pixels[:, :, None], 3, axis=2).astype(np.uint8)
+    rgb = np.repeat(frame.pixels[:, :, None], 3, axis=2)
     for g in gold:
         _draw_contour(rgb, g, OVERLAY_GOLD, dashed=True)
     _draw_contour(rgb, media, OVERLAY_MEDIA)
     _draw_contour(rgb, lumen, OVERLAY_LUMEN)
-    header = f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii")
-    path.write_bytes(header + rgb.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode("ascii"))
+        fh.write(rgb)
 
 
-def _load_gold(
-    gold_dir: Path, stem: str, shape: tuple[int, int]
-) -> tuple[Contour, Contour] | None:
-    """(lumen, media) gold contours of a frame of the given (height, width);
-    None when either is missing.
+@dataclass
+class Gold:
+    """A frame's gold contours and the pixel masks they enclose."""
+
+    lumen: Contour
+    media: Contour
+    lumen_mask: np.ndarray
+    media_mask: np.ndarray
+
+
+def _load_gold(gold_dir: Path, stem: str, shape: tuple[int, int]) -> Gold | None:
+    """Gold of a frame of the given (height, width); None when either
+    contour file is missing.
 
     A malformed contour file raises ContourFormatError, and so does a point
-    more than one frame width or height outside the frame: scoring samples
+    more than one frame width or height outside the frame (scoring samples
     every gold segment at half-pixel spacing, so a far-off point would cost
-    memory without bound.
+    memory without bound) and a polygon that covers no pixel centre of the
+    frame (its area is zero, so no score is defined).
     """
     paths = gold_dir / f"{stem}_lumen.txt", gold_dir / f"{stem}_media.txt"
     if not all(p.exists() for p in paths):
         return None
     h, w = shape
-    gold = load_contour(paths[0]), load_contour(paths[1])
-    for path, contour in zip(paths, gold):
+    contours = load_contour(paths[0]), load_contour(paths[1])
+    for path, contour in zip(paths, contours):
         x, y = contour.points.T
         if (x < -w).any() or (x > 2 * w).any() or (y < -h).any() or (y > 2 * h).any():
             raise ContourFormatError(
                 f"gold contour {path} has a point more than one frame size "
                 f"outside the {w}x{h} frame"
             )
-    return gold
+    masks = _polygon_mask(contours[0], shape), _polygon_mask(contours[1], shape)
+    for path, mask in zip(paths, masks):
+        if not mask.any():
+            raise ContourFormatError(
+                f"gold contour {path} covers no pixel centre of the {w}x{h} frame"
+            )
+    return Gold(*contours, *masks)
 
 
 def _score_frame(
@@ -346,21 +362,20 @@ def _score_frame(
     lumen: Ellipse,
     media: Ellipse,
     shape: tuple[int, int],
-    gold: tuple[Contour, Contour],
+    gold: Gold,
     mm_per_px: float | None,
     artifact: str = "none",
 ) -> metrics.EvaluationReport:
-    gold_lumen, gold_media = gold
     return metrics.EvaluationReport(
         frame=stem,
         artifact=artifact,
         lumen=metrics.structure_metrics(
-            ellipse_mask(lumen, shape), _polygon_mask(gold_lumen, shape),
-            rasterize_ellipse(lumen, 720), gold_lumen, mm_per_px,
+            ellipse_mask(lumen, shape), gold.lumen_mask,
+            rasterize_ellipse(lumen, 720), gold.lumen, mm_per_px,
         ),
         media=metrics.structure_metrics(
-            ellipse_mask(media, shape), _polygon_mask(gold_media, shape),
-            rasterize_ellipse(media, 720), gold_media, mm_per_px,
+            ellipse_mask(media, shape), gold.media_mask,
+            rasterize_ellipse(media, 720), gold.media, mm_per_px,
         ),
     )
 
@@ -451,7 +466,7 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
             metrics.write_report_json(report, cfg.outdir / f"{stem}_metrics.json")
         _write_overlay(
             cfg.outdir / f"{stem}_overlay.ppm", frame,
-            lumen_contour, media_contour, gold or (),
+            lumen_contour, media_contour, () if gold is None else (gold.lumen, gold.media),
         )
         if cfg.trace:
             (cfg.outdir / f"{stem}_trace.json").write_text(
@@ -470,40 +485,34 @@ def run_batch(cfg: RunConfig) -> BatchSummary:
 def bestcase_frame(
     frame: Frame,
     cfg: RunConfig,
-    gold_lumen: Contour,
-    gold_media: Contour,
+    gold: Gold,
     artifact_model: preprocess.ArtifactModel | None = None,
 ) -> dict:
-    """Score every extracted region against gold; keep the maximum-JM ones."""
+    """Score every extracted region against gold; keep the maximum-JM ones.
+
+    A region's overlap with a gold mask comes from one histogram of the
+    mask's join indices (RegionSeries.overlaps), its union from the areas.
+    """
     _, _, series = _extract(frame, cfg, artifact_model)
-    shape = frame.pixels.shape
-    lumen_mask = _polygon_mask(gold_lumen, shape)
-    media_mask = _polygon_mask(gold_media, shape)
-    best = {"lumen": (-1.0, None), "media": (-1.0, None)}
-    for idx, region in enumerate(series):
-        mask = region.mask
-        jm_l = metrics.jaccard(mask, lumen_mask)
-        jm_m = metrics.jaccard(mask, media_mask)
-        if jm_l > best["lumen"][0]:
-            best["lumen"] = (jm_l, idx)
-        if jm_m > best["media"][0]:
-            best["media"] = (jm_m, idx)
+    areas = series.areas
     out = {"n_regions": len(series)}
-    for name, gold, gold_mask in (
-        ("lumen", gold_lumen, lumen_mask),
-        ("media", gold_media, media_mask),
+    for name, contour, mask in (
+        ("lumen", gold.lumen, gold.lumen_mask),
+        ("media", gold.media, gold.media_mask),
     ):
-        jm, idx = best[name]
+        gold_area = int(np.count_nonzero(mask))
+        inter = series.overlaps(mask)
+        jms = inter / (areas + gold_area - inter)
+        idx = int(np.argmax(jms))
         region = series[idx]
-        contour = region.boundary
-        hd = metrics.hausdorff(contour, gold)
+        hd = metrics.hausdorff(region.boundary, contour)
         out[name] = {
-            "jm": jm,
+            "jm": float(jms[idx]),
             "index": idx,
             "area": region.area,
             "hd_px": hd,
             "hd_mm": None if cfg.mm_per_px is None else hd * cfg.mm_per_px,
-            "pad": metrics.pad(float(region.area), float(np.count_nonzero(gold_mask))),
+            "pad": metrics.pad(float(region.area), float(gold_area)),
         }
     return out
 
@@ -514,7 +523,7 @@ def _bestcase_worker(task: tuple):
         gold = _load_gold(cfg.gold_dir, stem, frame.pixels.shape)
         if gold is None:
             return None, {"error": "FileNotFoundError", "message": "missing gold contours"}
-        return bestcase_frame(frame, cfg, *gold, model), None
+        return bestcase_frame(frame, cfg, gold, model), None
     except SegmentationError as exc:
         return None, _error_record(exc)
 

@@ -128,6 +128,18 @@ class RegionSeries:
     def areas(self) -> np.ndarray:
         return np.array([r.area for r in self.regions], dtype=np.int64)
 
+    def overlaps(self, mask: np.ndarray) -> np.ndarray:
+        """Pixels of the frame mask inside each region.
+
+        Region k holds the pixels whose join index is at most k, so one
+        cumulative histogram of the mask's join indices counts every region.
+        """
+        if not self.regions:
+            return np.zeros(0, dtype=np.int64)
+        chain = self.regions[0]._source()
+        inside = np.bincount(chain.join_index[mask.ravel()], minlength=len(chain) + 1)
+        return np.cumsum(inside)[[r.chain_index for r in self.regions]]
+
 
 # ---------------------------------------------------------------------------
 # Gradient support: 3x3 Sobel magnitude followed by non-maximum suppression

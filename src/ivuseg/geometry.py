@@ -102,16 +102,23 @@ def rasterize_ellipse(ellipse: Ellipse, n: int = 360) -> Contour:
 def ellipse_mask(ellipse: Ellipse, shape: tuple[int, int]) -> np.ndarray:
     """Mask true exactly where the implicit form is <= 1 at pixel centres.
 
-    shape is (height, width); the ellipse is clipped to the frame.
+    shape is (height, width); the ellipse is clipped to the frame.  Only
+    the rotated ellipse's bounding box, widened by a pixel so rounding at
+    its edge cannot matter, is evaluated, from a row and a column of
+    coordinates.
     """
     h, w = shape
     out = np.zeros((h, w), dtype=bool)
-    x0 = max(0, int(math.floor(ellipse.cx - ellipse.a)))
-    x1 = min(w, int(math.ceil(ellipse.cx + ellipse.a)) + 1)
-    y0 = max(0, int(math.floor(ellipse.cy - ellipse.a)))
-    y1 = min(h, int(math.ceil(ellipse.cy + ellipse.a)) + 1)
+    c, s = math.cos(ellipse.theta), math.sin(ellipse.theta)
+    half_w = math.hypot(ellipse.a * c, ellipse.b * s) + 1.0
+    half_h = math.hypot(ellipse.a * s, ellipse.b * c) + 1.0
+    x0 = max(0, int(math.floor(ellipse.cx - half_w)))
+    x1 = min(w, int(math.ceil(ellipse.cx + half_w)) + 1)
+    y0 = max(0, int(math.floor(ellipse.cy - half_h)))
+    y1 = min(h, int(math.ceil(ellipse.cy + half_h)) + 1)
     if x0 >= x1 or y0 >= y1:
         return out
-    ys, xs = np.mgrid[y0:y1, x0:x1]
+    xs = np.arange(x0, x1)[None, :]
+    ys = np.arange(y0, y1)[:, None]
     out[y0:y1, x0:x1] = ellipse.implicit(xs, ys) <= 1.0
     return out

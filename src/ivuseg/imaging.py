@@ -168,16 +168,9 @@ def save_frame(frame: Frame, path: str | Path) -> None:
 # format.  Our own outputs use the same format so they can be re-evaluated.
 # ---------------------------------------------------------------------------
 
-def load_contour(path: str | Path, closed: bool = True) -> Contour:
-    """Read a contour file.
-
-    Raises ContourFormatError for text that does not decode, a line that is
-    not two numbers, a file without points, and points that Contour rejects.
-    """
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ContourFormatError(f"contour file {path} is not text: {exc}") from exc
+def _parse_contour_lines(text: str, path: str | Path) -> np.ndarray:
+    """The points of the text one line at a time; raises ContourFormatError
+    naming the first line that is not two numbers."""
     pts = []
     for line in text.splitlines():
         line = line.strip()
@@ -188,17 +181,41 @@ def load_contour(path: str | Path, closed: bool = True) -> Contour:
         except ValueError as exc:
             raise ContourFormatError(f"bad contour line {line!r} in {path}") from exc
         pts.append((x, y))
-    if not pts:
+    return np.array(pts, dtype=np.float64)
+
+
+def load_contour(path: str | Path, closed: bool = True) -> Contour:
+    """Read a contour file.
+
+    Raises ContourFormatError for text that does not decode, a line that is
+    not two numbers, a file without points, and points that Contour rejects.
+    Numbers are read as Python's float() reads them; all lines are
+    converted at once, and only a failed conversion looks line by line for
+    the one to report.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ContourFormatError(f"contour file {path} is not text: {exc}") from exc
+    rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    if not rows:
         raise ContourFormatError(f"empty contour file {path}")
     try:
-        return Contour(points=np.array(pts, dtype=np.float64), closed=closed)
+        pts = np.array(rows, dtype=np.float64)
+    except ValueError:
+        pts = None
+    if pts is None or pts.shape[1] != 2:
+        pts = _parse_contour_lines(text, path)
+    try:
+        return Contour(points=pts, closed=closed)
     except ValueError as exc:
         raise ContourFormatError(f"bad contour in {path}: {exc}") from exc
 
 
 def save_contour(contour: Contour, path: str | Path) -> None:
-    lines = [f"{x:.6f} {y:.6f}" for x, y in contour.points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one "x y" line per point, six decimals each."""
+    pts = contour.points
+    Path(path).write_text(("%.6f %.6f\n" * len(pts)) % tuple(pts.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Independent brute-force reference implementations for the test suite.
 
 Everything here favours obviousness over speed and, except for the mask
-walk below, stays independent of the library's own code paths: components
-come from scipy labelling or a full canonical parent image, medians from
-sorting full windows, moments from direct summation, distances from
-all-pairs scans.
+walk below and the library's densify under two_tree_hausdorff (densify is
+itself checked against brute_densify), stays independent of the library's
+own code paths: components come from scipy labelling or a full canonical
+parent image, medians from sorting full windows, moments from direct
+summation, distances from all-pairs scans.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from ivuseg.erel import _cycle_contour, _cycle_xy, _moore_cycle
-from ivuseg.errors import DegenerateMaskError, DimensionMismatchError
+from ivuseg.errors import ContourFormatError, DegenerateMaskError, DimensionMismatchError
+from ivuseg.geometry import Ellipse
 from ivuseg.imaging import Contour, Frame
+from ivuseg.metrics import densify
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 EIGHT = np.ones((3, 3), dtype=bool)
@@ -185,6 +190,66 @@ def rasterize_ellipse_mask(cx, cy, a, b, theta, shape) -> np.ndarray:
     u = dx * np.cos(theta) + dy * np.sin(theta)
     v = -dx * np.sin(theta) + dy * np.cos(theta)
     return (u / a) ** 2 + (v / b) ** 2 <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Scoring and contour text the plain way: every densified point queried,
+# the implicit form over the whole 2a x 2a square, one float() per token,
+# one format call per point.  The library must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+def two_tree_hausdorff(c1: Contour, c2: Contour) -> float:
+    """Symmetric Hausdorff distance with every densified point queried."""
+    p1 = densify(c1)
+    p2 = densify(c2)
+    d12 = cKDTree(p2).query(p1)[0].max()
+    d21 = cKDTree(p1).query(p2)[0].max()
+    return float(max(d12, d21))
+
+
+def square_box_ellipse_mask(ellipse: Ellipse, shape: tuple[int, int]) -> np.ndarray:
+    """Implicit form <= 1 at the pixel centres of the 2a x 2a square."""
+    h, w = shape
+    out = np.zeros((h, w), dtype=bool)
+    x0 = max(0, int(math.floor(ellipse.cx - ellipse.a)))
+    x1 = min(w, int(math.ceil(ellipse.cx + ellipse.a)) + 1)
+    y0 = max(0, int(math.floor(ellipse.cy - ellipse.a)))
+    y1 = min(h, int(math.ceil(ellipse.cy + ellipse.a)) + 1)
+    if x0 >= x1 or y0 >= y1:
+        return out
+    ys, xs = np.mgrid[y0:y1, x0:x1]
+    out[y0:y1, x0:x1] = ellipse.implicit(xs, ys) <= 1.0
+    return out
+
+
+def line_loop_load_contour(path, closed: bool = True) -> Contour:
+    """Contour text read one line and one float() at a time."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ContourFormatError(f"contour file {path} is not text: {exc}") from exc
+    pts = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            x, y = (float(v) for v in line.split())
+        except ValueError as exc:
+            raise ContourFormatError(f"bad contour line {line!r} in {path}") from exc
+        pts.append((x, y))
+    if not pts:
+        raise ContourFormatError(f"empty contour file {path}")
+    try:
+        return Contour(points=np.array(pts, dtype=np.float64), closed=closed)
+    except ValueError as exc:
+        raise ContourFormatError(f"bad contour in {path}: {exc}") from exc
+
+
+def per_point_save_contour(contour: Contour, path) -> None:
+    """Contour text written with one f-string per point."""
+    lines = [f"{x:.6f} {y:.6f}" for x, y in contour.points]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from ivuseg.cli import (
     _extract,
     _load_gold,
     _polygon_mask,
+    bestcase_frame,
     build_parser,
     main,
     run_batch,
@@ -27,7 +28,7 @@ from ivuseg.cli import (
 )
 from ivuseg.errors import ConfigError, ContourFormatError, SegmentationError
 from ivuseg.geometry import Ellipse, ellipse_mask, rasterize_ellipse
-from ivuseg.imaging import Contour, Frame, load_contour, save_contour, save_frame
+from ivuseg.imaging import Contour, Frame, load_contour, load_frame, save_contour, save_frame
 from ivuseg.metrics import jaccard
 from ivuseg.phantom import PhantomSpec, generate_phantom
 
@@ -223,6 +224,21 @@ def test_cli_bestcase_dominates_selection(phantom_dir, tmp_path):
         assert best[stem]["media"]["jm"] >= jm_sel_media - 1e-12
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_bestcase_jm_is_the_region_mask_loop_maximum(phantom_dir, i):
+    frames, gold_dir = phantom_dir
+    stem = f"frame_{i:02d}"
+    frame = load_frame(frames / f"{stem}.pgm")
+    gold = _load_gold(gold_dir, stem, frame.pixels.shape)
+    cfg = RunConfig(no_ringdown=True)
+    best = bestcase_frame(frame, cfg, gold)
+    _, _, series = _extract(frame, cfg, None)
+    for name, mask in (("lumen", gold.lumen_mask), ("media", gold.media_mask)):
+        jms = [jaccard(region.mask, mask) for region in series]
+        idx = jms.index(max(jms))
+        assert (best[name]["index"], best[name]["jm"]) == (idx, jms[idx])
+
+
 def test_polygon_mask_matches_ellipse_mask():
     e = Ellipse(40.0, 35.0, 22.0, 13.0, 0.5)
     poly = _polygon_mask(rasterize_ellipse(e, 720), (80, 80))
@@ -412,6 +428,16 @@ def test_gold_may_reach_one_frame_size_outside_the_frame(tmp_path, x, y, ok):
             _load_gold(tmp_path, "f", (30, 40))
 
 
+@pytest.mark.parametrize("part", ["lumen", "media"])
+def test_gold_that_covers_no_pixel_centre_is_rejected(tmp_path, part):
+    for name in ("lumen", "media"):
+        (tmp_path / f"f_{name}.txt").write_text("1 1\n10 1\n5 8\n")
+    path = tmp_path / f"f_{part}.txt"
+    path.write_text("10.1 10.1\n10.3 10.1\n10.2 10.3\n")
+    with pytest.raises(ContourFormatError, match="covers no pixel centre of the 40x30 frame"):
+        _load_gold(tmp_path, "f", (30, 40))
+
+
 @pytest.fixture(scope="module")
 def bad_gold_demo(tmp_path_factory):
     """Three demo frames with gold; the middle frame's media file has a bad line."""
@@ -488,27 +514,63 @@ def small_demo(tmp_path_factory):
     return good, ref
 
 
+def _polygon_text(pts) -> str:
+    return "".join(f"{x!r} {y!r}\n" for x, y in pts)
+
+
+@st.composite
+def zero_area_gold(draw):
+    """Polygons that cover no pixel centre of a 96x96 frame: collinear on
+    integer points (so the fill's crossings are exact), inside one open
+    pixel cell, or wholly beside the frame within one frame size of it."""
+    kind = draw(st.sampled_from(["collinear", "sub-pixel", "off-frame"]))
+    if kind == "collinear":
+        x0, y0 = draw(st.integers(10, 85)), draw(st.integers(10, 85))
+        dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (1, 3)]))
+        ts = draw(st.lists(st.integers(-3, 3), min_size=3, max_size=8))
+        pts = [(float(x0 + t * dx), float(y0 + t * dy)) for t in ts]
+    elif kind == "sub-pixel":
+        cx, cy = draw(st.integers(0, 95)), draw(st.integers(0, 95))
+        frac = st.floats(0.01, 0.99)
+        pts = draw(st.lists(st.tuples(frac, frac), min_size=3, max_size=6))
+        pts = [(cx + u, cy + v) for u, v in pts]
+    else:
+        side = draw(st.sampled_from(["left", "right", "above", "below"]))
+        along, away = st.floats(-90, 185), st.floats(0.01, 90)
+        pts = draw(st.lists(st.tuples(along, away), min_size=3, max_size=6))
+        pts = [{"left": (-d, a), "right": (95 + d, a), "above": (a, -d),
+                "below": (a, 95 + d)}[side] for a, d in pts]
+    pts = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+    assume(len(pts) >= 3)
+    return _polygon_text(pts)
+
+
 @st.composite
 def bad_frames(draw):
-    """(kind, detail): a truncated PGM cut at some byte, a 2x2 frame, or a
-    good frame whose lumen or media gold is malformed or reaches far outside
-    the frame."""
-    kind = draw(st.sampled_from(["truncated", "tiny", "gold"]))
+    """(kind, detail): a truncated PGM cut at some byte, a 2x2 frame, a good
+    frame with a malformed line appended to its lumen or media gold, or one
+    whose lumen or media gold is replaced by a polygon that covers no pixel
+    centre."""
+    kind = draw(st.sampled_from(["truncated", "tiny", "gold", "gold-area"]))
     if kind == "truncated":
         return kind, draw(st.integers(0, len(b"P5\n96 96\n255\n") + 96 * 96 - 1))
     if kind == "gold":
         part = draw(st.sampled_from(["lumen", "media"]))
         text = draw(st.sampled_from(["abc\n", "nan 3\n", "1 2 3\n", "1e12 5\n"]))
         return kind, (part, text)
+    if kind == "gold-area":
+        return kind, (draw(st.sampled_from(["lumen", "media"])), draw(zero_area_gold()))
     return kind, None
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=16, deadline=None)
 @given(bad_frames(), st.integers(0, 3), st.sampled_from(["1", "2"]))
 @example(("truncated", 20), 0, "2")
 @example(("tiny", None), 3, "1")
 @example(("gold", ("media", "nan 3\n")), 1, "2")
 @example(("gold", ("media", "1e12 5\n")), 2, "1")
+@example(("gold-area", ("media", "10.1 10.1\n10.3 10.1\n10.2 10.3\n")), 1, "1")
+@example(("gold-area", ("lumen", "20 20\n21 21\n23 23\n21 21\n")), 3, "2")
 def test_bad_frame_never_costs_the_others_their_outputs(small_demo, bad, position, jobs):
     good, ref = small_demo
     kind, detail = bad
@@ -525,10 +587,13 @@ def test_bad_frame_never_costs_the_others_their_outputs(small_demo, bad, positio
             frame_bytes = frame_bytes[:detail]
         elif kind == "tiny":
             frame_bytes = b"P5\n2 2\n255\n\x01\x02\x03\x04"
-        else:
+        elif kind == "gold":
             part, text = detail
             gold = inputs / f"{stem}_{part}.txt"
             gold.write_text(gold.read_text() + text)
+        else:
+            part, text = detail
+            (inputs / f"{stem}_{part}.txt").write_text(text)
         (inputs / f"{stem}.pgm").write_bytes(frame_bytes)
 
         for command in ("evaluate", "bestcase"):
@@ -540,8 +605,11 @@ def test_bad_frame_never_costs_the_others_their_outputs(small_demo, bad, positio
             ref_outputs, ref_stdout = ref[command]
             assert stdout == ref_stdout
             if command == "evaluate":
-                error = outputs.pop(f"{stem}_error.json")
-                assert json.loads(error)["frame"] == stem
+                error = json.loads(outputs.pop(f"{stem}_error.json"))
+                assert error["frame"] == stem
+                if kind == "gold-area":
+                    assert error["error"] == "ContourFormatError"
+                    assert "covers no pixel centre" in error["message"]
             assert outputs == ref_outputs
 
 

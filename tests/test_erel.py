@@ -121,6 +121,23 @@ def test_chain_walk_matches_mask_walk():
         assert region.boundary_length == len(boundary_pixel_set(region.mask))
 
 
+@pytest.fixture(scope="module")
+def demo_series():
+    frame, _ = generate_phantom(PhantomSpec(rng_seed=5))
+    return _extract(frame, RunConfig(), None)[2], frame.pixels.shape
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(0, 0.0)
+@example(0, 1.0)
+def test_overlaps_count_every_region_against_a_mask(demo_series, seed, density):
+    series, shape = demo_series
+    mask = np.random.default_rng(seed).random(shape) < density
+    expected = [int(np.count_nonzero(region.mask & mask)) for region in series]
+    assert series.overlaps(mask).tolist() == expected
+
+
 def _counted_candidates(frame, run):
     """Run extraction via run(frame) and return (chain, band, lengths, hits,
     maxima) as _boundary_counts saw and answered them, for every thinned

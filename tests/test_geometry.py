@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivuseg.errors import DegenerateRegionError
 from ivuseg.geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
-from oracles import brute_moments, rasterize_disk, rasterize_ellipse_mask
+from oracles import (
+    brute_moments,
+    rasterize_disk,
+    rasterize_ellipse_mask,
+    square_box_ellipse_mask,
+)
 
 
 def fit_from_mask(mask):
@@ -132,6 +137,23 @@ def test_mask_subpixel_circle_single_pixel():
     mask = ellipse_mask(Ellipse(7.0, 9.0, 0.4, 0.4, 0.0), (20, 20))
     assert mask.sum() == 1
     assert mask[9, 7]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(-40.0, 100.0),
+    st.floats(-40.0, 100.0),
+    st.floats(0.05, 70.0),
+    st.floats(0.002, 1.0),
+    st.one_of(st.floats(-1.5707963, math.pi / 2), st.just(math.pi / 2), st.just(0.0)),
+    st.tuples(st.integers(1, 64), st.integers(1, 64)),
+)
+@example(20.0, 20.0, 15.0, 0.05, math.pi / 2, (40, 40))   # b < 1, quarter turn
+@example(3.5, 4.5, 0.6, 0.5, 0.7, (9, 9))                  # sub-pixel ellipse
+@example(-12.0, 30.0, 14.0, 0.5, 0.3, (60, 60))            # centre off the frame
+def test_tight_box_mask_equals_the_square_box_mask(cx, cy, a, ratio, theta, shape):
+    e = Ellipse(cx, cy, a, a * ratio, theta)
+    assert np.array_equal(ellipse_mask(e, shape), square_box_ellipse_mask(e, shape))
 
 
 # -- round trip ------------------------------------------------------------------------

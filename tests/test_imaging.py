@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,7 @@ from ivuseg.imaging import (
     save_contour,
     save_frame,
 )
-from oracles import brute_median_filter
+from oracles import brute_median_filter, line_loop_load_contour, per_point_save_contour
 
 small_frames = arrays(
     np.uint8,
@@ -190,6 +190,78 @@ def test_load_contour_rejects_malformed_text(tmp_path, data):
     with pytest.raises(ContourFormatError):
         load_contour(path)
     assert issubclass(ContourFormatError, SegmentationError)
+
+
+# Tokens float() reads differently from a plain decimal, and ones it rejects.
+TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.6f}"),
+    st.sampled_from([
+        "1_0", "1__0", "_1", "\u0661\u0662", "\u0663.\u0665", "infinity", "-Infinity",
+        "nan", "-nan", "1e400", "-1e400", "1e-400", "0x1p3", "0x10", "1,5", "1d3", "1j",
+        ".", "1.", ".5", "+.5e-3", "abc", "1.5\x00", "nan(1)", "-0",
+    ]),
+)
+# "\x0b" is whitespace to str.split() and a line break to str.splitlines()
+SPACES = st.sampled_from([" "] * 8 + ["  ", "\t", "\u00a0", "\u2003", "\x0b"])
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85"])
+
+
+@st.composite
+def contour_texts(draw):
+    """Contour files: lines of mostly two, sometimes zero, one or three
+    tokens between arbitrary whitespace, joined by any line break
+    str.splitlines() knows."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        n_tokens = draw(st.sampled_from([2] * 12 + [0, 1, 3]))
+        tokens = draw(st.lists(TOKENS, min_size=n_tokens, max_size=n_tokens))
+        pad = draw(SPACES) if draw(st.booleans()) else ""
+        lines.append(pad + draw(SPACES).join(tokens) + pad)
+    text = ""
+    for line in lines:
+        text += line + draw(BREAKS)
+    return text
+
+
+def _outcome(load, path, closed):
+    try:
+        c = load(path, closed)
+    except ContourFormatError as exc:
+        return type(exc), str(exc)
+    return c.points.tobytes(), c.points.shape, c.closed
+
+
+@settings(max_examples=600, deadline=None)
+@given(contour_texts(), st.booleans())
+@example("1 2\n3 4\n5 6\n", True)
+@example("1 2\n3 4 5\n6 7\n", True)
+@example("1 2\n3\n", False)
+@example("1_0 \u0661\n1e400 2\n3 4\n", False)
+@example("0x1p3 1\n", False)
+def test_load_contour_matches_the_line_loop(tmp_path_factory, text, closed):
+    path = tmp_path_factory.mktemp("text") / "c.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_contour, path, closed) == _outcome(line_loop_load_contour, path, closed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=20,
+))
+@example([(-0.0, 0.0000005), (1e300, -1e-300), (2.5e-7, -2.5e-7)])
+def test_save_contour_matches_per_point_format(tmp_path_factory, raw):
+    pts = [p for i, p in enumerate(raw) if i == 0 or p != raw[i - 1]]
+    contour = Contour(points=np.array(pts, dtype=float), closed=False)
+    root = tmp_path_factory.mktemp("save")
+    save_contour(contour, root / "ours.txt")
+    per_point_save_contour(contour, root / "ref.txt")
+    assert (root / "ours.txt").read_bytes() == (root / "ref.txt").read_bytes()
 
 
 # -- Median filter ---------------------------------------------------------------

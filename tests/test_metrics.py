@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ivuseg.geometry import Ellipse, rasterize_ellipse
@@ -16,7 +18,7 @@ from ivuseg.metrics import (
     structure_metrics,
     write_report_csv,
 )
-from oracles import brute_densify, brute_hausdorff
+from oracles import brute_densify, brute_hausdorff, two_tree_hausdorff
 
 random_contours = st.builds(
     lambda pts: Contour(points=np.array(pts, dtype=float), closed=False),
@@ -143,6 +145,67 @@ def test_densify_matches_segment_loop_bytewise(contour, spacing):
     ref = brute_densify(contour, spacing)
     assert ours.shape == ref.shape
     assert ours.tobytes() == ref.tobytes()
+
+
+@st.composite
+def collinear(draw):
+    """Open or closed contours on one line through integer points, going
+    back and forth along it, so points repeat and bounds are tight."""
+    x0, y0 = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (3, 5)]))
+    ts = draw(st.lists(st.integers(-15, 15), min_size=1, max_size=12))
+    ts = [t for i, t in enumerate(ts) if i == 0 or t != ts[i - 1]]
+    closed = len(ts) >= 3 and draw(st.booleans())
+    pts = [(x0 + t * dx, y0 + t * dy) for t in ts]
+    return Contour(points=np.array(pts, dtype=float), closed=closed)
+
+
+@st.composite
+def nested_ellipses(draw):
+    """An ellipse and a smaller one inside it, each sampled at its own count."""
+    cx, cy = draw(st.floats(-50, 450)), draw(st.floats(-50, 450))
+    a = draw(st.floats(1, 150))
+    b = a * draw(st.floats(0.05, 1))
+    theta = draw(st.floats(-1.57, math.pi / 2))
+    scale = draw(st.floats(0.3, 1))
+    outer = rasterize_ellipse(Ellipse(cx, cy, a, b, theta), draw(st.integers(3, 720)))
+    inner = rasterize_ellipse(
+        Ellipse(cx, cy, a * scale, b * scale, theta), draw(st.integers(3, 720))
+    )
+    return outer, inner
+
+
+def far_apart(contours):
+    """The second contour moved by up to 10^4 px."""
+    offsets = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+    return st.tuples(contours, contours, offsets).map(
+        lambda t: (t[0], Contour(points=t[1].points + np.array(t[2]), closed=t[1].closed))
+    )
+
+
+def same_float(x: float, y: float) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+ONE_POINT = Contour(points=np.array([[2.0, 3.0]]), closed=False)
+SEGMENT = Contour(points=np.array([[0.0, 0.0], [40.0, 0.0]]), closed=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(polylines(), polylines()),
+    st.tuples(collinear(), collinear()),
+    st.tuples(collinear(), polylines()),
+    far_apart(polylines()),
+    nested_ellipses(),
+))
+@example((ONE_POINT, ONE_POINT))
+@example((ONE_POINT, SEGMENT))
+@example((SEGMENT, Contour(points=np.array([[0.0, 5.0], [40.0, 5.0], [20.0, 9.0]]))))
+def test_pruned_hausdorff_equals_the_two_tree_query(pair):
+    c1, c2 = pair
+    assert same_float(hausdorff(c1, c2), two_tree_hausdorff(c1, c2))
+    assert same_float(hausdorff(c2, c1), two_tree_hausdorff(c2, c1))
 
 
 # -- pad -------------------------------------------------------------------------
