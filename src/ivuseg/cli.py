@@ -242,15 +242,15 @@ def _error_record(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _map_frames(cfg: RunConfig, worker):
+def _map_frames(cfg: RunConfig, worker) -> list[tuple[Path, bool, object, dict | None]]:
     """Load every input frame and run the worker on each.
 
     The worker maps a (frame stem, frame, config, artifact model) task to
     (result, None) or (None, error record); frames share one artifact model
-    and run serially or in a process pool.  Returns (input files, loaded
-    frames, worker results, error records), the last three keyed by input
-    position.  Load and worker failures are both recorded, so one bad frame
-    never stops the batch.
+    and run serially or in a process pool.  Returns one (input file, loaded,
+    worker result, error record) per input, in input order; loaded is False
+    for a frame that could not be read.  Load and worker failures are both
+    recorded, so one bad frame never stops the batch.
     """
     cfg.validate()
     files = _collect_inputs(cfg.inputs)
@@ -259,37 +259,59 @@ def _map_frames(cfg: RunConfig, worker):
     cfg.outdir.mkdir(parents=True, exist_ok=True)
 
     frames: dict[int, Frame] = {}
-    errors: dict[int, dict] = {}
+    outcomes: dict[int, tuple] = {}
     for i, path in enumerate(files):
         try:
             frames[i] = load_frame(path)
         except SegmentationError as exc:
-            errors[i] = _error_record(exc)
+            outcomes[i] = None, _error_record(exc)
 
     model = _build_artifact_model(list(frames.values()), cfg)
 
     tasks = [(files[i].stem, frame, cfg, model) for i, frame in frames.items()]
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(worker, tasks, chunksize=1))
+            outcomes.update(zip(frames, pool.map(worker, tasks, chunksize=1)))
     else:
-        outcomes = [worker(t) for t in tasks]
-
-    results: dict[int, object] = {}
-    for i, (result, error) in zip(frames, outcomes):
-        if error is not None:
-            errors[i] = error
-        else:
-            results[i] = result
-    return files, frames, results, errors
+        outcomes.update(zip(frames, map(worker, tasks)))
+    return [(path, i in frames, *outcomes[i]) for i, path in enumerate(files)]
 
 
 def _segment_worker(task: tuple):
-    _, frame, cfg, model = task
+    """Segment one frame, then score it against its gold (when a gold
+    directory is given and holds the frame's contours) and write its
+    outputs; the result is the frame's EvaluationReport, or None unscored.
+
+    The gold is read before any output, so a frame with bad gold gets only
+    its error record.
+    """
+    stem, frame, cfg, model = task
     try:
-        return segment_frame(frame, cfg, model), None
+        result = segment_frame(frame, cfg, model)
+        gold = None
+        if cfg.gold_dir is not None:
+            gold = _load_gold(cfg.gold_dir, stem, frame.pixels.shape)
     except SegmentationError as exc:
         return None, _error_record(exc)
+
+    lumen_contour = rasterize_ellipse(result.lumen, cfg.contour_points)
+    media_contour = rasterize_ellipse(result.media, cfg.contour_points)
+    save_contour(lumen_contour, cfg.outdir / f"{stem}_lumen.txt")
+    save_contour(media_contour, cfg.outdir / f"{stem}_media.txt")
+    report = None
+    if gold is not None:
+        report = _score_frame(stem, result.lumen, result.media, frame.pixels.shape, gold,
+                              cfg.mm_per_px)
+        metrics.write_report_json(report, cfg.outdir / f"{stem}_metrics.json")
+    _write_overlay(
+        cfg.outdir / f"{stem}_overlay.ppm", frame,
+        lumen_contour, media_contour, () if gold is None else (gold.lumen, gold.media),
+    )
+    if cfg.trace:
+        (cfg.outdir / f"{stem}_trace.json").write_text(
+            json.dumps({"frame": stem, **result.trace}, indent=2) + "\n"
+        )
+    return report, None
 
 
 def _draw_contour(rgb: np.ndarray, contour: Contour, color, dashed: bool = False) -> None:
@@ -431,51 +453,24 @@ class BatchSummary:
 def run_batch(cfg: RunConfig) -> BatchSummary:
     """Segment every input frame; emit contours, overlays, traces, and CSV.
 
-    Frames are processed independently (optionally in parallel) and results
-    are written in input order, so outputs are byte-identical regardless of
-    the parallelism degree.  Per-frame failures, malformed gold included,
-    are recorded and the batch continues.
+    Frames are processed independently (optionally in parallel), each
+    segmented, scored and written by its worker (_segment_worker); the
+    error records and the CSV are written here in input order, so outputs
+    are byte-identical regardless of the parallelism degree.  Per-frame
+    failures, malformed gold included, are recorded and the batch continues.
     """
-    files, frames, results, errors = _map_frames(cfg, _segment_worker)
-    reports: list[metrics.EvaluationReport] = []
-    for i, path in enumerate(files):
-        stem = path.stem
-        gold = None
-        if i not in errors and cfg.gold_dir is not None:
-            # before any output, so a frame with bad gold gets only its error
-            try:
-                gold = _load_gold(cfg.gold_dir, stem, frames[i].pixels.shape)
-            except SegmentationError as exc:
-                errors[i] = _error_record(exc)
-        if i in errors:
-            (cfg.outdir / f"{stem}_error.json").write_text(
-                json.dumps({"frame": stem, **errors[i]}, indent=2) + "\n"
+    outcomes = _map_frames(cfg, _segment_worker)
+    reports = [report for _, _, report, _ in outcomes if report is not None]
+    failed = 0
+    for path, _, _, error in outcomes:
+        if error is not None:
+            failed += 1
+            (cfg.outdir / f"{path.stem}_error.json").write_text(
+                json.dumps({"frame": path.stem, **error}, indent=2) + "\n"
             )
-            continue
-        result = results[i]
-        frame = frames[i]
-        lumen_contour = rasterize_ellipse(result.lumen, cfg.contour_points)
-        media_contour = rasterize_ellipse(result.media, cfg.contour_points)
-        save_contour(lumen_contour, cfg.outdir / f"{stem}_lumen.txt")
-        save_contour(media_contour, cfg.outdir / f"{stem}_media.txt")
-        if gold is not None:
-            report = _score_frame(
-                stem, result.lumen, result.media, frame.pixels.shape, gold, cfg.mm_per_px,
-            )
-            reports.append(report)
-            metrics.write_report_json(report, cfg.outdir / f"{stem}_metrics.json")
-        _write_overlay(
-            cfg.outdir / f"{stem}_overlay.ppm", frame,
-            lumen_contour, media_contour, () if gold is None else (gold.lumen, gold.media),
-        )
-        if cfg.trace:
-            (cfg.outdir / f"{stem}_trace.json").write_text(
-                json.dumps({"frame": stem, **result.trace}, indent=2) + "\n"
-            )
-
     if reports:
         metrics.write_report_csv(reports, cfg.outdir / "summary.csv")
-    return BatchSummary(processed=len(files) - len(errors), failed=len(errors), reports=reports)
+    return BatchSummary(processed=len(outcomes) - failed, failed=failed, reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +612,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_bestcase(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    files, frames, results, errors = _map_frames(cfg, _bestcase_worker)
     entries = []
-    for i, path in enumerate(files):
-        if i not in errors:
-            entries.append({**results[i], "frame": path.stem})
-        elif i in frames:
-            print(f"{path.stem}: {errors[i]['message']}", file=sys.stderr)
-        else:  # the frame itself could not be loaded
-            print(f"{path}: {errors[i]['message']}", file=sys.stderr)
+    failed = 0
+    for path, loaded, result, error in _map_frames(cfg, _bestcase_worker):
+        if error is None:
+            entries.append({**result, "frame": path.stem})
+            continue
+        failed += 1
+        # a frame that could not be loaded is named by its path
+        print(f"{path.stem if loaded else path}: {error['message']}", file=sys.stderr)
     (cfg.outdir / "bestcase.json").write_text(json.dumps(entries, indent=2) + "\n")
     if entries:
         jl = float(np.mean([r["lumen"]["jm"] for r in entries]))
         jm = float(np.mean([r["media"]["jm"] for r in entries]))
         print(f"best-case over {len(entries)} frame(s): lumen JM {jl:.3f}, media JM {jm:.3f}")
-    return 0 if not errors else 2
+    return 0 if not failed else 2
 
 
 def _cmd_phantom(args: argparse.Namespace) -> int:

@@ -35,6 +35,8 @@ Couprie (IEEE TIP 2006) and Nister & Stewenius (ECCV 2008).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .imaging import Frame
@@ -268,165 +270,118 @@ class SeedChain:
     index: the chain position of its join level); pixels outside the last
     node carry len(chain), one past the chain, so prefix sums ignore them.
     Any additive attribute of node k is then a prefix sum over join-index
-    buckets, O(1) per node after one O(N) pass.
+    buckets, O(1) per node after one O(N) pass (attributes).
     """
 
     def __init__(self, tree: ComponentTree):
-        self._levels = tree._levels
-        self._shape = tree._shape
+        self._pixels = tree._levels.reshape(tree._shape)
         self.join_index = tree._join_index
         self.levels = tree._chain_levels
         self.areas = tree._areas
-
-        self._kmax = len(self.levels) - 1
-        self._crop: tuple | None = None
-        self._prefix: dict[str, np.ndarray] | None = None
-        self._hist: np.ndarray | None = None
-        self._walk_grid: tuple | None = None
-        self._first_pixel: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.levels)
 
     def mask(self, k: int) -> np.ndarray:
         """Pixel mask of chain node k."""
-        return (self.join_index <= k).reshape(self._shape)
+        return (self.join_index <= k).reshape(self._pixels.shape)
 
-    # -- attribute tables -----------------------------------------------------
-    #
-    # Every attribute of chain node k is a sum over the pixels with join
-    # index <= k, so all tables are bucket sums followed by a cumulative
-    # sum.  The tables run on the bounding box of node kmax (the last chain
-    # node, or the area band's last one after restrict()); every smaller
-    # node lies inside it.
+    def crop(self, k: int) -> "Crop":
+        """Node k's tight bounding box; every node <= k lies inside it."""
+        if not 0 <= k < len(self.levels):
+            raise ValueError(f"chain index {k} outside the chain")
+        h, w = self._pixels.shape
+        join2d = self.join_index.reshape(h, w)
+        inside = join2d <= k
+        inside_rows = inside.any(axis=1)
+        inside_cols = inside.any(axis=0)
+        y0 = int(np.argmax(inside_rows))
+        y1 = h - int(np.argmax(inside_rows[::-1]))
+        x0 = int(np.argmax(inside_cols))
+        x1 = w - int(np.argmax(inside_cols[::-1]))
+        return Crop(
+            k=int(k),
+            join=np.minimum(join2d[y0:y1, x0:x1], k + 1),
+            pixels=self._pixels[y0:y1, x0:x1],
+            x0=x0,
+            y0=y0,
+        )
 
-    def restrict(self, kmax: int) -> None:
-        """Limit attribute queries to chain nodes <= kmax (before first use)."""
-        if self._crop is not None:
-            raise RuntimeError("restrict() must precede attribute queries")
-        if not 0 <= kmax < len(self.levels):
-            raise ValueError(f"kmax {kmax} outside the chain")
-        self._kmax = int(kmax)
+    def attributes(self, crop: "Crop") -> "NodeAttributes":
+        """Centroid, central moments, mean intensity and cumulative
+        histogram of every chain node 0..crop.k, from one pass over the crop.
 
-    def _check(self, k: int) -> None:
-        if k > self._kmax:
-            raise ValueError(f"chain index {k} above the restricted maximum {self._kmax}")
+        Every attribute of node k is a sum over the pixels with join index
+        <= k, so each table is bucket sums followed by a cumulative sum.
+        Every table entry is a sum of integers below 2**53, so the bucket
+        sums are exact: pixel counts per (bucket, row) and per (bucket,
+        column), x summed per (bucket, row), and intensities from the
+        histogram table, which is cumulative already.  The values therefore
+        do not depend on which node's crop they come from.
+        """
+        sub, kk = crop.join, crop.k
+        ch, cw = sub.shape
+        nb = kk + 2
+        key = sub.ravel() * 256 + crop.pixels.ravel()
+        hist = np.bincount(key, minlength=nb * 256)[: (kk + 1) * 256]
+        hist = np.cumsum(hist.reshape(kk + 1, 256), axis=0)
 
-    def _cropped(self):
-        """(join values clipped to kmax+1, levels, x0, y0, crop width, crop height)
-        over the tight bounding box of node kmax."""
-        if self._crop is None:
-            h, w = self._shape
-            kk = self._kmax
-            join2d = self.join_index.reshape(h, w)
-            inside = join2d <= kk
-            inside_rows = inside.any(axis=1)
-            inside_cols = inside.any(axis=0)
-            y0 = int(np.argmax(inside_rows))
-            y1 = h - int(np.argmax(inside_rows[::-1]))
-            x0 = int(np.argmax(inside_cols))
-            x1 = w - int(np.argmax(inside_cols[::-1]))
-            sub = np.minimum(join2d[y0:y1, x0:x1], kk + 1)
-            lv = self._levels.reshape(h, w)[y0:y1, x0:x1]
-            self._crop = (sub, lv, x0, y0, x1 - x0, y1 - y0)
-        return self._crop
+        xs = np.arange(crop.x0, crop.x0 + cw, dtype=np.int64)
+        ys = np.arange(crop.y0, crop.y0 + ch, dtype=np.int64)
+        by_row = (sub * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
+        by_col = (sub * cw + np.arange(cw, dtype=np.int32)).ravel()
+        n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[: kk + 1]
+        n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[: kk + 1]
+        x_row = np.bincount(
+            by_row, weights=np.broadcast_to(xs.astype(np.float64), sub.shape).ravel(),
+            minlength=nb * ch,
+        ).reshape(nb, ch)[: kk + 1]
+        sx, sy, sxx, sxy, syy = (
+            np.cumsum(v.astype(np.float64))
+            for v in (n_col @ xs, n_row @ ys, n_col @ (xs * xs),
+                      x_row @ ys.astype(np.float64), n_row @ (ys * ys))
+        )
+        areas = self.areas[: kk + 1]
+        a = areas.astype(np.float64)
+        cx, cy = sx / a, sy / a
+        return NodeAttributes(
+            cx=cx,
+            cy=cy,
+            mu_xx=sxx / a - cx * cx,
+            mu_xy=sxy / a - cx * cy,
+            mu_yy=syy / a - cy * cy,
+            mean_intensity=(hist @ np.arange(256)).astype(np.float64) / areas,
+            histogram=hist,
+        )
 
-    def _prefix_sums(self) -> dict[str, np.ndarray]:
-        if self._prefix is None:
-            sub, lv, x0, y0, cw, ch = self._cropped()
-            kk = self._kmax
-            nb = kk + 2
-            # Every table entry is a sum of integers below 2**53, so these
-            # bucket sums are exact: pixel counts per (bucket, row) and per
-            # (bucket, column), x summed per (bucket, row), and intensities
-            # from the histogram table, which is cumulative already.
-            xs = np.arange(x0, x0 + cw, dtype=np.int64)
-            ys = np.arange(y0, y0 + ch, dtype=np.int64)
-            by_row = (sub * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
-            by_col = (sub * cw + np.arange(cw, dtype=np.int32)).ravel()
-            n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[: kk + 1]
-            n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[: kk + 1]
-            x_row = np.bincount(
-                by_row, weights=np.broadcast_to(xs.astype(np.float64), sub.shape).ravel(),
-                minlength=nb * ch,
-            ).reshape(nb, ch)[: kk + 1]
-            sums = {
-                "x": n_col @ xs, "y": n_row @ ys, "xx": n_col @ (xs * xs),
-                "xy": x_row @ ys.astype(np.float64), "yy": n_row @ (ys * ys),
-            }
-            tables = {name: np.cumsum(v.astype(np.float64)) for name, v in sums.items()}
-            tables["i"] = (self._hist_table() @ np.arange(256)).astype(np.float64)
-            self._prefix = tables
-        return self._prefix
 
-    def _hist_table(self) -> np.ndarray:
-        if self._hist is None:
-            sub, lv, *_ = self._cropped()
-            nb = self._kmax + 2
-            key = sub.ravel() * 256 + lv.ravel()
-            hist = np.bincount(key, minlength=nb * 256)[: (self._kmax + 1) * 256]
-            self._hist = np.cumsum(hist.reshape(self._kmax + 1, 256), axis=0)
-        return self._hist
+class Crop(NamedTuple):
+    """Chain node k's tight box: the join indices there, clipped at k + 1
+    (so a value <= k marks a pixel of that node), the intensities, and the
+    box's frame offset."""
 
-    def centroid(self, k: int) -> tuple[float, float]:
-        self._check(k)
-        t = self._prefix_sums()
-        a = float(self.areas[k])
-        return t["x"][k] / a, t["y"][k] / a
+    k: int
+    join: np.ndarray
+    pixels: np.ndarray
+    x0: int
+    y0: int
 
-    def central_moments(self, k: int) -> tuple[float, float, float]:
-        """(mu_xx, mu_xy, mu_yy), area-normalised second central moments."""
-        self._check(k)
-        t = self._prefix_sums()
-        a = float(self.areas[k])
-        xb, yb = t["x"][k] / a, t["y"][k] / a
-        mu_xx = t["xx"][k] / a - xb * xb
-        mu_xy = t["xy"][k] / a - xb * yb
-        mu_yy = t["yy"][k] / a - yb * yb
-        return mu_xx, mu_xy, mu_yy
 
-    def mean_intensity(self, k: int) -> float:
-        self._check(k)
-        return float(self._prefix_sums()["i"][k] / self.areas[k])
+class NodeAttributes(NamedTuple):
+    """Per-node attributes of chain nodes 0..k, each indexed by node: the
+    centroid, the area-normalised second central moments, the mean intensity
+    and the cumulative 256-bin intensity histogram (one row per node)."""
+
+    cx: np.ndarray
+    cy: np.ndarray
+    mu_xx: np.ndarray
+    mu_xy: np.ndarray
+    mu_yy: np.ndarray
+    mean_intensity: np.ndarray
+    histogram: np.ndarray
 
     def entropy(self, k: int) -> float:
-        """Shannon entropy (bits) of the region's 256-bin intensity histogram."""
-        self._check(k)
-        counts = self._hist_table()[k]
-        p = counts[counts > 0] / self.areas[k]
+        """Shannon entropy (bits) of node k's intensity histogram."""
+        counts = self.histogram[k]
+        p = counts[counts > 0] / counts.sum()
         return float(-(p * np.log2(p)).sum())
-
-    # -- boundary-walk support ---------------------------------------------------
-
-    def walk_grid(self):
-        """(values, padded width, x offset, y offset) for Moore walks.
-
-        values is a flat indexable over the padded crop; a pixel belongs to
-        chain node k exactly when its value is <= k.  Offsets map padded
-        crop coordinates back to the frame.
-        """
-        if self._walk_grid is None:
-            sub, lv, x0, y0, cw, ch = self._cropped()
-            sentinel = self._kmax + 1
-            padded = np.full((ch + 2, cw + 2), sentinel, dtype=np.int64)
-            padded[1:-1, 1:-1] = sub
-            if sentinel <= 255:
-                vals = padded.astype(np.uint8).tobytes()
-            else:
-                vals = padded.ravel().tolist()
-            self._walk_grid = (vals, cw + 2, x0, y0)
-        return self._walk_grid
-
-    def first_pixel(self, k: int) -> tuple[int, int]:
-        """(x, y) of the first pixel of node k in the attribute grid's raster."""
-        self._check(k)
-        if self._first_pixel is None:
-            sub, lv, x0, y0, cw, ch = self._cropped()
-            j = sub.ravel()
-            nb = self._kmax + 2
-            first = np.full(nb, j.size, dtype=np.int64)
-            np.minimum.at(first, j, np.arange(j.size))
-            self._first_pixel = np.minimum.accumulate(first[: self._kmax + 1])
-        sub, lv, x0, y0, cw, ch = self._cropped()
-        flat = int(self._first_pixel[k])
-        return flat % cw + x0, flat // cw + y0

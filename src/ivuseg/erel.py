@@ -105,8 +105,13 @@ class Region:
 
     @property
     def boundary(self) -> Contour:
-        """Ordered outer-boundary trace (see _moore_cycle)."""
-        return _cycle_contour(*_candidate_cycle(self._source(), self.chain_index))
+        """Ordered outer-boundary trace (see _moore_cycle), walked on the
+        region's own padded crop from its first pixel in raster order."""
+        crop = self._source().crop(self.chain_index)
+        outside = np.pad(crop.join > crop.k, 1, constant_values=True)
+        w2 = outside.shape[1]
+        cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
+        return _cycle_contour(cycle, w2, crop.x0, crop.y0)
 
 
 @dataclass
@@ -265,10 +270,11 @@ def _boundary_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(boundary lengths, gradient-maxima hits) of all candidates in one pass.
 
-    join is a restricted chain's join-index crop, clipped at band[-1] + 1:
-    every candidate lies inside it, and everything outside it is background
-    that reaches the frame border.  band holds the candidates' chain
-    indices in ascending order, and maxima is a bool map over the crop.
+    join is the join-index crop of candidate band[-1], clipped at
+    band[-1] + 1: every candidate lies inside it, and everything outside it
+    is background that reaches the frame border.  band holds the
+    candidates' chain indices in ascending order, and maxima is a bool map
+    over the crop.
 
     Let L(p) be the position in band of the first candidate that contains
     pixel p, or len(band) when none does, as on a one-pixel pad around the
@@ -413,19 +419,11 @@ def select_extremum_levels(
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _candidate_cycle(chain: SeedChain, k: int) -> tuple[list[int], int, int, int]:
-    """(padded-crop walk cycle, padded width, x offset, y offset)."""
-    vals, w2, ox, oy = chain.walk_grid()
-    sx, sy = chain.first_pixel(k)
-    start = (sy - oy + 1) * w2 + (sx - ox + 1)
-    return _moore_cycle(vals, k, start, w2), w2, ox, oy
-
-
 def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> RegionSeries:
     """Extract the nested dark-core regions rooted at the tree's seed.
 
     The tree is built from frame's pixels with a stop cap of at least
-    a_max.  The seed's component chain is restricted to the [a_min, a_max]
+    a_max.  The seed's component chain is cut to the [a_min, a_max]
     area band, scored by the extremum-level criterion, and materialised into
     Regions carrying the attributes the selection stage needs.  Chain nodes
     are already deduplicated by construction: a node only exists at levels
@@ -452,37 +450,38 @@ def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> Regi
         if chain.areas[k] - last >= max(0.01 * last, 4):
             thinned.append(k)
     band = np.asarray(thinned)
-    chain.restrict(int(band[-1]))
 
-    # All candidates live inside the largest one's bbox, which is the
-    # restricted chain's attribute crop, so the gradient map only needs
-    # computing there (padded for the Sobel and suppression neighbourhoods,
-    # and clipped to the frame).
+    # All candidates live inside the largest one's box, so one crop of it
+    # feeds the boundary counts and the attributes, and the gradient map
+    # only needs computing there (padded for the Sobel and suppression
+    # neighbourhoods, and clipped to the frame).
+    crop = chain.crop(int(band[-1]))
+    ch, cw = crop.join.shape
+    x0, y0 = crop.x0, crop.y0
     h, w = frame.pixels.shape
-    join, _, x0, y0, cw, ch = chain._cropped()
     bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
     window = gradient_magnitude_maxima(
         frame.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
     )
     maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
-    lengths, hits = _boundary_counts(join, band, maxima)
+    lengths, hits = _boundary_counts(crop.join, band, maxima)
     retained = select_extremum_levels(lengths, hits, params)
 
+    attrs = chain.attributes(crop)
     regions = []
     for pos in retained:
         k = int(band[pos])
-        mu_xx, mu_xy, mu_yy = chain.central_moments(k)
         regions.append(
             Region(
                 level=int(chain.levels[k]),
                 area=int(chain.areas[k]),
                 boundary_length=int(lengths[pos]),
-                mean_intensity=chain.mean_intensity(k),
-                entropy=chain.entropy(k),
-                centroid=chain.centroid(k),
-                mu_xx=mu_xx,
-                mu_xy=mu_xy,
-                mu_yy=mu_yy,
+                mean_intensity=float(attrs.mean_intensity[k]),
+                entropy=attrs.entropy(k),
+                centroid=(attrs.cx[k], attrs.cy[k]),
+                mu_xx=attrs.mu_xx[k],
+                mu_xy=attrs.mu_xy[k],
+                mu_yy=attrs.mu_yy[k],
                 chain_index=k,
                 _chain=chain,
             )

@@ -127,8 +127,15 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def load_frame(path: str | Path) -> Frame:
-    """Read a binary PGM (P5, maxval 255) raster into a Frame."""
-    data = Path(path).read_bytes()
+    """Read a binary PGM (P5, maxval 255) raster into a Frame.
+
+    Raises PgmFormatError for a file that cannot be read (missing, a
+    directory, unreadable) as for one that is not such a raster.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise PgmFormatError(f"cannot read PGM file {path}: {exc.strerror or exc}") from exc
     if len(data) < 2:
         raise PgmFormatError("malformed PGM header: file too short")
     magic, pos = _next_token(data, 0)
@@ -187,8 +194,9 @@ def _parse_contour_lines(text: str, path: str | Path) -> np.ndarray:
 def load_contour(path: str | Path, closed: bool = True) -> Contour:
     """Read a contour file.
 
-    Raises ContourFormatError for text that does not decode, a line that is
-    not two numbers, a file without points, and points that Contour rejects.
+    Raises ContourFormatError for a file that cannot be read, text that
+    does not decode, a line that is not two numbers, a file without points,
+    and points that Contour rejects.
     Numbers are read as Python's float() reads them; all lines are
     converted at once, and only a failed conversion looks line by line for
     the one to report.
@@ -197,6 +205,10 @@ def load_contour(path: str | Path, closed: bool = True) -> Contour:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ContourFormatError(f"contour file {path} is not text: {exc}") from exc
+    except OSError as exc:
+        raise ContourFormatError(
+            f"cannot read contour file {path}: {exc.strerror or exc}"
+        ) from exc
     rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
     if not rows:
         raise ContourFormatError(f"empty contour file {path}")

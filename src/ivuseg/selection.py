@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erel import Region, RegionSeries
+from .erel import Region, RegionSeries, _local_maxima
 from .errors import DegenerateSelectionError
 
 # Plateaus in the score vector make the stability ratio blow up; they are
@@ -108,20 +108,7 @@ def find_peaks(values: np.ndarray) -> list[tuple[int, float]]:
     strictly higher value or the vector end.
     """
     vals = np.asarray(values, dtype=np.float64)
-    n = vals.size
-    peaks: list[tuple[int, float]] = []
-    i = 1
-    while i < n - 1:
-        if vals[i] > vals[i - 1]:
-            j = i
-            while j + 1 < n and vals[j + 1] == vals[i]:
-                j += 1
-            if j < n - 1 and vals[j + 1] < vals[i]:
-                peaks.append((i, _prominence(vals, i)))
-            i = j + 1
-        else:
-            i += 1
-    return peaks
+    return [(int(i), _prominence(vals, int(i))) for i in _local_maxima(vals)]
 
 
 def _prominence(vals: np.ndarray, idx: int) -> float:

@@ -1,11 +1,12 @@
 """Independent brute-force reference implementations for the test suite.
 
-Everything here favours obviousness over speed and, except for the mask
-walk below and the library's densify under two_tree_hausdorff (densify is
-itself checked against brute_densify), stays independent of the library's
-own code paths: components come from scipy labelling or a full canonical
-parent image, medians from sorting full windows, moments from direct
-summation, distances from all-pairs scans.
+Everything here favours obviousness over speed and, except for the Moore
+walks below (of a mask, and of a chain node in LazyChainAttributes) and the
+library's densify under two_tree_hausdorff (densify is itself checked
+against brute_densify), stays independent of the library's own code
+paths: components come from scipy labelling or a full canonical parent
+image, medians from sorting full windows, moments from direct summation,
+distances from all-pairs scans.
 """
 
 import math
@@ -486,3 +487,160 @@ def reference_seed_chain(pixels: np.ndarray, seed: tuple[int, int], stop_area: i
     join_index[join_index < 0] = k
     areas = np.cumsum(np.bincount(join_index, minlength=k + 1)[:k])
     return join_index, levels[nodes].astype(np.int64), areas
+
+
+# -- reference chain attributes ----------------------------------------------------
+#
+# The seed chain's per-node accessors as they were before the chain handed out
+# whole attribute arrays: restricted to the nodes <= kmax, each table built on
+# first use over node kmax's tight box, and a node's boundary walked on that
+# box's join grid from the node's first pixel.  The extraction stage's Region
+# fields and boundaries must equal these bit for bit.
+
+class LazyChainAttributes:
+    def __init__(self, chain, kmax: int):
+        self._chain = chain
+        self._pixels = chain._pixels
+        self._kmax = int(kmax)
+        self._crop = None
+        self._prefix = None
+        self._hist = None
+        self._walk_grid = None
+        self._first_pixel = None
+
+    def _check(self, k: int) -> None:
+        if k > self._kmax:
+            raise ValueError(f"chain index {k} above the restricted maximum {self._kmax}")
+
+    def _cropped(self):
+        """(join values clipped to kmax+1, levels, x0, y0, crop width, crop height)
+        over the tight bounding box of node kmax."""
+        if self._crop is None:
+            h, w = self._pixels.shape
+            kk = self._kmax
+            join2d = self._chain.join_index.reshape(h, w)
+            inside = join2d <= kk
+            inside_rows = inside.any(axis=1)
+            inside_cols = inside.any(axis=0)
+            y0 = int(np.argmax(inside_rows))
+            y1 = h - int(np.argmax(inside_rows[::-1]))
+            x0 = int(np.argmax(inside_cols))
+            x1 = w - int(np.argmax(inside_cols[::-1]))
+            sub = np.minimum(join2d[y0:y1, x0:x1], kk + 1)
+            lv = self._pixels[y0:y1, x0:x1]
+            self._crop = (sub, lv, x0, y0, x1 - x0, y1 - y0)
+        return self._crop
+
+    def _prefix_sums(self) -> dict:
+        if self._prefix is None:
+            sub, lv, x0, y0, cw, ch = self._cropped()
+            kk = self._kmax
+            nb = kk + 2
+            xs = np.arange(x0, x0 + cw, dtype=np.int64)
+            ys = np.arange(y0, y0 + ch, dtype=np.int64)
+            by_row = (sub * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
+            by_col = (sub * cw + np.arange(cw, dtype=np.int32)).ravel()
+            n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[: kk + 1]
+            n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[: kk + 1]
+            x_row = np.bincount(
+                by_row, weights=np.broadcast_to(xs.astype(np.float64), sub.shape).ravel(),
+                minlength=nb * ch,
+            ).reshape(nb, ch)[: kk + 1]
+            sums = {
+                "x": n_col @ xs, "y": n_row @ ys, "xx": n_col @ (xs * xs),
+                "xy": x_row @ ys.astype(np.float64), "yy": n_row @ (ys * ys),
+            }
+            tables = {name: np.cumsum(v.astype(np.float64)) for name, v in sums.items()}
+            tables["i"] = (self._hist_table() @ np.arange(256)).astype(np.float64)
+            self._prefix = tables
+        return self._prefix
+
+    def _hist_table(self) -> np.ndarray:
+        if self._hist is None:
+            sub, lv, *_ = self._cropped()
+            nb = self._kmax + 2
+            key = sub.ravel() * 256 + lv.ravel()
+            hist = np.bincount(key, minlength=nb * 256)[: (self._kmax + 1) * 256]
+            self._hist = np.cumsum(hist.reshape(self._kmax + 1, 256), axis=0)
+        return self._hist
+
+    def centroid(self, k: int) -> tuple[float, float]:
+        self._check(k)
+        t = self._prefix_sums()
+        a = float(self._chain.areas[k])
+        return t["x"][k] / a, t["y"][k] / a
+
+    def central_moments(self, k: int) -> tuple[float, float, float]:
+        self._check(k)
+        t = self._prefix_sums()
+        a = float(self._chain.areas[k])
+        xb, yb = t["x"][k] / a, t["y"][k] / a
+        mu_xx = t["xx"][k] / a - xb * xb
+        mu_xy = t["xy"][k] / a - xb * yb
+        mu_yy = t["yy"][k] / a - yb * yb
+        return mu_xx, mu_xy, mu_yy
+
+    def mean_intensity(self, k: int) -> float:
+        self._check(k)
+        return float(self._prefix_sums()["i"][k] / self._chain.areas[k])
+
+    def entropy(self, k: int) -> float:
+        self._check(k)
+        counts = self._hist_table()[k]
+        p = counts[counts > 0] / self._chain.areas[k]
+        return float(-(p * np.log2(p)).sum())
+
+    def walk_grid(self):
+        """(values, padded width, x offset, y offset) for Moore walks."""
+        if self._walk_grid is None:
+            sub, lv, x0, y0, cw, ch = self._cropped()
+            sentinel = self._kmax + 1
+            padded = np.full((ch + 2, cw + 2), sentinel, dtype=np.int64)
+            padded[1:-1, 1:-1] = sub
+            if sentinel <= 255:
+                vals = padded.astype(np.uint8).tobytes()
+            else:
+                vals = padded.ravel().tolist()
+            self._walk_grid = (vals, cw + 2, x0, y0)
+        return self._walk_grid
+
+    def first_pixel(self, k: int) -> tuple[int, int]:
+        """(x, y) of the first pixel of node k in the attribute grid's raster."""
+        self._check(k)
+        if self._first_pixel is None:
+            sub, lv, x0, y0, cw, ch = self._cropped()
+            j = sub.ravel()
+            nb = self._kmax + 2
+            first = np.full(nb, j.size, dtype=np.int64)
+            np.minimum.at(first, j, np.arange(j.size))
+            self._first_pixel = np.minimum.accumulate(first[: self._kmax + 1])
+        sub, lv, x0, y0, cw, ch = self._cropped()
+        flat = int(self._first_pixel[k])
+        return flat % cw + x0, flat // cw + y0
+
+    def boundary(self, k: int) -> Contour:
+        """Node k's Moore walk on the kmax box, from its first pixel."""
+        vals, w2, ox, oy = self.walk_grid()
+        sx, sy = self.first_pixel(k)
+        start = (sy - oy + 1) * w2 + (sx - ox + 1)
+        return _cycle_contour(_moore_cycle(vals, k, start, w2), w2, ox, oy)
+
+
+def loop_find_peaks(values: np.ndarray) -> list[int]:
+    """Indices of the interior local maxima, plateaus at their leftmost
+    index, by the scan selection.find_peaks ran before sharing erel's."""
+    vals = np.asarray(values, dtype=np.float64)
+    n = vals.size
+    peaks = []
+    i = 1
+    while i < n - 1:
+        if vals[i] > vals[i - 1]:
+            j = i
+            while j + 1 < n and vals[j + 1] == vals[i]:
+                j += 1
+            if j < n - 1 and vals[j + 1] < vals[i]:
+                peaks.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return peaks

@@ -282,7 +282,8 @@ def test_criterion_5_formula_fixtures():
     assert brute_entropy(values) == 1.0
     pixels = np.sort(values).reshape(8, 8)
     chain = build_component_tree(pixels, (0, 0), pixels.size).seed_chain()
-    assert chain.entropy(len(chain) - 1) == 1.0
+    k = len(chain) - 1
+    assert chain.attributes(chain.crop(k)).entropy(k) == 1.0
 
     # stability of [1, 2, 3] is exactly 1.0
     omega = stability_scores(np.array([1.0, 2.0, 3.0]))

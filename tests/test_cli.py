@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -512,6 +513,42 @@ def small_demo(tmp_path_factory):
         assert code == 0
         ref[command] = (_outputs(out), stdout)
     return good, ref
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", ["missing-frame", "gold-directory"])
+def test_unreadable_file_fails_only_its_frame(small_demo, tmp_path, case, jobs):
+    # a frame f2 named between f1 and f3: its input file is missing, or its
+    # media gold path is a directory
+    good, ref = small_demo
+    inputs = tmp_path / "in"
+    shutil.copytree(good, inputs)
+    if case == "missing-frame":
+        bad, named = inputs / "f2.pgm", str(inputs / "f2.pgm")
+        record = "PgmFormatError", f"cannot read PGM file {bad}"
+    else:
+        for name in ("f1.pgm", "f1_lumen.txt"):
+            shutil.copy(inputs / name, inputs / name.replace("f1", "f2"))
+        bad, named = inputs / "f2_media.txt", "f2"
+        bad.mkdir()
+        record = "ContourFormatError", f"cannot read contour file {bad}"
+    frames = [str(inputs / f"{stem}.pgm") for stem in ("f1", "f2", "f3", "f5")]
+    for command in ("evaluate", "bestcase"):
+        out = tmp_path / command
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, *frames, "--gold", str(inputs), "--outdir", str(out),
+                         "--no-ringdown", "--jobs", jobs])
+        assert code == 2
+        outputs = _outputs(out)
+        ref_outputs, ref_stdout = ref[command]
+        assert stdout.getvalue() == ref_stdout
+        if command == "evaluate":
+            error = json.loads(outputs.pop("f2_error.json"))
+            assert (error["error"], error["message"].startswith(record[1])) == (record[0], True)
+        else:
+            assert stderr.getvalue().startswith(f"{named}: {record[1]}")
+        assert outputs == ref_outputs
 
 
 def _polygon_text(pts) -> str:

@@ -117,23 +117,43 @@ def test_chain_attributes_match_direct_summation(pixels, data):
         data.draw(st.integers(0, h - 1), label="seed_y"),
     )
     chain = whole_chain(pixels, seed)
+    attrs = chain.attributes(chain.crop(len(chain) - 1))
     for k in range(len(chain)):
         mask = chain.mask(k)
         ys, xs = np.nonzero(mask)
         area = ys.size
         assert chain.areas[k] == area
-        cx, cy = chain.centroid(k)
+        cx, cy = attrs.cx[k], attrs.cy[k]
         assert abs(cx - xs.mean()) <= 1e-6 * max(1.0, abs(cx))
         assert abs(cy - ys.mean()) <= 1e-6 * max(1.0, abs(cy))
-        mu_xx, mu_xy, mu_yy = chain.central_moments(k)
         for ours, ref in (
-            (mu_xx, ((xs - xs.mean()) ** 2).mean()),
-            (mu_xy, ((xs - xs.mean()) * (ys - ys.mean())).mean()),
-            (mu_yy, ((ys - ys.mean()) ** 2).mean()),
+            (attrs.mu_xx[k], ((xs - xs.mean()) ** 2).mean()),
+            (attrs.mu_xy[k], ((xs - xs.mean()) * (ys - ys.mean())).mean()),
+            (attrs.mu_yy[k], ((ys - ys.mean()) ** 2).mean()),
         ):
             assert abs(ours - ref) <= 1e-6 * max(1.0, abs(ref))
-        assert abs(chain.mean_intensity(k) - pixels[mask].mean()) <= 1e-9
-        assert chain.mean_intensity(k) <= chain.levels[k]
+        assert abs(attrs.mean_intensity[k] - pixels[mask].mean()) <= 1e-9
+        assert attrs.mean_intensity[k] <= chain.levels[k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(tree_frames, plateau_frames), st.data())
+def test_attributes_do_not_depend_on_the_crop(pixels, data):
+    # every table entry is an exact integer sum, so node j's attributes from
+    # the box of any node k >= j equal those from j's own box
+    h, w = pixels.shape
+    seed = (
+        data.draw(st.integers(0, w - 1), label="seed_x"),
+        data.draw(st.integers(0, h - 1), label="seed_y"),
+    )
+    chain = whole_chain(pixels, seed)
+    k = data.draw(st.integers(0, len(chain) - 1), label="k")
+    wide = chain.attributes(chain.crop(k))
+    for j in range(k + 1):
+        own = chain.attributes(chain.crop(j))
+        for name, ours, theirs in zip(own._fields, wide, own):
+            assert np.array_equal(ours[: j + 1], theirs), name
+        assert wide.entropy(j) == own.entropy(j)
 
 
 def test_capped_build_matches_full_on_retained_band(rng):

@@ -26,6 +26,7 @@ from ivuseg.imaging import Frame, median_filter
 from ivuseg.phantom import PhantomSpec, generate_phantom
 from oracles import (
     FOUR,
+    LazyChainAttributes,
     border_exposed_pixels,
     boundary_pixel_set,
     brute_entropy,
@@ -139,9 +140,9 @@ def test_overlaps_count_every_region_against_a_mask(demo_series, seed, density):
 
 
 def _counted_candidates(frame, run):
-    """Run extraction via run(frame) and return (chain, band, lengths, hits,
-    maxima) as _boundary_counts saw and answered them, for every thinned
-    candidate, not only the retained regions."""
+    """Run extraction via run(frame) and return the series it gave and
+    (band, lengths, hits, maxima) as _boundary_counts saw and answered them,
+    for every thinned candidate, not only the retained regions."""
     seen = {}
     count = erel._boundary_counts
 
@@ -153,30 +154,30 @@ def _counted_candidates(frame, run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erel, "_boundary_counts", capture)
         series = run(frame)
-    chain = series[0]._chain
     band, maxima = seen["args"]
-    return chain, band, *seen["counts"], maxima
+    return series, band, *seen["counts"], maxima
 
 
-def _oracle_counts(chain, k, maxima):
+def _oracle_counts(chain, band, k, maxima):
     """(border-exposed pixel count, gradient maxima among them) of chain node
-    k, with maxima given over the chain's attribute crop."""
-    *_, x0, y0, _, _ = chain._cropped()
+    k, with maxima given over the crop of the band's last node."""
+    crop = chain.crop(int(band[-1]))
     exposed = border_exposed_pixels(chain.mask(k))
-    return len(exposed), int(maxima[exposed[:, 1] - y0, exposed[:, 0] - x0].sum())
+    return len(exposed), int(maxima[exposed[:, 1] - crop.y0, exposed[:, 0] - crop.x0].sum())
 
 
 @pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
 def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
     frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
-    chain, band, lengths, hits, maxima = _counted_candidates(
+    series, band, lengths, hits, maxima = _counted_candidates(
         frame, lambda f: _extract(f, RunConfig(), None)[2]
     )
+    chain = series[0]._chain
     assert len(band) >= 40
     for k, length, hit in zip(band, lengths, hits):
         mask = chain.mask(k)
         assert np.array_equal(border_exposed_pixels(mask), boundary_pixel_set(mask))
-        assert (length, hit) == _oracle_counts(chain, k, maxima)
+        assert (length, hit) == _oracle_counts(chain, band, k, maxima)
 
 
 def _frame_with(shape, fill, dark, value=0):
@@ -220,19 +221,69 @@ def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_dra
     params = ErelParams(a_min=1, a_max=a_max)
     frame = Frame(pixels=pixels)
     try:
-        chain, band, lengths, hits, maxima = _counted_candidates(
+        series, band, lengths, hits, maxima = _counted_candidates(
             frame, lambda f: extract_qplus(build_component_tree(pixels, seed, a_max), params, f)
         )
     except NoCandidateRegionsError:
         assume(False)  # the seed's first component outgrows the band
+    chain = series[0]._chain
     assert len(lengths) == len(hits) == len(band)
     # the maxima come from a window 2 px wider than the crop, as wide as the
     # Sobel and suppression neighbourhoods reach, so they equal the map of
     # the whole frame
-    *_, x0, y0, cw, ch = chain._cropped()
+    crop = chain.crop(int(band[-1]))
+    (ch, cw), x0, y0 = crop.join.shape, crop.x0, crop.y0
     assert np.array_equal(maxima, gradient_magnitude_maxima(pixels)[y0 : y0 + ch, x0 : x0 + cw])
     for k, length, hit in zip(band, lengths, hits):
-        assert (length, hit) == _oracle_counts(chain, k, maxima)
+        assert (length, hit) == _oracle_counts(chain, band, k, maxima)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           elements=st.one_of(st.sampled_from([0, 40, 41, 90, 200, 255]), st.integers(0, 255))),
+    st.tuples(st.integers(0, 23), st.integers(0, 23)),
+    st.integers(0, 1_000_000),
+    st.integers(0, 1_000_000),
+)
+@example(HOLE, (1, 1), 0, 1)
+@example(POCKET, (1, 1), 0, 1)
+@example(CORNER, (0, 0), 0, 1)
+def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_draw):
+    h, w = pixels.shape
+    seed = (seed[0] % w, seed[1] % h)
+    # an area band that holds chain nodes lo..hi, so there are candidates
+    areas = build_component_tree(pixels, seed, pixels.size).seed_chain().areas
+    lo = lo_draw % len(areas)
+    hi = lo + hi_draw % (len(areas) - lo)
+    a_max = int(areas[hi]) + 1
+    params = ErelParams(a_min=int(areas[lo]), a_max=a_max)
+    series, band, lengths, _, _ = _counted_candidates(
+        Frame(pixels=pixels),
+        lambda f: extract_qplus(build_component_tree(pixels, seed, a_max), params, f),
+    )
+    chain = series[0]._chain
+    ref = LazyChainAttributes(chain, int(band[-1]))
+    for region in series:
+        k = region.chain_index
+        mu_xx, mu_xy, mu_yy = ref.central_moments(k)
+        expected = erel.Region(
+            level=int(chain.levels[k]),
+            area=int(chain.areas[k]),
+            boundary_length=int(lengths[band.tolist().index(k)]),
+            mean_intensity=ref.mean_intensity(k),
+            entropy=ref.entropy(k),
+            centroid=ref.centroid(k),
+            mu_xx=mu_xx,
+            mu_xy=mu_xy,
+            mu_yy=mu_yy,
+            chain_index=k,
+            _chain=chain,
+        )
+        # repr pins the types (numpy or Python floats) as well as the bits
+        assert region == expected and repr(region) == repr(expected)
+        ours, theirs = region.boundary, ref.boundary(k)
+        assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
 
 
 def test_pinned_boundary_counts():
@@ -243,7 +294,7 @@ def test_pinned_boundary_counts():
     for pixels, seed, counts in ((HOLE, (1, 1), [16, 24]), (POCKET, (1, 1), [17, 24]),
                                  (CORNER, (0, 0), [14, 30])):
         params = ErelParams(a_min=1, a_max=pixels.size)
-        chain, band, lengths, _, _ = _counted_candidates(
+        _, _, lengths, _, _ = _counted_candidates(
             Frame(pixels=pixels),
             lambda f: extract_qplus(build_component_tree(pixels, seed, pixels.size), params, f),
         )
@@ -264,13 +315,13 @@ def test_region_attributes_on_square():
     pixels[4:14, 3:13] = 10
     chain = build_component_tree(pixels, (3, 4), pixels.size).seed_chain()
     assert chain.areas[0] == 100
-    chain.restrict(0)
-    join, *_ = chain._cropped()
-    lengths, hits = _boundary_counts(join, np.array([0]), np.ones(join.shape, dtype=bool))
+    crop = chain.crop(0)
+    lengths, hits = _boundary_counts(crop.join, np.array([0]), np.ones(crop.join.shape, dtype=bool))
     assert (lengths.tolist(), hits.tolist()) == ([36], [36])
-    assert chain.mean_intensity(0) == 10.0
-    assert chain.entropy(0) == 0.0
-    assert chain.centroid(0) == (7.5, 8.5)  # 10x10 block starting at x=3, y=4
+    attrs = chain.attributes(crop)
+    assert attrs.mean_intensity[0] == 10.0
+    assert attrs.entropy(0) == 0.0
+    assert (attrs.cx[0], attrs.cy[0]) == (7.5, 8.5)  # 10x10 block starting at x=3, y=4
 
 
 def test_entropy_two_equal_bins_is_one_bit():
@@ -281,7 +332,7 @@ def test_entropy_two_equal_bins_is_one_bit():
     pixels = np.sort(pixels.ravel()).reshape(10, 10)
     chain = build_component_tree(pixels, (0, 0), pixels.size).seed_chain()
     k = len(chain) - 1  # whole frame
-    assert chain.entropy(k) == pytest.approx(1.0, abs=1e-12)
+    assert chain.attributes(chain.crop(k)).entropy(k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disk_moments_quarter_radius_squared():

@@ -89,6 +89,14 @@ def test_load_frame_rejects_wrong_maxval(tmp_path):
         load_frame(path)
 
 
+@pytest.mark.parametrize("name", ["missing.pgm", "a_directory"])
+def test_load_frame_unreadable_path_is_a_pgm_format_error(tmp_path, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(PgmFormatError, match=f"cannot read PGM file {path}"):
+        load_frame(path)
+
+
 VALID_PGM = b"P5\n4 3\n255\n" + bytes(range(12))
 
 
@@ -190,6 +198,14 @@ def test_load_contour_rejects_malformed_text(tmp_path, data):
     with pytest.raises(ContourFormatError):
         load_contour(path)
     assert issubclass(ContourFormatError, SegmentationError)
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "a_directory"])
+def test_load_contour_unreadable_path_is_a_contour_format_error(tmp_path, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    with pytest.raises(ContourFormatError, match=f"cannot read contour file {path}"):
+        load_contour(path)
 
 
 # Tokens float() reads differently from a plain decimal, and ones it rejects.

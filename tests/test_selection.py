@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ivuseg.erel import Region, RegionSeries
 from ivuseg.errors import DegenerateSelectionError
@@ -16,6 +17,7 @@ from ivuseg.selection import (
     select_regions,
     stability_scores,
 )
+from oracles import loop_find_peaks
 
 
 def region(area, boundary_length=10, mean_intensity=1.0, entropy=1.0, level=0):
@@ -102,6 +104,18 @@ def test_stability_short_vector_empty():
 
 
 # -- peaks -----------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    arrays(np.float64, st.integers(0, 30), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])),
+    arrays(np.float64, st.integers(0, 30), elements=st.floats(-1e6, 1e6)),
+))
+def test_find_peaks_scans_like_the_old_loop(vals):
+    # plateau-heavy vectors: a plateau peaks once, at its leftmost index
+    peaks = find_peaks(vals)
+    assert [i for i, _ in peaks] == loop_find_peaks(vals)
+    assert all(type(i) is int and type(p) is float for i, p in peaks)
+
 
 def test_find_peaks_single_interior():
     assert find_peaks(np.array([1.0, 3.0, 1.0])) == [(1, 2.0)]
