@@ -8,7 +8,6 @@ contours.
 
 from .erel import (
     ErelParams,
-    Region,
     RegionSeries,
     extract_qplus,
     gradient_magnitude_maxima,

@@ -161,22 +161,22 @@ def segment_frame(
     each stage plus the full stability profile.
     """
     seed, params, series = _extract(frame, cfg, artifact_model)
-    lumen_region, media_region, profile = selection.select_regions(
+    lumen_i, media_i, profile = selection.select_regions(
         series, z_min=cfg.z_min, z_max=cfg.z_max, min_peaks=cfg.min_peaks
     )
-    lumen = ellipse_from_moments(
-        lumen_region.centroid, lumen_region.mu_xx, lumen_region.mu_xy, lumen_region.mu_yy
-    )
-    media = ellipse_from_moments(
-        media_region.centroid, media_region.mu_xx, media_region.mu_xy, media_region.mu_yy
+    lumen, media = (
+        ellipse_from_moments(
+            (series.cx[i], series.cy[i]), series.mu_xx[i], series.mu_xy[i], series.mu_yy[i]
+        )
+        for i in (lumen_i, media_i)
     )
     trace = {
         "seed": list(seed),
         "area_band": [params.a_min, params.a_max],
         "regions_extracted": len(series),
         "regions_after_outliers": len(profile.v),
-        "levels": [r.level for r in series],
-        "areas": [r.area for r in series],
+        "levels": series.levels.tolist(),
+        "areas": series.areas.tolist(),
         "v": profile.v.tolist(),
         "omega": profile.omega.tolist(),
         "peaks": [[int(i), float(p)] for i, p in profile.peaks],
@@ -499,15 +499,15 @@ def bestcase_frame(
         inter = series.overlaps(mask)
         jms = inter / (areas + gold_area - inter)
         idx = int(np.argmax(jms))
-        region = series[idx]
-        hd = metrics.hausdorff(region.boundary, contour)
+        area = int(areas[idx])
+        hd = metrics.hausdorff(series.boundary(idx), contour)
         out[name] = {
             "jm": float(jms[idx]),
             "index": idx,
-            "area": region.area,
+            "area": area,
             "hd_px": hd,
             "hd_mm": None if cfg.mm_per_px is None else hd * cfg.mm_per_px,
-            "pad": metrics.pad(float(region.area), float(gold_area)),
+            "pad": metrics.pad(float(area), float(gold_area)),
         }
     return out
 

@@ -265,15 +265,17 @@ class ComponentTree:
 class SeedChain:
     """The nested components containing a tree's seed, one per growth level.
 
-    Node k is the seed's component at levels[k], of areas[k] pixels.  Every
-    pixel carries the index of the smallest node containing it (its join
-    index: the chain position of its join level); pixels outside the last
-    node carry len(chain), one past the chain, so prefix sums ignore them.
+    Node k is the seed's component at levels[k], of areas[k] pixels, in an
+    image of (height, width) shape.  Every pixel carries the index of the
+    smallest node containing it (its join index: the chain position of its
+    join level); pixels outside the last node carry len(chain), one past
+    the chain, so prefix sums ignore them.
     Any additive attribute of node k is then a prefix sum over join-index
     buckets, O(1) per node after one O(N) pass (attributes).
     """
 
     def __init__(self, tree: ComponentTree):
+        self.shape = tree._shape
         self._pixels = tree._levels.reshape(tree._shape)
         self.join_index = tree._join_index
         self.levels = tree._chain_levels

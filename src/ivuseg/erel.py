@@ -9,7 +9,7 @@ the gradient magnitude are the distinguished levels worth keeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -78,72 +78,52 @@ class ErelParams:
         return cls(alpha=alpha, beta=beta, a_min=a_min, a_max=a_max)
 
 
-@dataclass
-class Region:
-    """One extracted region with the attributes the selector consumes."""
+@dataclass(eq=False)
+class RegionSeries:
+    """Strictly nested regions in increasing area order, one column each.
 
-    level: int
-    area: int
-    boundary_length: int
-    mean_intensity: float
-    entropy: float
-    centroid: tuple[float, float]
-    mu_xx: float
-    mu_xy: float
-    mu_yy: float
-    chain_index: int = -1
-    _chain: SeedChain | None = field(default=None, repr=False)
+    Row i is chain node index[i] at level levels[i]: its area, the number
+    of its border-exposed pixels (boundary_length), mean intensity, entropy
+    (bits) of its intensity histogram, centroid (cx, cy) and
+    area-normalised second central moments.
+    """
 
-    def _source(self) -> SeedChain:
-        if self._chain is None:
-            raise ValueError("region carries no pixel set")
-        return self._chain
+    index: np.ndarray
+    levels: np.ndarray
+    areas: np.ndarray
+    boundary_length: np.ndarray
+    mean_intensity: np.ndarray
+    entropy: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    mu_xx: np.ndarray
+    mu_xy: np.ndarray
+    mu_yy: np.ndarray
+    chain: SeedChain
 
-    @property
-    def mask(self) -> np.ndarray:
-        return self._source().mask(self.chain_index)
+    def __len__(self) -> int:
+        return len(self.index)
 
-    @property
-    def boundary(self) -> Contour:
-        """Ordered outer-boundary trace (see _moore_cycle), walked on the
-        region's own padded crop from its first pixel in raster order."""
-        crop = self._source().crop(self.chain_index)
+    def boundary(self, i: int) -> Contour:
+        """Region i's ordered outer-boundary trace (see _moore_cycle), walked
+        on its node's padded crop from its first pixel in raster order."""
+        crop = self.chain.crop(int(self.index[i]))
         outside = np.pad(crop.join > crop.k, 1, constant_values=True)
         w2 = outside.shape[1]
         cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
         return _cycle_contour(cycle, w2, crop.x0, crop.y0)
 
-
-@dataclass
-class RegionSeries:
-    """Strictly nested regions in increasing area order."""
-
-    regions: list[Region]
-
-    def __len__(self) -> int:
-        return len(self.regions)
-
-    def __iter__(self):
-        return iter(self.regions)
-
-    def __getitem__(self, i):
-        return self.regions[i]
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.array([r.area for r in self.regions], dtype=np.int64)
-
     def overlaps(self, mask: np.ndarray) -> np.ndarray:
         """Pixels of the frame mask inside each region.
 
-        Region k holds the pixels whose join index is at most k, so one
-        cumulative histogram of the mask's join indices counts every region.
+        Region i holds the pixels whose join index is at most index[i], so
+        one cumulative histogram of the mask's join indices counts every
+        region.
         """
-        if not self.regions:
-            return np.zeros(0, dtype=np.int64)
-        chain = self.regions[0]._source()
-        inside = np.bincount(chain.join_index[mask.ravel()], minlength=len(chain) + 1)
-        return np.cumsum(inside)[[r.chain_index for r in self.regions]]
+        inside = np.bincount(
+            self.chain.join_index[mask.ravel()], minlength=len(self.chain) + 1
+        )
+        return np.cumsum(inside)[self.index]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +179,8 @@ def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
 # 4-connected to the outside.  Hole boundaries do not count, and neither do
 # pocket pixels that touch the outside only across a diagonal gap.  All
 # candidates are counted in one widest-path pass (_boundary_counts).  The
-# Moore walk below only draws a region's ordered contour (Region.boundary),
-# the one bestcase scores by Hausdorff distance.
+# Moore walk below only draws a region's ordered contour
+# (RegionSeries.boundary), the one bestcase scores by Hausdorff distance.
 # ---------------------------------------------------------------------------
 
 # Clockwise Moore neighbourhood in image coordinates (y down), west first.
@@ -422,19 +402,32 @@ def select_extremum_levels(
 def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> RegionSeries:
     """Extract the nested dark-core regions rooted at the tree's seed.
 
-    The tree is built from frame's pixels with a stop cap of at least
-    a_max.  The seed's component chain is cut to the [a_min, a_max]
-    area band, scored by the extremum-level criterion, and materialised into
-    Regions carrying the attributes the selection stage needs.  Chain nodes
-    are already deduplicated by construction: a node only exists at levels
-    where the component gained pixels, so areas are strictly increasing.
+    The seed's component chain is cut to the [a_min, a_max] area band,
+    scored by the extremum-level criterion, and the retained nodes'
+    attributes are gathered into the columns the selection stage reads.
+    Chain nodes are already deduplicated by construction: a node only
+    exists at levels where the component gained pixels, so areas are
+    strictly increasing.
+
+    The tree must be built from frame's pixels with a stop cap of at
+    least a_max, so that its chain holds the whole band: ValueError
+    otherwise.
     """
     chain = tree.seed_chain()
-    band = [
-        k for k in range(len(chain))
-        if params.a_min <= chain.areas[k] <= params.a_max
-    ]
-    if not band:
+    if chain.shape != frame.pixels.shape:
+        raise ValueError(
+            f"the tree was built on a {chain.shape[1]}x{chain.shape[0]} image, "
+            f"not on this {frame.width}x{frame.height} frame"
+        )
+    areas = chain.areas
+    if not (areas[-1] > params.a_max or areas[-1] == frame.pixels.size):
+        raise ValueError(
+            f"the tree's chain stops at {areas[-1]} px, inside the area band "
+            f"[{params.a_min}, {params.a_max}]: build it with a stop cap of at "
+            f"least a_max"
+        )
+    band = np.flatnonzero((areas >= params.a_min) & (areas <= params.a_max))
+    if not band.size:
         raise NoCandidateRegionsError(
             f"no candidate regions: seed chain has no component with area in "
             f"[{params.a_min}, {params.a_max}]"
@@ -446,8 +439,8 @@ def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> Regi
     # purposes; the lowest level of each run is kept.
     thinned = [band[0]]
     for k in band[1:]:
-        last = chain.areas[thinned[-1]]
-        if chain.areas[k] - last >= max(0.01 * last, 4):
+        last = areas[thinned[-1]]
+        if areas[k] - last >= max(0.01 * last, 4):
             thinned.append(k)
     band = np.asarray(thinned)
 
@@ -468,22 +461,18 @@ def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> Regi
     retained = select_extremum_levels(lengths, hits, params)
 
     attrs = chain.attributes(crop)
-    regions = []
-    for pos in retained:
-        k = int(band[pos])
-        regions.append(
-            Region(
-                level=int(chain.levels[k]),
-                area=int(chain.areas[k]),
-                boundary_length=int(lengths[pos]),
-                mean_intensity=float(attrs.mean_intensity[k]),
-                entropy=attrs.entropy(k),
-                centroid=(attrs.cx[k], attrs.cy[k]),
-                mu_xx=attrs.mu_xx[k],
-                mu_xy=attrs.mu_xy[k],
-                mu_yy=attrs.mu_yy[k],
-                chain_index=k,
-                _chain=chain,
-            )
-        )
-    return RegionSeries(regions=regions)
+    index = band[retained]
+    return RegionSeries(
+        index=index,
+        levels=chain.levels[index],
+        areas=areas[index],
+        boundary_length=lengths[retained],
+        mean_intensity=attrs.mean_intensity[index],
+        entropy=np.array([attrs.entropy(k) for k in index.tolist()]),
+        cx=attrs.cx[index],
+        cy=attrs.cy[index],
+        mu_xx=attrs.mu_xx[index],
+        mu_xy=attrs.mu_xy[index],
+        mu_yy=attrs.mu_yy[index],
+        chain=chain,
+    )

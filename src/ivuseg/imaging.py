@@ -272,6 +272,10 @@ def _edge_medians(bands: np.ndarray) -> np.ndarray:
     return np.sort(windows, axis=0)[2]
 
 
+# Window values the general median path sorts at once: 2 MiB of int16.
+_MEDIAN_CHUNK = 1 << 20
+
+
 def median_filter(frame: Frame, radius: int = 1) -> Frame:
     """Median despeckle with a (2*radius+1)^2 window.
 
@@ -297,15 +301,20 @@ def median_filter(frame: Frame, radius: int = 1) -> Frame:
         return Frame(pixels=out, mm_per_px=frame.mm_per_px)
 
     # general path: sort each clamped window, sentinel-padded so the per-
-    # pixel valid count selects the lower-middle order statistic
+    # pixel valid count selects the lower-middle order statistic; a band of
+    # rows at a time, so the sorted copy stays within _MEDIAN_CHUNK values
     padded = np.full((h + 2 * radius, w + 2 * radius), 300, dtype=np.int16)
     padded[radius : radius + h, radius : radius + w] = frame.pixels
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-    stack = np.sort(windows.reshape(h, w, k * k), axis=2)
 
     rows = np.minimum(np.arange(h), radius) + np.minimum(h - 1 - np.arange(h), radius) + 1
     cols = np.minimum(np.arange(w), radius) + np.minimum(w - 1 - np.arange(w), radius) + 1
     counts = rows[:, None] * cols[None, :]
     mid = (counts - 1) // 2
-    out = np.take_along_axis(stack, mid[:, :, None], axis=2)[:, :, 0]
+    out = np.empty((h, w), dtype=np.int16)
+    band = max(1, _MEDIAN_CHUNK // (w * k * k))
+    for y in range(0, h, band):
+        stack = np.array(windows[y : y + band]).reshape(-1, w, k * k)
+        stack.sort(axis=2)
+        out[y : y + band] = np.take_along_axis(stack, mid[y : y + band, :, None], axis=2)[:, :, 0]
     return Frame(pixels=out.astype(np.uint8), mm_per_px=frame.mm_per_px)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erel import Region, RegionSeries, _local_maxima
+from .erel import RegionSeries, _local_maxima
 from .errors import DegenerateSelectionError
 
 # Plateaus in the score vector make the stability ratio blow up; they are
@@ -44,43 +44,39 @@ class StabilityProfile:
 
 
 def remove_outliers(
-    series: RegionSeries,
+    areas: np.ndarray,
     z_min: float = DEFAULT_Z_MIN,
     z_max: float = DEFAULT_Z_MAX,
-) -> RegionSeries:
-    """Drop regions whose area is a modified Z-score outlier.
+) -> np.ndarray:
+    """Positions of the areas that are no modified Z-score outlier.
 
-    M_i = 0.6745 (A_i - median) / MAD; regions with M_i < z_min or
-    M_i > z_max are removed.  A zero MAD keeps everything.  Dropping more
-    than a quarter of the series raises DegenerateSelectionError: that many
+    M_i = 0.6745 (A_i - median) / MAD; areas with M_i < z_min or
+    M_i > z_max are dropped.  A zero MAD keeps everything.  Dropping more
+    than a quarter of the areas raises DegenerateSelectionError: that many
     "outliers" means the area distribution itself is not MAD-testable (e.g.
     two separated size clusters), and the caller keeps the unfiltered
     series instead.
     """
-    if len(series) == 0:
+    areas = np.asarray(areas, dtype=np.float64)
+    if areas.size == 0:
         raise ValueError("cannot filter an empty series")
-    areas = series.areas.astype(np.float64)
     med = float(np.median(areas))
     mad = float(np.median(np.abs(areas - med)))
     if mad == 0.0:
-        return series
+        return np.arange(areas.size)
     m = 0.6745 * (areas - med) / mad
-    keep = (m >= z_min) & (m <= z_max)
-    dropped = len(series) - int(keep.sum())
-    if dropped * 4 > len(series):
+    keep = np.flatnonzero((m >= z_min) & (m <= z_max))
+    if (areas.size - keep.size) * 4 > areas.size:
         raise DegenerateSelectionError(
             "selection degenerate: outlier screen would drop more than a "
             "quarter of the series"
         )
-    return RegionSeries(regions=[r for r, k in zip(series.regions, keep) if k])
+    return keep
 
 
 def feature_vector(series: RegionSeries) -> np.ndarray:
     """Per-region texture score: boundary length x mean intensity x entropy."""
-    return np.array(
-        [r.boundary_length * r.mean_intensity * r.entropy for r in series],
-        dtype=np.float64,
-    )
+    return series.boundary_length * series.mean_intensity * series.entropy
 
 
 def stability_scores(v: np.ndarray) -> np.ndarray:
@@ -126,20 +122,19 @@ def _prominence(vals: np.ndarray, idx: int) -> float:
     return float(h - max(left_min, right_min))
 
 
-def build_profile(series: RegionSeries) -> StabilityProfile:
-    """Score the series and locate stability peaks (series coordinates)."""
-    v = feature_vector(series)
+def build_profile(v: np.ndarray) -> StabilityProfile:
+    """Locate the stability peaks of the scores v (series coordinates)."""
+    v = np.asarray(v, dtype=np.float64)
     omega = stability_scores(v)
     peaks = [(idx + 1, prom) for idx, prom in find_peaks(omega)]
     return StabilityProfile(v=v, omega=omega, peaks=peaks)
 
 
 def assign_lumen_media(
-    series: RegionSeries,
     profile: StabilityProfile,
     min_peaks: int = DEFAULT_MIN_PEAKS,
-) -> tuple[Region, Region]:
-    """Label one region as lumen and one as media.
+) -> tuple[int, int]:
+    """Positions of the lumen and the media in the profile's series.
 
     The lumen is the higher-prominence peak among the first two (ties go to
     the earlier one).  With at least min_peaks peaks the media is the last
@@ -147,13 +142,13 @@ def assign_lumen_media(
     region stands in.  Without any peak the lumen falls back to the most
     stable region.
     """
-    n = len(series)
+    n = len(profile.v)
     if n == 0:
         raise ValueError("cannot select from an empty series")
     if n == 1:
         profile.lumen_index = profile.media_index = 0
         profile.degenerate = True
-        return series[0], series[0]
+        return 0, 0
 
     peaks = profile.peaks
     if not peaks:
@@ -174,7 +169,7 @@ def assign_lumen_media(
         media_idx = n - 1
     profile.lumen_index = lumen_idx
     profile.media_index = media_idx
-    return series[lumen_idx], series[media_idx]
+    return lumen_idx, media_idx
 
 
 def select_regions(
@@ -182,16 +177,18 @@ def select_regions(
     z_min: float = DEFAULT_Z_MIN,
     z_max: float = DEFAULT_Z_MAX,
     min_peaks: int = DEFAULT_MIN_PEAKS,
-) -> tuple[Region, Region, StabilityProfile]:
+) -> tuple[int, int, StabilityProfile]:
     """Full selection: outlier pruning, scoring, peak analysis, labelling.
 
-    When the outlier screen would drop more than a quarter of the series
+    Returns the lumen's and the media's positions in series, and the
+    profile, whose indices are positions in the pruned series.  When the
+    outlier screen would drop more than a quarter of the series
     (DegenerateSelectionError), the unfiltered series is used instead.
     """
     try:
-        pruned = remove_outliers(series, z_min=z_min, z_max=z_max)
+        kept = remove_outliers(series.areas, z_min=z_min, z_max=z_max)
     except DegenerateSelectionError:
-        pruned = series
-    profile = build_profile(pruned)
-    lumen, media = assign_lumen_media(pruned, profile, min_peaks=min_peaks)
-    return lumen, media, profile
+        kept = np.arange(len(series))
+    profile = build_profile(feature_vector(series)[kept])
+    lumen, media = assign_lumen_media(profile, min_peaks=min_peaks)
+    return int(kept[lumen]), int(kept[media]), profile

@@ -1,21 +1,24 @@
 """Independent brute-force reference implementations for the test suite.
 
 Everything here favours obviousness over speed and, except for the Moore
-walks below (of a mask, and of a chain node in LazyChainAttributes) and the
-library's densify under two_tree_hausdorff (densify is itself checked
-against brute_densify), stays independent of the library's own code
-paths: components come from scipy labelling or a full canonical parent
-image, medians from sorting full windows, moments from direct summation,
+walks below (of a mask, and of a chain node in LazyChainAttributes and
+Region), the library's densify under two_tree_hausdorff (densify is itself
+checked against brute_densify) and the counting and retention stages under
+reference_regions, stays independent of the library's own code paths:
+components come from scipy labelling or a full canonical parent image,
+medians from sorting full windows, moments from direct summation,
 distances from all-pairs scans.
 """
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from ivuseg import erel
 from ivuseg.erel import _cycle_contour, _cycle_xy, _moore_cycle
 from ivuseg.errors import ContourFormatError, DegenerateMaskError, DimensionMismatchError
 from ivuseg.geometry import Ellipse
@@ -624,6 +627,81 @@ class LazyChainAttributes:
         sx, sy = self.first_pixel(k)
         start = (sy - oy + 1) * w2 + (sx - ox + 1)
         return _cycle_contour(_moore_cycle(vals, k, start, w2), w2, ox, oy)
+
+
+# -- reference regions ---------------------------------------------------------------
+#
+# The extraction stage as it was when each retained region was its own object:
+# the band and the area thinning as Python lists, then one Region per retained
+# candidate with its attributes looked up one at a time, and a boundary walked
+# on the node's own crop.  It reuses the library's gradient map, boundary
+# counts and retention (each checked against its own oracle), and
+# extract_qplus's columns must equal its fields bit for bit.
+
+@dataclass
+class Region:
+    level: int
+    area: int
+    boundary_length: int
+    mean_intensity: float
+    entropy: float
+    centroid: tuple[float, float]
+    mu_xx: float
+    mu_xy: float
+    mu_yy: float
+    chain_index: int
+    chain: object
+
+    @property
+    def boundary(self) -> Contour:
+        crop = self.chain.crop(self.chain_index)
+        outside = np.pad(crop.join > crop.k, 1, constant_values=True)
+        w2 = outside.shape[1]
+        cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
+        return _cycle_contour(cycle, w2, crop.x0, crop.y0)
+
+
+def reference_regions(tree, params, frame: Frame) -> list[Region]:
+    """The retained regions of extract_qplus(tree, params, frame), one object
+    each; an empty band gives an empty list."""
+    chain = tree.seed_chain()
+    band = [k for k in range(len(chain)) if params.a_min <= chain.areas[k] <= params.a_max]
+    if not band:
+        return []
+    thinned = [band[0]]
+    for k in band[1:]:
+        last = chain.areas[thinned[-1]]
+        if chain.areas[k] - last >= max(0.01 * last, 4):
+            thinned.append(k)
+    band = np.asarray(thinned)
+    crop = chain.crop(int(band[-1]))
+    ch, cw = crop.join.shape
+    x0, y0 = crop.x0, crop.y0
+    h, w = frame.pixels.shape
+    bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
+    window = erel.gradient_magnitude_maxima(
+        frame.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
+    )
+    maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
+    lengths, hits = erel._boundary_counts(crop.join, band, maxima)
+    attrs = chain.attributes(crop)
+    regions = []
+    for pos in erel.select_extremum_levels(lengths, hits, params):
+        k = int(band[pos])
+        regions.append(Region(
+            level=int(chain.levels[k]),
+            area=int(chain.areas[k]),
+            boundary_length=int(lengths[pos]),
+            mean_intensity=float(attrs.mean_intensity[k]),
+            entropy=attrs.entropy(k),
+            centroid=(attrs.cx[k], attrs.cy[k]),
+            mu_xx=attrs.mu_xx[k],
+            mu_xy=attrs.mu_xy[k],
+            mu_yy=attrs.mu_yy[k],
+            chain_index=k,
+            chain=chain,
+        ))
+    return regions
 
 
 def loop_find_peaks(values: np.ndarray) -> list[int]:

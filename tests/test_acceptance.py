@@ -202,12 +202,13 @@ def phantom_population():
             spec = acceptance_phantom_spec(s, shadow)
             frame, truth = generate_phantom(spec)
             _, _, series = _extract(frame, RunConfig(), None)
-            lumen_r, media_r, _ = select_regions(series)
-            le = ellipse_from_moments(
-                lumen_r.centroid, lumen_r.mu_xx, lumen_r.mu_xy, lumen_r.mu_yy
-            )
-            me = ellipse_from_moments(
-                media_r.centroid, media_r.mu_xx, media_r.mu_xy, media_r.mu_yy
+            lumen_i, media_i, _ = select_regions(series)
+            le, me = (
+                ellipse_from_moments(
+                    (series.cx[i], series.cy[i]), series.mu_xx[i], series.mu_xy[i],
+                    series.mu_yy[i],
+                )
+                for i in (lumen_i, media_i)
             )
             shape = frame.pixels.shape
             rows.append({
@@ -215,8 +216,8 @@ def phantom_population():
                 "frame": frame,
                 "truth": truth,
                 "series": series,
-                "lumen_region": lumen_r,
-                "media_region": media_r,
+                "lumen_mask": series.chain.mask(series.index[lumen_i]),
+                "media_mask": series.chain.mask(series.index[media_i]),
                 "jm_lumen": jaccard(ellipse_mask(le, shape), ellipse_mask(truth.lumen, shape)),
                 "jm_media": jaccard(ellipse_mask(me, shape), ellipse_mask(truth.media, shape)),
                 "hd_lumen": hausdorff(rasterize_ellipse(le, 720), truth.lumen_contour),
@@ -265,8 +266,8 @@ def test_criterion_8_bestcase_dominates(phantom_population, tmp_path):
         shape = row["frame"].pixels.shape
         gold_lumen = _polygon_mask(row["truth"].lumen_contour, shape)
         gold_media = _polygon_mask(row["truth"].media_contour, shape)
-        jm_sel_lumen = jaccard(row["lumen_region"].mask, gold_lumen)
-        jm_sel_media = jaccard(row["media_region"].mask, gold_media)
+        jm_sel_lumen = jaccard(row["lumen_mask"], gold_lumen)
+        jm_sel_media = jaccard(row["media_mask"], gold_media)
         assert best[stem]["lumen"]["jm"] >= jm_sel_lumen - 1e-12
         assert best[stem]["media"]["jm"] >= jm_sel_media - 1e-12
     mean_best = float(np.mean([best[f"frame_{i:03d}"]["lumen"]["jm"] for i in range(len(subset))]))
@@ -290,10 +291,8 @@ def test_criterion_5_formula_fixtures():
     assert omega.tolist() == [1.0]
 
     # modified Z-score drops exactly the one freak area
-    from test_selection import series_with_areas
-
-    kept = remove_outliers(series_with_areas([800, 900, 1000, 1100, 10000]))
-    assert [r.area for r in kept] == [800, 900, 1000, 1100]
+    areas = np.array([800, 900, 1000, 1100, 10000])
+    assert areas[remove_outliers(areas)].tolist() == [800, 900, 1000, 1100]
     report("5", "entropy(two equal bins) = 1.0 bit, stability([1,2,3]) = 1.0, "
                 "areas [800,900,1000,1100,10000] drop exactly one outlier")
 

@@ -216,11 +216,11 @@ def test_cli_bestcase_dominates_selection(phantom_dir, tmp_path):
         from ivuseg.selection import select_regions
 
         _, _, series = _extract(frame, RunConfig(), None)
-        lumen_r, media_r, _ = select_regions(series)
+        lumen_i, media_i, _ = select_regions(series)
         gold_lumen = _polygon_mask(truth.lumen_contour, frame.pixels.shape)
         gold_media = _polygon_mask(truth.media_contour, frame.pixels.shape)
-        jm_sel_lumen = jaccard(lumen_r.mask, gold_lumen)
-        jm_sel_media = jaccard(media_r.mask, gold_media)
+        jm_sel_lumen = jaccard(series.chain.mask(series.index[lumen_i]), gold_lumen)
+        jm_sel_media = jaccard(series.chain.mask(series.index[media_i]), gold_media)
         assert best[stem]["lumen"]["jm"] >= jm_sel_lumen - 1e-12
         assert best[stem]["media"]["jm"] >= jm_sel_media - 1e-12
 
@@ -235,7 +235,7 @@ def test_bestcase_jm_is_the_region_mask_loop_maximum(phantom_dir, i):
     best = bestcase_frame(frame, cfg, gold)
     _, _, series = _extract(frame, cfg, None)
     for name, mask in (("lumen", gold.lumen_mask), ("media", gold.media_mask)):
-        jms = [jaccard(region.mask, mask) for region in series]
+        jms = [jaccard(series.chain.mask(k), mask) for k in series.index]
         idx = jms.index(max(jms))
         assert (best[name]["index"], best[name]["jm"]) == (idx, jms[idx])
 

@@ -12,6 +12,7 @@ from ivuseg import erel
 from ivuseg.cli import RunConfig, _extract
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import (
+    MIN_RETAINED_LEVELS,
     ErelParams,
     _boundary_counts,
     _local_maxima,
@@ -33,6 +34,7 @@ from oracles import (
     brute_moments,
     outer_adjacent_pixels,
     rasterize_disk,
+    reference_regions,
     trace_outer_boundary,
 )
 
@@ -116,10 +118,10 @@ def test_single_pixel_boundary():
 def test_chain_walk_matches_mask_walk():
     frame, _ = generate_phantom(PhantomSpec(rng_seed=5))
     _, _, series = _extract(frame, RunConfig(), None)
-    for region in series.regions[:: max(1, len(series) // 8)]:
-        traced = trace_outer_boundary(region.mask)
-        assert np.array_equal(region.boundary.points, traced.points)
-        assert region.boundary_length == len(boundary_pixel_set(region.mask))
+    for i in range(0, len(series), max(1, len(series) // 8)):
+        mask = series.chain.mask(series.index[i])
+        assert np.array_equal(series.boundary(i).points, trace_outer_boundary(mask).points)
+        assert series.boundary_length[i] == len(boundary_pixel_set(mask))
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +137,7 @@ def demo_series():
 def test_overlaps_count_every_region_against_a_mask(demo_series, seed, density):
     series, shape = demo_series
     mask = np.random.default_rng(seed).random(shape) < density
-    expected = [int(np.count_nonzero(region.mask & mask)) for region in series]
+    expected = [int(np.count_nonzero(series.chain.mask(k) & mask)) for k in series.index]
     assert series.overlaps(mask).tolist() == expected
 
 
@@ -172,7 +174,7 @@ def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
     series, band, lengths, hits, maxima = _counted_candidates(
         frame, lambda f: _extract(f, RunConfig(), None)[2]
     )
-    chain = series[0]._chain
+    chain = series.chain
     assert len(band) >= 40
     for k, length, hit in zip(band, lengths, hits):
         mask = chain.mask(k)
@@ -226,7 +228,7 @@ def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_dra
         )
     except NoCandidateRegionsError:
         assume(False)  # the seed's first component outgrows the band
-    chain = series[0]._chain
+    chain = series.chain
     assert len(lengths) == len(hits) == len(band)
     # the maxima come from a window 2 px wider than the crop, as wide as the
     # Sobel and suppression neighbourhoods reach, so they equal the map of
@@ -262,27 +264,63 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
         Frame(pixels=pixels),
         lambda f: extract_qplus(build_component_tree(pixels, seed, a_max), params, f),
     )
-    chain = series[0]._chain
+    chain = series.chain
     ref = LazyChainAttributes(chain, int(band[-1]))
-    for region in series:
-        k = region.chain_index
-        mu_xx, mu_xy, mu_yy = ref.central_moments(k)
-        expected = erel.Region(
-            level=int(chain.levels[k]),
-            area=int(chain.areas[k]),
-            boundary_length=int(lengths[band.tolist().index(k)]),
-            mean_intensity=ref.mean_intensity(k),
-            entropy=ref.entropy(k),
-            centroid=ref.centroid(k),
-            mu_xx=mu_xx,
-            mu_xy=mu_xy,
-            mu_yy=mu_yy,
-            chain_index=k,
-            _chain=chain,
-        )
-        # repr pins the types (numpy or Python floats) as well as the bits
-        assert region == expected and repr(region) == repr(expected)
-        ours, theirs = region.boundary, ref.boundary(k)
+    for i, k in enumerate(series.index.tolist()):
+        row = (series.levels[i], series.areas[i], series.boundary_length[i],
+               series.mean_intensity[i], series.entropy[i], series.cx[i], series.cy[i],
+               series.mu_xx[i], series.mu_xy[i], series.mu_yy[i])
+        expected = (chain.levels[k], chain.areas[k], lengths[band.tolist().index(k)],
+                    ref.mean_intensity(k), ref.entropy(k), *ref.centroid(k),
+                    *ref.central_moments(k))
+        assert row == expected
+        ours, theirs = series.boundary(i), ref.boundary(k)
+        assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           elements=st.one_of(st.sampled_from([0, 40, 41, 90, 200, 255]), st.integers(0, 255))),
+    st.tuples(st.integers(0, 23), st.integers(0, 23)),
+    st.integers(0, 1_000_000),
+    st.integers(0, 1_000_000),
+)
+@example(HOLE, (1, 1), 0, 0)
+@example(POCKET, (1, 1), 0, 0)
+@example(CORNER, (0, 0), 0, 0)
+def test_region_columns_equal_the_per_region_reference(pixels, seed, a_min_draw, a_max_draw):
+    h, w = pixels.shape
+    seed = (seed[0] % w, seed[1] % h)
+    n = pixels.size
+    assume(n >= 2)
+    a_max = n - a_max_draw % (n - 1)  # a band within the frame
+    params = ErelParams(a_min=1 + a_min_draw % (a_max - 1), a_max=a_max)
+    tree = build_component_tree(pixels, seed, a_max)
+    frame = Frame(pixels=pixels)
+    expected = reference_regions(tree, params, frame)
+    if not expected:
+        with pytest.raises(NoCandidateRegionsError):
+            extract_qplus(tree, params, frame)
+        return
+    series = extract_qplus(tree, params, frame)
+    assert len(series) == len(expected)
+    for column, values in (
+        (series.index, [r.chain_index for r in expected]),
+        (series.levels, [r.level for r in expected]),
+        (series.areas, [r.area for r in expected]),
+        (series.boundary_length, [r.boundary_length for r in expected]),
+        (series.mean_intensity, [r.mean_intensity for r in expected]),
+        (series.entropy, [r.entropy for r in expected]),
+        (series.cx, [r.centroid[0] for r in expected]),
+        (series.cy, [r.centroid[1] for r in expected]),
+        (series.mu_xx, [r.mu_xx for r in expected]),
+        (series.mu_xy, [r.mu_xy for r in expected]),
+        (series.mu_yy, [r.mu_yy for r in expected]),
+    ):
+        assert column.tolist() == values
+    for i, region in enumerate(expected):
+        ours, theirs = series.boundary(i), region.boundary
         assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
 
 
@@ -398,9 +436,8 @@ def test_extract_dark_disk_smallest_region_matches():
     # area band [1474, 5461], as a_min = int(128 * 128 * 0.09)
     _, params, series = _extract(frame, RunConfig(seed=(64, 64), amin_frac=0.09), None)
     assert (params.a_min, params.a_max) == (1474, 128 * 128 // 3)
-    smallest = series[0]
-    assert smallest.area == pytest.approx(3019, rel=0.10)
-    areas = [r.area for r in series]
+    assert series.areas[0] == pytest.approx(3019, rel=0.10)
+    areas = series.areas.tolist()
     assert areas == sorted(areas)
     assert all(a > b for a, b in zip(areas[1:], areas[:-1]))
 
@@ -426,7 +463,7 @@ def test_extremum_levels_cluster_at_crisp_edges():
     )
     frame, truth = generate_phantom(spec)
     _, _, series = _extract(frame, RunConfig(), None)
-    levels = sorted({r.level for r in series})
+    levels = sorted(set(series.levels.tolist()))
     # regions exist only at the distinct layer levels that contain the seed
     assert set(levels) <= {40, 70, 160}
     assert 40 in levels and 160 in levels
@@ -440,5 +477,21 @@ def test_capped_extraction_equals_full(rng):
     seed = (f.width // 2, f.height // 2)
     full = extract_qplus(build_component_tree(f.pixels, seed, f.pixels.size), params, f)
     capped = extract_qplus(build_component_tree(f.pixels, seed, params.a_max), params, f)
-    assert [r.area for r in full] == [r.area for r in capped]
-    assert [r.level for r in full] == [r.level for r in capped]
+    assert np.array_equal(full.areas, capped.areas)
+    assert np.array_equal(full.levels, capped.levels)
+
+
+def test_extraction_rejects_a_chain_cut_inside_the_band():
+    # a cap below a_max cuts the chain short and would silently drop the
+    # band's larger candidates
+    frame, _ = generate_phantom(acceptance_phantom_spec(0))
+    f = median_filter(frame, 1)
+    params = ErelParams.for_frame(f.pixels.shape)
+    seed = (f.width // 2, f.height // 2)
+    tree = build_component_tree(f.pixels, seed, params.a_max)
+    assert len(extract_qplus(tree, params, f)) >= MIN_RETAINED_LEVELS
+    capped = build_component_tree(f.pixels, seed, params.a_max // 4)
+    with pytest.raises(ValueError, match="stop cap of at least a_max"):
+        extract_qplus(capped, params, f)
+    with pytest.raises(ValueError, match="not on this 383x384 frame"):
+        extract_qplus(tree, params, Frame(pixels=f.pixels[:, :-1]))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ivuseg import imaging
 from ivuseg.errors import ContourFormatError, PgmFormatError, SegmentationError
 from ivuseg.imaging import (
     Contour,
@@ -315,6 +318,28 @@ def test_median_rejects_zero_radius():
 def test_median_matches_brute_force(pixels, radius):
     out = median_filter(Frame(pixels=pixels), radius).pixels
     assert np.array_equal(out, brute_median_filter(pixels, radius))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_frames, st.integers(2, 3), st.integers(1, 400))
+def test_median_in_row_bands_matches_brute_force(pixels, radius, chunk):
+    # a small sort budget splits the frame into bands of one or more rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imaging, "_MEDIAN_CHUNK", chunk)
+        out = median_filter(Frame(pixels=pixels), radius).pixels
+    assert np.array_equal(out, brute_median_filter(pixels, radius))
+
+
+def test_median_memory_does_not_grow_with_the_window():
+    # sorting every (2r+1)^2 window of the frame at once took 95 MiB at r = 6
+    pixels = np.random.default_rng(0).integers(0, 256, (384, 384)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        median_filter(Frame(pixels=pixels), 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # the radius-1 fast path: sorting network inside, clamped windows on the border

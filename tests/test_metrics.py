@@ -176,11 +176,18 @@ def nested_ellipses(draw):
 
 
 def far_apart(contours):
-    """The second contour moved by up to 10^4 px."""
+    """The second contour moved by up to 10^4 px.  The move can round two
+    close points onto one; such repeats are dropped, as polylines() drops
+    its own, and a closed contour left with fewer than 3 points is open."""
     offsets = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
-    return st.tuples(contours, contours, offsets).map(
-        lambda t: (t[0], Contour(points=t[1].points + np.array(t[2]), closed=t[1].closed))
-    )
+
+    def moved(t):
+        first, second, offset = t
+        pts = second.points + np.array(offset)
+        pts = pts[np.r_[True, np.any(pts[1:] != pts[:-1], axis=1)]]
+        return first, Contour(points=pts, closed=second.closed and len(pts) >= 3)
+
+    return st.tuples(contours, contours, offsets).map(moved)
 
 
 def same_float(x: float, y: float) -> bool:

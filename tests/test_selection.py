@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ivuseg.erel import Region, RegionSeries
+from ivuseg.erel import RegionSeries
 from ivuseg.errors import DegenerateSelectionError
 from ivuseg.selection import (
     STABILITY_SENTINEL,
@@ -20,49 +20,45 @@ from ivuseg.selection import (
 from oracles import loop_find_peaks
 
 
-def region(area, boundary_length=10, mean_intensity=1.0, entropy=1.0, level=0):
-    return Region(
-        level=level,
-        area=area,
-        boundary_length=boundary_length,
-        mean_intensity=mean_intensity,
-        entropy=entropy,
-        centroid=(0.0, 0.0),
-        mu_xx=1.0,
-        mu_xy=0.0,
-        mu_yy=1.0,
+def series_with_areas(areas, boundary_length=10, mean_intensity=1.0, entropy=1.0):
+    """Columns of a series with the given areas; the scores broadcast."""
+    n = len(areas)
+    zeros, ones = np.zeros(n), np.ones(n)
+    return RegionSeries(
+        index=np.arange(n),
+        levels=np.arange(n),
+        areas=np.asarray(areas, dtype=np.int64),
+        boundary_length=np.broadcast_to(boundary_length, n),
+        mean_intensity=np.broadcast_to(mean_intensity, n).astype(np.float64),
+        entropy=np.broadcast_to(entropy, n).astype(np.float64),
+        cx=zeros, cy=zeros, mu_xx=ones, mu_xy=zeros, mu_yy=ones,
+        chain=None,
     )
-
-
-def series_with_areas(areas):
-    return RegionSeries(regions=[region(a, level=i) for i, a in enumerate(areas)])
 
 
 # -- outlier removal ---------------------------------------------------------
 
 def test_outlier_example_drops_exactly_one():
-    series = series_with_areas([800, 900, 1000, 1100, 10000])
-    kept = remove_outliers(series)
-    assert [r.area for r in kept] == [800, 900, 1000, 1100]
+    areas = np.array([800, 900, 1000, 1100, 10000])
+    kept = remove_outliers(areas)
+    assert kept.tolist() == [0, 1, 2, 3]
+    assert areas[kept].tolist() == [800, 900, 1000, 1100]
 
 
 def test_outlier_zero_mad_keeps_everything():
-    series = series_with_areas([500] * 6)
-    assert len(remove_outliers(series)) == 6
+    assert remove_outliers(np.full(6, 500)).tolist() == list(range(6))
 
 
 def test_outliers_within_one_mad_kept():
     # areas within +-1 of median and MAD = 1: all |M| <= 0.6745
-    series = series_with_areas([99, 100, 100, 101, 101])
-    assert len(remove_outliers(series)) == 5
+    assert len(remove_outliers(np.array([99, 100, 100, 101, 101]))) == 5
 
 
 def test_outlier_mass_removal_is_degenerate():
     # two separated size clusters: the screen would drop the smaller cluster
     # wholesale, which is the degenerate case
-    series = series_with_areas([100, 101, 120, 5000, 5001, 5002, 5003, 5004, 5005])
     with pytest.raises(DegenerateSelectionError):
-        remove_outliers(series)
+        remove_outliers(np.array([100, 101, 120, 5000, 5001, 5002, 5003, 5004, 5005]))
 
 
 def test_select_regions_falls_back_on_degenerate_removal():
@@ -71,14 +67,22 @@ def test_select_regions_falls_back_on_degenerate_removal():
     assert len(profile.v) == len(series)
 
 
+def test_select_regions_returns_positions_in_the_unpruned_series():
+    # the freak area at position 0 is pruned, so the profile's positions
+    # are one less than the series positions returned
+    series = series_with_areas([1, 1000, 1001, 1002, 1003, 1004, 1005, 1006],
+                               boundary_length=np.array([5, 1, 1, 9, 1, 1, 1, 1]))
+    lumen, media, profile = select_regions(series)
+    assert len(profile.v) == 7
+    assert (lumen, media) == (profile.lumen_index + 1, profile.media_index + 1)
+
+
 # -- feature vector -----------------------------------------------------------
 
 def test_feature_vector_products():
-    series = RegionSeries(
-        regions=[
-            region(10, boundary_length=36, mean_intensity=50.0, entropy=1.0),
-            region(20, boundary_length=10, mean_intensity=2.0, entropy=0.0),
-        ]
+    series = series_with_areas(
+        [10, 20], boundary_length=np.array([36, 10]), mean_intensity=np.array([50.0, 2.0]),
+        entropy=np.array([1.0, 0.0]),
     )
     v = feature_vector(series)
     assert v.tolist() == [1800.0, 0.0]
@@ -167,47 +171,39 @@ def profile_with_peaks(n, peaks):
 
 
 def test_assign_three_peaks_uses_prominence_then_last():
-    series = series_with_areas(range(10, 21))
     profile = profile_with_peaks(11, [(2, 3.0), (5, 1.2), (9, 2.0)])
-    lumen, media = assign_lumen_media(series, profile)
+    assert assign_lumen_media(profile) == (2, 9)
     assert profile.lumen_index == 2
     assert profile.media_index == 9
-    assert lumen.area == 12 and media.area == 19
 
 
 def test_assign_two_peaks_media_falls_to_last_region():
-    series = series_with_areas(range(10, 20))
     profile = profile_with_peaks(10, [(4, 1.0), (6, 5.0)])
-    lumen, media = assign_lumen_media(series, profile)
+    assert assign_lumen_media(profile) == (6, 9)
     assert profile.lumen_index == 6
     assert profile.media_index == 9
-    assert media.area == 19
 
 
 def test_assign_tie_prefers_earlier_peak():
-    series = series_with_areas(range(10, 20))
     profile = profile_with_peaks(10, [(3, 2.0), (5, 2.0), (8, 0.5)])
-    assign_lumen_media(series, profile)
+    assign_lumen_media(profile)
     assert profile.lumen_index == 3
 
 
 def test_assign_no_peaks_uses_max_stability():
-    series = series_with_areas(range(10, 16))
     profile = StabilityProfile(
         v=np.ones(6),
         omega=np.array([1.0, 7.0, 2.0, 3.0]),
         peaks=[],
     )
-    lumen, media = assign_lumen_media(series, profile)
+    assign_lumen_media(profile)
     assert profile.lumen_index == 2  # omega argmax 1 -> series index 2
     assert profile.media_index == 5
 
 
 def test_assign_single_region_degenerate():
-    series = series_with_areas([10])
     profile = StabilityProfile(v=np.ones(1), omega=np.empty(0), peaks=[])
-    lumen, media = assign_lumen_media(series, profile)
-    assert lumen is media
+    assert assign_lumen_media(profile) == (0, 0)
     assert profile.degenerate
 
 
@@ -219,29 +215,16 @@ def test_assign_lumen_never_after_media():
         areas = np.unique(areas)
         if areas.size == 0:
             continue
-        series = series_with_areas(areas.tolist())
-        for r, bl, mi, h in zip(
-            series.regions,
-            rng.integers(4, 400, areas.size),
-            rng.uniform(1, 200, areas.size),
-            rng.uniform(0.0, 8.0, areas.size),
-        ):
-            r.boundary_length = int(bl)
-            r.mean_intensity = float(mi)
-            r.entropy = float(h)
-        profile = build_profile(series)
-        assign_lumen_media(series, profile)
+        v = (rng.integers(4, 400, areas.size) * rng.uniform(1, 200, areas.size)
+             * rng.uniform(0.0, 8.0, areas.size))
+        profile = build_profile(v)
+        assign_lumen_media(profile)
         assert profile.lumen_index <= profile.media_index
-        assert series[profile.lumen_index].area <= series[profile.media_index].area
+        assert areas[profile.lumen_index] <= areas[profile.media_index]
 
 
 def test_build_profile_peaks_in_series_coordinates():
-    series = series_with_areas(range(10, 20))
-    for r, v in zip(series.regions, [1, 1, 1, 9, 1, 1, 1, 1, 1, 1]):
-        r.boundary_length = v
-        r.mean_intensity = 1.0
-        r.entropy = 1.0
-    profile = build_profile(series)
+    profile = build_profile(np.array([1, 1, 1, 9, 1, 1, 1, 1, 1, 1], dtype=np.float64))
     # v spikes at series index 3; omega peaks there too (1-based interior)
     assert any(idx == 3 for idx, _ in profile.peaks)
     assert len(profile.omega) == len(profile.v) - 2
@@ -251,5 +234,6 @@ def test_determinism():
     series = series_with_areas([100, 140, 200, 280, 400, 560, 800])
     a = select_regions(series)
     b = select_regions(series)
+    assert a[:2] == b[:2]
     assert a[2].lumen_index == b[2].lumen_index
     assert a[2].media_index == b[2].media_index
