@@ -11,32 +11,14 @@ Usage: python scripts/runtime_scaling.py [--sizes 192,384,768] [--repeats 7]
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import acceptance_phantom_spec
+from conftest import acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg.cli import RunConfig, segment_frame
-from ivuseg.geometry import Ellipse
 from ivuseg.phantom import generate_phantom
-
-
-def scaled_phantom(size: int):
-    scale = size / 384.0
-    base = acceptance_phantom_spec(0)
-    spec = replace(
-        base,
-        width=size,
-        height=size,
-        lumen=Ellipse(base.lumen.cx * scale, base.lumen.cy * scale,
-                      base.lumen.a * scale, base.lumen.b * scale, base.lumen.theta),
-        media=Ellipse(base.media.cx * scale, base.media.cy * scale,
-                      base.media.a * scale, base.media.b * scale, base.media.theta),
-    )
-    frame, _ = generate_phantom(spec)
-    return frame
 
 
 def main() -> None:
@@ -49,7 +31,7 @@ def main() -> None:
     cfg = RunConfig()
     previous = None
     for size in sizes:
-        frame = scaled_phantom(size)
+        frame, _ = generate_phantom(scaled_phantom_spec(acceptance_phantom_spec(0), size))
         segment_frame(frame, cfg)  # warm-up
         best = min(
             _timed(frame, cfg) for _ in range(args.repeats)

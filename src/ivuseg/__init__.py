@@ -28,7 +28,6 @@ from .geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ell
 from .imaging import (
     Contour,
     Frame,
-    Sequence,
     frame_center,
     load_contour,
     load_frame,
@@ -48,8 +47,6 @@ from .phantom import (
 from .preprocess import (
     ArtifactModel,
     build_artifact_model,
-    detect_artifact_mask,
-    minimum_image,
     remove_artifacts,
 )
 from .selection import (

@@ -22,12 +22,11 @@ import numpy as np
 
 from . import erel, metrics, phantom, preprocess, selection
 from .component_tree import build_component_tree
-from .errors import ConfigError, ContourFormatError, SegmentationError
+from .errors import ConfigError, ContourFormatError, DimensionMismatchError, SegmentationError
 from .geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
 from .imaging import (
     Contour,
     Frame,
-    Sequence,
     frame_center,
     load_contour,
     load_frame,
@@ -146,7 +145,7 @@ def _extract(
         amax_frac=cfg.amax_frac,
     )
     tree = build_component_tree(despeckled.pixels, seed, params.a_max)
-    return seed, params, erel.extract_qplus(tree, params, despeckled)
+    return seed, params, erel.extract_qplus(tree, params)
 
 
 def segment_frame(
@@ -218,14 +217,15 @@ def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.Art
             file=sys.stderr,
         )
         return None
-    if len({f.pixels.shape for f in frames}) > 1:
+    try:
+        model = preprocess.build_artifact_model(frames, cfg.ringdown_threshold)
+    except DimensionMismatchError:
         print(
             "warning: frames differ in size, so they are not one pullback; "
             "skipping ring-down removal",
             file=sys.stderr,
         )
         return None
-    model = preprocess.build_artifact_model(Sequence(frames=frames), cfg.ringdown_threshold)
     fraction = float(model.mask.mean())
     if fraction > MAX_ARTIFACT_FRACTION:
         print(
@@ -270,7 +270,7 @@ def _map_frames(cfg: RunConfig, worker) -> list[tuple[Path, bool, object, dict |
 
     tasks = [(files[i].stem, frame, cfg, model) for i, frame in frames.items()]
     if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
             outcomes.update(zip(frames, pool.map(worker, tasks, chunksize=1)))
     else:
         outcomes.update(zip(frames, map(worker, tasks)))
@@ -630,14 +630,18 @@ def _cmd_bestcase(args: argparse.Namespace) -> int:
 
 
 def _cmd_phantom(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        spec = phantom.load_spec(args.spec)
-    else:
-        spec = phantom.PhantomSpec(rng_seed=args.rng_seed, speckle_sigma=args.sigma)
+    try:
+        if args.spec is not None:
+            spec = phantom.load_spec(args.spec)
+        else:
+            spec = phantom.PhantomSpec(rng_seed=args.rng_seed, speckle_sigma=args.sigma)
+        frames, truth = phantom.generate_phantom(spec, n_frames=args.frames)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.frames == 1:
+        frames = [frames]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    generated, truth = phantom.generate_phantom(spec, n_frames=args.frames)
-    frames = generated.frames if isinstance(generated, Sequence) else [generated]
     for i, frame in enumerate(frames):
         save_frame(frame, outdir / f"phantom_{i:03d}.pgm")
         save_contour(truth.lumen_contour, outdir / f"phantom_{i:03d}_lumen.txt")

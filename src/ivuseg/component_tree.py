@@ -231,8 +231,7 @@ def build_component_tree(
     node_of = np.full(257, levels.size, dtype=np.int32)
     node_of[levels] = np.arange(levels.size, dtype=np.int32)
     return ComponentTree(
-        levels=flat,
-        shape=(h, w),
+        pixels=img,
         join_index=node_of[joined],
         chain_levels=levels,
         areas=np.cumsum(counts[levels]),
@@ -240,19 +239,17 @@ def build_component_tree(
 
 
 class ComponentTree:
-    """The result of a seed sweep: each pixel's chain node and the chain's
-    levels and areas, which seed_chain() hands out."""
+    """The result of a seed sweep: the image swept, each pixel's chain node
+    and the chain's levels and areas, which seed_chain() hands out."""
 
     def __init__(
         self,
-        levels: np.ndarray,
-        shape: tuple[int, int],
+        pixels: np.ndarray,
         join_index: np.ndarray,
         chain_levels: np.ndarray,
         areas: np.ndarray,
     ):
-        self._levels = levels
-        self._shape = shape
+        self._pixels = pixels
         self._join_index = join_index
         self._chain_levels = chain_levels
         self._areas = areas
@@ -265,18 +262,17 @@ class ComponentTree:
 class SeedChain:
     """The nested components containing a tree's seed, one per growth level.
 
-    Node k is the seed's component at levels[k], of areas[k] pixels, in an
-    image of (height, width) shape.  Every pixel carries the index of the
-    smallest node containing it (its join index: the chain position of its
-    join level); pixels outside the last node carry len(chain), one past
-    the chain, so prefix sums ignore them.
+    Node k is the seed's component at levels[k], of areas[k] pixels, in
+    the uint8 image the tree was built on (pixels).  Every pixel carries
+    the index of the smallest node containing it (its join index: the
+    chain position of its join level); pixels outside the last node carry
+    len(chain), one past the chain, so prefix sums ignore them.
     Any additive attribute of node k is then a prefix sum over join-index
     buckets, O(1) per node after one O(N) pass (attributes).
     """
 
     def __init__(self, tree: ComponentTree):
-        self.shape = tree._shape
-        self._pixels = tree._levels.reshape(tree._shape)
+        self.pixels = tree._pixels
         self.join_index = tree._join_index
         self.levels = tree._chain_levels
         self.areas = tree._areas
@@ -286,13 +282,13 @@ class SeedChain:
 
     def mask(self, k: int) -> np.ndarray:
         """Pixel mask of chain node k."""
-        return (self.join_index <= k).reshape(self._pixels.shape)
+        return (self.join_index <= k).reshape(self.pixels.shape)
 
     def crop(self, k: int) -> "Crop":
         """Node k's tight bounding box; every node <= k lies inside it."""
         if not 0 <= k < len(self.levels):
             raise ValueError(f"chain index {k} outside the chain")
-        h, w = self._pixels.shape
+        h, w = self.pixels.shape
         join2d = self.join_index.reshape(h, w)
         inside = join2d <= k
         inside_rows = inside.any(axis=1)
@@ -304,7 +300,7 @@ class SeedChain:
         return Crop(
             k=int(k),
             join=np.minimum(join2d[y0:y1, x0:x1], k + 1),
-            pixels=self._pixels[y0:y1, x0:x1],
+            pixels=self.pixels[y0:y1, x0:x1],
             x0=x0,
             y0=y0,
         )

@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .component_tree import ComponentTree, SeedChain
 from .errors import NoCandidateRegionsError
-from .imaging import Contour, Frame
+from .imaging import Contour
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 1
@@ -399,28 +399,24 @@ def select_extremum_levels(
 # Extraction
 # ---------------------------------------------------------------------------
 
-def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> RegionSeries:
+def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     """Extract the nested dark-core regions rooted at the tree's seed.
 
     The seed's component chain is cut to the [a_min, a_max] area band,
-    scored by the extremum-level criterion, and the retained nodes'
+    scored by the extremum-level criterion on the gradient of the image
+    the tree was built on (chain.pixels), and the retained nodes'
     attributes are gathered into the columns the selection stage reads.
     Chain nodes are already deduplicated by construction: a node only
     exists at levels where the component gained pixels, so areas are
     strictly increasing.
 
-    The tree must be built from frame's pixels with a stop cap of at
-    least a_max, so that its chain holds the whole band: ValueError
-    otherwise.
+    The tree must be built with a stop cap of at least a_max, so that its
+    chain holds the whole band: ValueError otherwise.
     """
     chain = tree.seed_chain()
-    if chain.shape != frame.pixels.shape:
-        raise ValueError(
-            f"the tree was built on a {chain.shape[1]}x{chain.shape[0]} image, "
-            f"not on this {frame.width}x{frame.height} frame"
-        )
+    pixels = chain.pixels
     areas = chain.areas
-    if not (areas[-1] > params.a_max or areas[-1] == frame.pixels.size):
+    if not (areas[-1] > params.a_max or areas[-1] == pixels.size):
         raise ValueError(
             f"the tree's chain stops at {areas[-1]} px, inside the area band "
             f"[{params.a_min}, {params.a_max}]: build it with a stop cap of at "
@@ -451,10 +447,10 @@ def extract_qplus(tree: ComponentTree, params: ErelParams, frame: Frame) -> Regi
     crop = chain.crop(int(band[-1]))
     ch, cw = crop.join.shape
     x0, y0 = crop.x0, crop.y0
-    h, w = frame.pixels.shape
+    h, w = pixels.shape
     bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
     window = gradient_magnitude_maxima(
-        frame.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
+        pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
     )
     maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
     lengths, hits = _boundary_counts(crop.join, band, maxima)

@@ -11,20 +11,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContourFormatError, DimensionMismatchError, PgmFormatError
+from .errors import ContourFormatError, PgmFormatError
 
 
 @dataclass
 class Frame:
     """Single 8-bit grayscale raster.
 
-    pixels is a (height, width) uint8 array in row-major order.  mm_per_px
-    is the physical pixel pitch; it is configuration input, never inferred,
-    and is only required when metrics must be reported in millimeters.
+    pixels is a (height, width) uint8 array in row-major order.
     """
 
     pixels: np.ndarray
-    mm_per_px: float | None = None
 
     def __post_init__(self) -> None:
         px = np.asarray(self.pixels)
@@ -37,8 +34,6 @@ class Frame:
                 raise ValueError("frame intensities must lie in [0, 255]")
             px = px.astype(np.uint8)
         self.pixels = np.ascontiguousarray(px)
-        if self.mm_per_px is not None and self.mm_per_px <= 0:
-            raise ValueError("mm_per_px must be positive")
 
     @property
     def width(self) -> int:
@@ -47,29 +42,6 @@ class Frame:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-@dataclass
-class Sequence:
-    """Ordered pullback frames, all with identical dimensions."""
-
-    frames: list[Frame]
-
-    def __post_init__(self) -> None:
-        if not self.frames:
-            raise ValueError("sequence must contain at least one frame")
-        w, h = self.frames[0].width, self.frames[0].height
-        for f in self.frames[1:]:
-            if f.width != w or f.height != h:
-                raise DimensionMismatchError(
-                    f"sequence frames disagree on size: {w}x{h} vs {f.width}x{f.height}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __iter__(self):
-        return iter(self.frames)
 
 
 @dataclass
@@ -298,7 +270,7 @@ def median_filter(frame: Frame, radius: int = 1) -> Frame:
         out[1:-1, [0, -1]] = _edge_medians(np.stack([px[:, :2].T, px[:, -2:].T])).T
         corners = np.stack([px[:2, :2], px[:2, -2:], px[-2:, :2], px[-2:, -2:]])
         out[[0, 0, -1, -1], [0, -1, 0, -1]] = np.sort(corners.reshape(4, 4), axis=1)[:, 1]
-        return Frame(pixels=out, mm_per_px=frame.mm_per_px)
+        return Frame(pixels=out)
 
     # general path: sort each clamped window, sentinel-padded so the per-
     # pixel valid count selects the lower-middle order statistic; a band of
@@ -317,4 +289,4 @@ def median_filter(frame: Frame, radius: int = 1) -> Frame:
         stack = np.array(windows[y : y + band]).reshape(-1, w, k * k)
         stack.sort(axis=2)
         out[y : y + band] = np.take_along_axis(stack, mid[y : y + band, :, None], axis=2)[:, :, 0]
-    return Frame(pixels=out.astype(np.uint8), mm_per_px=frame.mm_per_px)
+    return Frame(pixels=out.astype(np.uint8))

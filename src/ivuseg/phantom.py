@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Ellipse, ellipse_mask, rasterize_ellipse
-from .imaging import Contour, Frame, Sequence
+from .imaging import Contour, Frame
 
 DEFAULT_LAYER_MEANS = (40, 160, 70, 180)  # lumen, intima, media band, adventitia
 GROUND_TRUTH_POINTS = 720
@@ -178,9 +178,9 @@ def generate_phantom(spec: PhantomSpec, n_frames: int = 1):
     """Deterministic phantom frame(s) plus exact ground truth.
 
     Returns (Frame, GroundTruth) for n_frames == 1 and
-    (Sequence, GroundTruth) otherwise.  Speckle is drawn independently per
-    frame from one seeded generator; ring-down squares stay constant so the
-    sequence minimum image exposes them.
+    (list of Frame, GroundTruth) otherwise.  Speckle is drawn independently
+    per frame from one seeded generator; ring-down squares stay constant so
+    the sequence minimum image exposes them.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
@@ -194,8 +194,7 @@ def generate_phantom(spec: PhantomSpec, n_frames: int = 1):
     )
     if n_frames == 1:
         return _render_frame(spec, base, rng), truth
-    frames = [_render_frame(spec, base, rng) for _ in range(n_frames)]
-    return Sequence(frames=frames), truth
+    return [_render_frame(spec, base, rng) for _ in range(n_frames)], truth
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +213,15 @@ def _format_artifact(a) -> str:
 
 def _parse_artifact(text: str):
     kind, *parts = text.split(":")
-    if kind == "shadow":
-        return ShadowArtifact(float(parts[0]), float(parts[1]), float(parts[2]))
-    if kind == "bifurcation":
-        return BifurcationArtifact(float(parts[0]), float(parts[1]))
-    if kind == "ringdown":
-        return RingDownArtifact(int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
+    try:
+        if kind == "shadow":
+            return ShadowArtifact(float(parts[0]), float(parts[1]), float(parts[2]))
+        if kind == "bifurcation":
+            return BifurcationArtifact(float(parts[0]), float(parts[1]))
+        if kind == "ringdown":
+            return RingDownArtifact(int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
+    except IndexError:
+        raise ValueError(f"too few fields in artifact {text!r}") from None
     raise ValueError(f"unknown artifact kind {kind!r}")
 
 

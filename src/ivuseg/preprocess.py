@@ -16,42 +16,39 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateMaskError, DimensionMismatchError
-from .imaging import Frame, Sequence
+from .imaging import Frame
 
 DEFAULT_RINGDOWN_THRESHOLD = 40
 
 
 @dataclass
 class ArtifactModel:
-    """Minimum image, derived artifact mask, and the threshold that made it."""
+    """The pixels a pullback's catheter artifacts cover (a bool mask)."""
 
-    min_image: Frame
     mask: np.ndarray
-    threshold: int
 
     def __post_init__(self) -> None:
-        mask = np.asarray(self.mask, dtype=bool)
-        if mask.shape != self.min_image.pixels.shape:
-            raise DimensionMismatchError("artifact mask dimensions must match the minimum image")
-        if not (self.min_image.pixels[mask] >= self.threshold).all():
-            raise ValueError("every masked pixel must have minimum-image intensity >= threshold")
-        self.mask = mask
+        self.mask = np.asarray(self.mask, dtype=bool)
 
 
-def minimum_image(sequence: Sequence) -> Frame:
-    """Pixel-wise minimum across all frames of the sequence."""
-    stack = [f.pixels for f in sequence]
-    return Frame(pixels=np.minimum.reduce(stack), mm_per_px=sequence.frames[0].mm_per_px)
+def build_artifact_model(
+    frames: list[Frame], threshold: int = DEFAULT_RINGDOWN_THRESHOLD
+) -> ArtifactModel:
+    """Mask true exactly where the pixel-wise minimum over the frames (one
+    or more) stays at or above threshold.
 
-
-def detect_artifact_mask(min_image: Frame, threshold: int = DEFAULT_RINGDOWN_THRESHOLD) -> np.ndarray:
-    """Mask true exactly where the minimum image stays at or above threshold."""
-    return min_image.pixels >= threshold
-
-
-def build_artifact_model(sequence: Sequence, threshold: int = DEFAULT_RINGDOWN_THRESHOLD) -> ArtifactModel:
-    mimg = minimum_image(sequence)
-    return ArtifactModel(min_image=mimg, mask=detect_artifact_mask(mimg, threshold), threshold=threshold)
+    Raises ValueError for no frames, and DimensionMismatchError when the
+    frames differ in size: they are then not one pullback.
+    """
+    if not frames:
+        raise ValueError("need at least one frame")
+    h, w = frames[0].pixels.shape
+    for f in frames[1:]:
+        if f.pixels.shape != (h, w):
+            raise DimensionMismatchError(
+                f"frames disagree on size: {w}x{h} vs {f.width}x{f.height}"
+            )
+    return ArtifactModel(mask=np.minimum.reduce([f.pixels for f in frames]) >= threshold)
 
 
 # Fill windows, smallest first, and the clean samples one must hold.
@@ -88,7 +85,7 @@ def remove_artifacts(frame: Frame, model: ArtifactModel) -> Frame:
     if mask.all():
         raise DegenerateMaskError("degenerate mask: artifact mask covers the entire frame")
     if not mask.any():
-        return Frame(pixels=frame.pixels.copy(), mm_per_px=frame.mm_per_px)
+        return Frame(pixels=frame.pixels.copy())
 
     src = frame.pixels
     r = _FILL_RADII[-1]
@@ -112,4 +109,4 @@ def remove_artifacts(frame: Frame, model: ArtifactModel) -> Frame:
                 break
     out = src.copy()
     out[ys, xs] = fill
-    return Frame(pixels=out, mm_per_px=frame.mm_per_px)
+    return Frame(pixels=out)

@@ -105,7 +105,7 @@ def brute_remove_artifacts(frame: Frame, model) -> Frame:
     if mask.all():
         raise DegenerateMaskError("degenerate mask: artifact mask covers the entire frame")
     if not mask.any():
-        return Frame(pixels=frame.pixels.copy(), mm_per_px=frame.mm_per_px)
+        return Frame(pixels=frame.pixels.copy())
 
     src = frame.pixels
     h, w = src.shape
@@ -123,7 +123,7 @@ def brute_remove_artifacts(frame: Frame, model) -> Frame:
                 fill = _lower_median(clean)
                 break
         out[y, x] = fill
-    return Frame(pixels=out, mm_per_px=frame.mm_per_px)
+    return Frame(pixels=out)
 
 
 def brute_component(pixels: np.ndarray, t: int, seed_xy: tuple[int, int]) -> np.ndarray | None:
@@ -503,7 +503,7 @@ def reference_seed_chain(pixels: np.ndarray, seed: tuple[int, int], stop_area: i
 class LazyChainAttributes:
     def __init__(self, chain, kmax: int):
         self._chain = chain
-        self._pixels = chain._pixels
+        self._pixels = chain.pixels
         self._kmax = int(kmax)
         self._crop = None
         self._prefix = None
@@ -661,9 +661,9 @@ class Region:
         return _cycle_contour(cycle, w2, crop.x0, crop.y0)
 
 
-def reference_regions(tree, params, frame: Frame) -> list[Region]:
-    """The retained regions of extract_qplus(tree, params, frame), one object
-    each; an empty band gives an empty list."""
+def reference_regions(tree, params) -> list[Region]:
+    """The retained regions of extract_qplus(tree, params), one object each;
+    an empty band gives an empty list."""
     chain = tree.seed_chain()
     band = [k for k in range(len(chain)) if params.a_min <= chain.areas[k] <= params.a_max]
     if not band:
@@ -677,10 +677,10 @@ def reference_regions(tree, params, frame: Frame) -> list[Region]:
     crop = chain.crop(int(band[-1]))
     ch, cw = crop.join.shape
     x0, y0 = crop.x0, crop.y0
-    h, w = frame.pixels.shape
+    h, w = chain.pixels.shape
     bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
     window = erel.gradient_magnitude_maxima(
-        frame.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
+        chain.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
     )
     maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
     lengths, hits = erel._boundary_counts(crop.join, band, maxima)

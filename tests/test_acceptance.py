@@ -10,16 +10,15 @@ import json
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import acceptance_phantom_spec
+from conftest import acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg.cli import RunConfig, _extract, _polygon_mask, main, segment_frame
 from ivuseg.component_tree import build_component_tree
 from ivuseg.geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
-from ivuseg.imaging import Contour, Frame, save_contour, save_frame
+from ivuseg.imaging import Contour, save_contour, save_frame
 from ivuseg.metrics import densify, hausdorff, jaccard
 from ivuseg.phantom import generate_phantom
 from ivuseg.selection import find_peaks, remove_outliers, select_regions, stability_scores
@@ -71,22 +70,6 @@ def test_criterion_1_component_tree_oracle():
 # Runs early, before the phantom-population fixtures fill the allocator:
 # the gate measures the pipeline, not heap fragmentation.
 
-def _scaled_phantom(size: int) -> Frame:
-    scale = size / 384.0
-    base = acceptance_phantom_spec(0)
-    spec = replace(
-        base,
-        width=size,
-        height=size,
-        lumen=Ellipse(base.lumen.cx * scale, base.lumen.cy * scale,
-                      base.lumen.a * scale, base.lumen.b * scale, base.lumen.theta),
-        media=Ellipse(base.media.cx * scale, base.media.cy * scale,
-                      base.media.a * scale, base.media.b * scale, base.media.theta),
-    )
-    frame, _ = generate_phantom(spec)
-    return frame
-
-
 def test_criterion_6_runtime_contract():
     # The minimum over all warm runs approximates the unloaded machine, so
     # the scaling of the algorithm is measured rather than scheduler or
@@ -95,7 +78,8 @@ def test_criterion_6_runtime_contract():
     import gc
 
     cfg = RunConfig()
-    frames = {size: _scaled_phantom(size) for size in (384, 768)}
+    base = acceptance_phantom_spec(0)
+    frames = {size: generate_phantom(scaled_phantom_spec(base, size))[0] for size in (384, 768)}
     for frame in frames.values():
         segment_frame(frame, cfg)  # warm-up
     samples: dict[int, list[float]] = {384: [], 768: []}

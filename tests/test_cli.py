@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import acceptance_phantom_spec
 from oracles import brute_polygon_mask
+from ivuseg import cli
 from ivuseg.cli import (
     RunConfig,
     _config_from_args,
@@ -183,6 +184,57 @@ def test_cli_phantom_subcommand(tmp_path):
     assert (out / "phantom.spec").exists()
 
 
+@pytest.mark.parametrize("args, spec_text", [
+    (["--frames", "0"], None),
+    (["--sigma", "-1"], None),
+    (["--spec", "missing.spec"], None),
+    (["--spec", "bad.spec"], "bogus=1\n"),
+    (["--spec", "bad.spec"], "artifact=shadow:1\n"),
+])
+def test_cli_bad_phantom_arguments_exit_3(tmp_path, capsys, args, spec_text):
+    if spec_text is not None:
+        (tmp_path / "bad.spec").write_text(spec_text)
+    args = [str(tmp_path / a) if a.endswith(".spec") else a for a in args]
+    out = tmp_path / "ph"
+    assert main(["phantom", "--outdir", str(out), *args]) == 3
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
+def test_pool_never_asks_for_more_workers_than_frames(phantom_dir, tmp_path, monkeypatch):
+    frames, gold = phantom_dir
+    three = tmp_path / "three"
+    three.mkdir()
+    for path in sorted(frames.glob("*.pgm"))[:3]:
+        shutil.copy(path, three / path.name)
+    requested = []
+
+    class SerialPool:
+        """Records the workers asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out1, out64 = tmp_path / "jobs1", tmp_path / "jobs64"
+    for jobs, out in ((1, out1), (64, out64)):
+        run_batch(RunConfig(inputs=[three], gold_dir=gold, outdir=out, jobs=jobs, trace=True))
+    assert requested == [3]
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out64.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out64 / name).read_bytes(), name
+
+
 def test_cli_evaluate_reports_aggregate(phantom_dir, tmp_path, capsys):
     frames, gold = phantom_dir
     out = tmp_path / "eval"
@@ -273,16 +325,16 @@ def test_batch_pullback_ringdown_removal(tmp_path):
     # a real pullback: same vessel, independent speckle, constant ring-down
     # square; the artifact model must locate and fill it in every frame
     from ivuseg.phantom import PhantomSpec, RingDownArtifact, generate_phantom
-    from ivuseg.imaging import Sequence, save_frame
+    from ivuseg.imaging import save_frame
 
     spec = PhantomSpec(
         rng_seed=31,
         artifacts=[RingDownArtifact(x=60, y=52, size=7, intensity=230)],
     )
-    seq, truth = generate_phantom(spec, n_frames=12)
+    frames, truth = generate_phantom(spec, n_frames=12)
     frames_dir = tmp_path / "pullback"
     frames_dir.mkdir()
-    for i, frame in enumerate(seq.frames):
+    for i, frame in enumerate(frames):
         save_frame(frame, frames_dir / f"f_{i:02d}.pgm")
     outdir = tmp_path / "out"
     # multiplicative phantom speckle never darkens bright tissue to the
@@ -309,10 +361,10 @@ def test_batch_skips_implausible_artifact_model(tmp_path, capsys):
     from ivuseg.phantom import PhantomSpec, generate_phantom
     from ivuseg.imaging import save_frame
 
-    seq, truth = generate_phantom(PhantomSpec(rng_seed=7), n_frames=8)
+    frames, truth = generate_phantom(PhantomSpec(rng_seed=7), n_frames=8)
     frames_dir = tmp_path / "pullback"
     frames_dir.mkdir()
-    for i, frame in enumerate(seq.frames):
+    for i, frame in enumerate(frames):
         save_frame(frame, frames_dir / f"f_{i:02d}.pgm")
     gold_dir = tmp_path / "gold"
     gold_dir.mkdir()

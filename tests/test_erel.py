@@ -141,8 +141,8 @@ def test_overlaps_count_every_region_against_a_mask(demo_series, seed, density):
     assert series.overlaps(mask).tolist() == expected
 
 
-def _counted_candidates(frame, run):
-    """Run extraction via run(frame) and return the series it gave and
+def _counted_candidates(run):
+    """Run extraction via run() and return the series it gave and
     (band, lengths, hits, maxima) as _boundary_counts saw and answered them,
     for every thinned candidate, not only the retained regions."""
     seen = {}
@@ -155,7 +155,7 @@ def _counted_candidates(frame, run):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(erel, "_boundary_counts", capture)
-        series = run(frame)
+        series = run()
     band, maxima = seen["args"]
     return series, band, *seen["counts"], maxima
 
@@ -172,7 +172,7 @@ def _oracle_counts(chain, band, k, maxima):
 def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
     frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
     series, band, lengths, hits, maxima = _counted_candidates(
-        frame, lambda f: _extract(f, RunConfig(), None)[2]
+        lambda: _extract(frame, RunConfig(), None)[2]
     )
     chain = series.chain
     assert len(band) >= 40
@@ -221,10 +221,9 @@ def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_dra
         return
     a_max = n - a_max_draw % (n - 1)  # a band [1, a_max] within the frame
     params = ErelParams(a_min=1, a_max=a_max)
-    frame = Frame(pixels=pixels)
     try:
         series, band, lengths, hits, maxima = _counted_candidates(
-            frame, lambda f: extract_qplus(build_component_tree(pixels, seed, a_max), params, f)
+            lambda: extract_qplus(build_component_tree(pixels, seed, a_max), params)
         )
     except NoCandidateRegionsError:
         assume(False)  # the seed's first component outgrows the band
@@ -261,8 +260,7 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
     a_max = int(areas[hi]) + 1
     params = ErelParams(a_min=int(areas[lo]), a_max=a_max)
     series, band, lengths, _, _ = _counted_candidates(
-        Frame(pixels=pixels),
-        lambda f: extract_qplus(build_component_tree(pixels, seed, a_max), params, f),
+        lambda: extract_qplus(build_component_tree(pixels, seed, a_max), params)
     )
     chain = series.chain
     ref = LazyChainAttributes(chain, int(band[-1]))
@@ -297,13 +295,12 @@ def test_region_columns_equal_the_per_region_reference(pixels, seed, a_min_draw,
     a_max = n - a_max_draw % (n - 1)  # a band within the frame
     params = ErelParams(a_min=1 + a_min_draw % (a_max - 1), a_max=a_max)
     tree = build_component_tree(pixels, seed, a_max)
-    frame = Frame(pixels=pixels)
-    expected = reference_regions(tree, params, frame)
+    expected = reference_regions(tree, params)
     if not expected:
         with pytest.raises(NoCandidateRegionsError):
-            extract_qplus(tree, params, frame)
+            extract_qplus(tree, params)
         return
-    series = extract_qplus(tree, params, frame)
+    series = extract_qplus(tree, params)
     assert len(series) == len(expected)
     for column, values in (
         (series.index, [r.chain_index for r in expected]),
@@ -333,8 +330,7 @@ def test_pinned_boundary_counts():
                                  (CORNER, (0, 0), [14, 30])):
         params = ErelParams(a_min=1, a_max=pixels.size)
         _, _, lengths, _, _ = _counted_candidates(
-            Frame(pixels=pixels),
-            lambda f: extract_qplus(build_component_tree(pixels, seed, pixels.size), params, f),
+            lambda: extract_qplus(build_component_tree(pixels, seed, pixels.size), params)
         )
         assert lengths.tolist() == counts
 
@@ -445,11 +441,10 @@ def test_extract_dark_disk_smallest_region_matches():
 def test_extract_empty_band_raises():
     # smooth horizontal gradient; region areas grow in multiples of 32 rows
     pixels = np.tile(np.arange(32, dtype=np.uint8) * 8, (32, 1))
-    frame = Frame(pixels=pixels)
     params = ErelParams(a_min=995, a_max=1000)  # between area steps of 32
     tree = build_component_tree(pixels, (0, 16), pixels.size)
     with pytest.raises(NoCandidateRegionsError):
-        extract_qplus(tree, params, frame)
+        extract_qplus(tree, params)
 
 
 def test_extremum_levels_cluster_at_crisp_edges():
@@ -475,8 +470,8 @@ def test_capped_extraction_equals_full(rng):
     f = median_filter(frame, 1)
     params = ErelParams.for_frame(f.pixels.shape)
     seed = (f.width // 2, f.height // 2)
-    full = extract_qplus(build_component_tree(f.pixels, seed, f.pixels.size), params, f)
-    capped = extract_qplus(build_component_tree(f.pixels, seed, params.a_max), params, f)
+    full = extract_qplus(build_component_tree(f.pixels, seed, f.pixels.size), params)
+    capped = extract_qplus(build_component_tree(f.pixels, seed, params.a_max), params)
     assert np.array_equal(full.areas, capped.areas)
     assert np.array_equal(full.levels, capped.levels)
 
@@ -489,9 +484,7 @@ def test_extraction_rejects_a_chain_cut_inside_the_band():
     params = ErelParams.for_frame(f.pixels.shape)
     seed = (f.width // 2, f.height // 2)
     tree = build_component_tree(f.pixels, seed, params.a_max)
-    assert len(extract_qplus(tree, params, f)) >= MIN_RETAINED_LEVELS
+    assert len(extract_qplus(tree, params)) >= MIN_RETAINED_LEVELS
     capped = build_component_tree(f.pixels, seed, params.a_max // 4)
     with pytest.raises(ValueError, match="stop cap of at least a_max"):
-        extract_qplus(capped, params, f)
-    with pytest.raises(ValueError, match="not on this 383x384 frame"):
-        extract_qplus(tree, params, Frame(pixels=f.pixels[:, :-1]))
+        extract_qplus(capped, params)

@@ -11,7 +11,6 @@ from ivuseg.errors import ContourFormatError, PgmFormatError, SegmentationError
 from ivuseg.imaging import (
     Contour,
     Frame,
-    Sequence,
     frame_center,
     load_contour,
     load_frame,
@@ -28,7 +27,7 @@ small_frames = arrays(
 )
 
 
-# -- Frame / Sequence basics -------------------------------------------------
+# -- Frame basics ------------------------------------------------------------
 
 def test_frame_rejects_out_of_range():
     with pytest.raises(ValueError):
@@ -38,13 +37,6 @@ def test_frame_rejects_out_of_range():
 def test_frame_rejects_empty():
     with pytest.raises(ValueError):
         Frame(pixels=np.zeros((0, 4), dtype=np.uint8))
-
-
-def test_sequence_rejects_mixed_sizes():
-    a = Frame(pixels=np.zeros((4, 4), dtype=np.uint8))
-    b = Frame(pixels=np.zeros((4, 5), dtype=np.uint8))
-    with pytest.raises(Exception):
-        Sequence(frames=[a, b])
 
 
 def test_frame_center_fixed_points():
@@ -61,7 +53,6 @@ def test_load_frame_exact_bytes(tmp_path):
     frame = load_frame(path)
     assert frame.width == 2 and frame.height == 2
     assert frame.pixels.tolist() == [[0, 128], [255, 7]]
-    assert frame.mm_per_px is None
 
 
 def test_load_frame_header_comments(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ivuseg.geometry import Ellipse
-from ivuseg.imaging import Sequence
 from ivuseg.phantom import (
     BifurcationArtifact,
     PhantomSpec,
@@ -12,7 +11,7 @@ from ivuseg.phantom import (
     load_spec,
     save_spec,
 )
-from ivuseg.preprocess import minimum_image, detect_artifact_mask
+from ivuseg.preprocess import build_artifact_model
 
 
 def test_same_seed_identical_frames():
@@ -63,15 +62,14 @@ def test_sequence_mode_keeps_ringdown_constant():
         rng_seed=5,
         artifacts=[RingDownArtifact(x=50, y=40, size=6, intensity=220)],
     )
-    seq, _ = generate_phantom(spec, n_frames=40)
-    assert isinstance(seq, Sequence)
-    mimg = minimum_image(seq)
-    mask = detect_artifact_mask(mimg, threshold=150)
+    frames, _ = generate_phantom(spec, n_frames=40)
+    assert isinstance(frames, list) and len(frames) == 40
+    mask = build_artifact_model(frames, threshold=150).mask
     expected = np.zeros_like(mask)
     expected[40:46, 50:56] = True
     assert np.array_equal(mask, expected)
     # speckle must vary between frames away from the constant square
-    assert (seq.frames[0].pixels != seq.frames[1].pixels).mean() > 0.3
+    assert (frames[0].pixels != frames[1].pixels).mean() > 0.3
 
 
 def test_shadow_darkens_wedge_only_outside_lumen():

@@ -5,34 +5,34 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivuseg.errors import DegenerateMaskError, DimensionMismatchError
-from ivuseg.imaging import Frame, Sequence
-from ivuseg.preprocess import (
-    ArtifactModel,
-    build_artifact_model,
-    detect_artifact_mask,
-    minimum_image,
-    remove_artifacts,
-)
+from ivuseg.imaging import Frame
+from ivuseg.preprocess import ArtifactModel, build_artifact_model, remove_artifacts
 from oracles import brute_remove_artifacts
 
 
 def frames_from(arrays_list):
-    return Sequence(frames=[Frame(pixels=a.astype(np.uint8)) for a in arrays_list])
+    return [Frame(pixels=a.astype(np.uint8)) for a in arrays_list]
+
+
+def minimum_image(frames):
+    """The pixel-wise minimum of the frames, read back from their artifact
+    masks: a pixel's minimum is the number of thresholds 1..255 it reaches."""
+    return sum(build_artifact_model(frames, t).mask.astype(np.int64) for t in range(1, 256))
 
 
 def test_minimum_image_singleton():
     seq = frames_from([np.arange(6).reshape(2, 3)])
-    assert np.array_equal(minimum_image(seq).pixels, np.arange(6).reshape(2, 3))
+    assert np.array_equal(minimum_image(seq), np.arange(6).reshape(2, 3))
 
 
 def test_minimum_image_elementwise():
     seq = frames_from([np.array([[10, 200]]), np.array([[50, 100]])])
-    assert minimum_image(seq).pixels.tolist() == [[10, 100]]
+    assert minimum_image(seq).tolist() == [[10, 100]]
 
 
 def test_minimum_image_bounded_by_inputs(rng):
     stack = [rng.integers(0, 256, (8, 8)).astype(np.uint8) for _ in range(20)]
-    out = minimum_image(frames_from(stack)).pixels
+    out = minimum_image(frames_from(stack))
     for frame in stack:
         assert (out <= frame).all()
 
@@ -41,30 +41,42 @@ def test_minimum_image_bounded_by_inputs(rng):
 @given(st.lists(st.integers(0, 10_000), min_size=2, max_size=6), st.randoms())
 def test_minimum_image_permutation_invariant(seeds, shuffler):
     stack = [np.random.default_rng(s).integers(0, 256, (5, 5)).astype(np.uint8) for s in seeds]
-    base = minimum_image(frames_from(stack)).pixels
+    base = minimum_image(frames_from(stack))
     shuffled = list(stack)
     shuffler.shuffle(shuffled)
-    assert np.array_equal(base, minimum_image(frames_from(shuffled)).pixels)
+    assert np.array_equal(base, minimum_image(frames_from(shuffled)))
 
 
 def test_minimum_image_monotone_under_append(rng):
     stack = [rng.integers(0, 256, (6, 6)).astype(np.uint8) for _ in range(5)]
-    previous = minimum_image(frames_from(stack[:1])).pixels
+    previous = minimum_image(frames_from(stack[:1]))
     for n in range(2, 6):
-        current = minimum_image(frames_from(stack[:n])).pixels
+        current = minimum_image(frames_from(stack[:n]))
         assert (current <= previous).all()
         previous = current
 
 
+def test_artifact_model_rejects_mixed_sizes():
+    a = Frame(pixels=np.zeros((4, 4), dtype=np.uint8))
+    b = Frame(pixels=np.zeros((4, 5), dtype=np.uint8))
+    with pytest.raises(DimensionMismatchError):
+        build_artifact_model([a, b])
+
+
+def test_artifact_model_rejects_no_frames():
+    with pytest.raises(ValueError, match="at least one frame"):
+        build_artifact_model([])
+
+
 def test_detect_mask_nothing_above_threshold():
-    mimg = Frame(pixels=np.zeros((4, 4), np.uint8))
-    assert not detect_artifact_mask(mimg, 40).any()
+    frames = frames_from([np.zeros((4, 4))])
+    assert not build_artifact_model(frames, 40).mask.any()
 
 
 def test_detect_mask_single_pixel():
     pixels = np.zeros((4, 4), np.uint8)
     pixels[2, 1] = 255
-    mask = detect_artifact_mask(Frame(pixels=pixels), 40)
+    mask = build_artifact_model([Frame(pixels=pixels)], 40).mask
     assert mask.sum() == 1 and mask[2, 1]
 
 
@@ -82,20 +94,16 @@ def test_detect_mask_recovers_constant_square(rng):
 
 
 def test_artifact_model_validates_masked_intensities():
-    mimg = Frame(pixels=np.zeros((3, 3), np.uint8))
-    bad_mask = np.zeros((3, 3), dtype=bool)
-    bad_mask[0, 0] = True
-    with pytest.raises(ValueError):
-        ArtifactModel(min_image=mimg, mask=bad_mask, threshold=40)
+    # a pixel bright in all frames but one has a dark minimum: never masked
+    stack = [np.full((3, 3), 250, np.uint8) for _ in range(4)]
+    stack[2][0, 0] = 0
+    mask = build_artifact_model(frames_from(stack), threshold=40).mask
+    assert not mask[0, 0] and mask.sum() == 8
 
 
 def test_remove_artifacts_empty_mask_is_identity(rng):
     pixels = rng.integers(0, 256, (10, 10)).astype(np.uint8)
-    model = ArtifactModel(
-        min_image=Frame(pixels=np.zeros((10, 10), np.uint8)),
-        mask=np.zeros((10, 10), dtype=bool),
-        threshold=40,
-    )
+    model = ArtifactModel(mask=np.zeros((10, 10), dtype=bool))
     out = remove_artifacts(Frame(pixels=pixels), model)
     assert np.array_equal(out.pixels, pixels)
 
@@ -105,7 +113,7 @@ def test_remove_artifacts_single_pixel_constant_surroundings():
     pixels[4, 4] = 255
     mask = np.zeros((9, 9), dtype=bool)
     mask[4, 4] = True
-    model = ArtifactModel(min_image=Frame(pixels=pixels), mask=mask, threshold=200)
+    model = ArtifactModel(mask=mask)
     out = remove_artifacts(Frame(pixels=pixels), model)
     assert out.pixels[4, 4] == 60
 
@@ -113,29 +121,28 @@ def test_remove_artifacts_single_pixel_constant_surroundings():
 def test_remove_artifacts_never_touches_unmasked(rng):
     pixels = rng.integers(0, 256, (20, 20)).astype(np.uint8)
     mask = rng.random((20, 20)) < 0.1
-    mimg = np.where(mask, 255, 0).astype(np.uint8)
-    model = ArtifactModel(min_image=Frame(pixels=mimg), mask=mask, threshold=200)
+    model = ArtifactModel(mask=mask)
     out = remove_artifacts(Frame(pixels=pixels), model)
     assert np.array_equal(out.pixels[~mask], pixels[~mask])
 
 
+def test_remove_artifacts_takes_a_0_1_uint8_mask(rng):
+    pixels = rng.integers(0, 256, (20, 20)).astype(np.uint8)
+    mask = rng.random((20, 20)) < 0.1
+    out = remove_artifacts(Frame(pixels=pixels), ArtifactModel(mask=mask.astype(np.uint8)))
+    expected = remove_artifacts(Frame(pixels=pixels), ArtifactModel(mask=mask))
+    assert np.array_equal(out.pixels, expected.pixels)
+
+
 def test_remove_artifacts_full_mask_is_degenerate():
     pixels = np.full((4, 4), 250, np.uint8)
-    model = ArtifactModel(
-        min_image=Frame(pixels=pixels),
-        mask=np.ones((4, 4), dtype=bool),
-        threshold=40,
-    )
+    model = ArtifactModel(mask=np.ones((4, 4), dtype=bool))
     with pytest.raises(DegenerateMaskError):
         remove_artifacts(Frame(pixels=pixels), model)
 
 
 def test_remove_artifacts_dimension_mismatch():
-    model = ArtifactModel(
-        min_image=Frame(pixels=np.zeros((4, 4), np.uint8)),
-        mask=np.zeros((4, 4), dtype=bool),
-        threshold=40,
-    )
+    model = ArtifactModel(mask=np.zeros((4, 4), dtype=bool))
     with pytest.raises(DimensionMismatchError):
         remove_artifacts(Frame(pixels=np.zeros((5, 5), np.uint8)), model)
 
@@ -148,11 +155,7 @@ def test_remove_artifacts_fills_square_from_speckle(rng):
     corrupted[20:26, 22:28] = 240
     mask = np.zeros((48, 48), dtype=bool)
     mask[20:26, 22:28] = True
-    model = ArtifactModel(
-        min_image=Frame(pixels=np.where(mask, 240, 0).astype(np.uint8)),
-        mask=mask,
-        threshold=200,
-    )
+    model = ArtifactModel(mask=mask)
     out = remove_artifacts(Frame(pixels=corrupted), model)
     filled_mean = out.pixels[mask].mean()
     surround = base[~mask].mean()
@@ -191,13 +194,8 @@ def _block_case(h, w, block):
 @example(_block_case(30, 30, np.s_[0:20, 12:30]))
 def test_remove_artifacts_matches_pixel_loop(case):
     pixels, mask = case
-    model = ArtifactModel(
-        min_image=Frame(pixels=np.where(mask, 255, 0).astype(np.uint8)),
-        mask=mask,
-        threshold=200,
-    )
-    frame = Frame(pixels=pixels, mm_per_px=0.026)
+    model = ArtifactModel(mask=mask)
+    frame = Frame(pixels=pixels)
     ours = remove_artifacts(frame, model)
     ref = brute_remove_artifacts(frame, model)
-    assert ours.mm_per_px == ref.mm_per_px
     assert np.array_equal(ours.pixels, ref.pixels)
