@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -34,6 +35,8 @@ from .imaging import (
     save_contour,
     save_frame,
 )
+
+log = logging.getLogger(__name__)
 
 OVERLAY_LUMEN = (255, 0, 255)
 OVERLAY_MEDIA = (0, 255, 0)
@@ -211,28 +214,26 @@ def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.Art
     if cfg.no_ringdown:
         return None
     if len(frames) < 2:
-        print(
-            "warning: single frame supplied; skipping ring-down removal "
-            "(sequence minimum needs at least 2 frames)",
-            file=sys.stderr,
+        log.warning(
+            "single frame supplied; skipping ring-down removal "
+            "(sequence minimum needs at least 2 frames)"
         )
         return None
     try:
         model = preprocess.build_artifact_model(frames, cfg.ringdown_threshold)
     except DimensionMismatchError:
-        print(
-            "warning: frames differ in size, so they are not one pullback; "
-            "skipping ring-down removal",
-            file=sys.stderr,
+        log.warning(
+            "frames differ in size, so they are not one pullback; "
+            "skipping ring-down removal"
         )
         return None
     fraction = float(model.mask.mean())
     if fraction > MAX_ARTIFACT_FRACTION:
-        print(
-            f"warning: artifact mask covers {100 * fraction:.0f}% of the frame, "
-            f"which no catheter artifact does; skipping ring-down removal "
-            f"(check --ringdown-threshold or pass --no-ringdown)",
-            file=sys.stderr,
+        log.warning(
+            "artifact mask covers %.0f%% of the frame, which no catheter "
+            "artifact does; skipping ring-down removal "
+            "(check --ringdown-threshold or pass --no-ringdown)",
+            100 * fraction,
         )
         return None
     return model
@@ -682,12 +683,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # the batch's warnings reach the command line's stderr as "warning: ..."
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    log.addHandler(handler)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

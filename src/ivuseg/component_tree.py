@@ -7,14 +7,19 @@ chain.  Every pixel has a join level, the lowest t at which it lies in the
 seed's component, so chain node k is exactly the set of pixels whose join
 level is at most the node's level.
 
-The join levels come from an incremental union-find sweep over levels
-0..255: pixels activate in increasing intensity order and union with
-already-active 4-neighbours, one batch per level (all unions of a level
-are applied together with vectorised root-finding and hooking, so within-
-level order cannot matter).  The union-find runs on component numbers, not
-pixels: a pixel with no darker neighbour starts a new component, any other
-pixel takes the number of one its darker neighbours belong to, and hooking
-joins numbers.  Only the seed's component is tracked as such:
+The join levels come from an incremental union-find sweep over the
+levels from the seed's up to 255.  No pixel can join the seed's component
+below the seed's own level, so the sweep starts there: the 4-connected
+components of {p : I(p) < seed level} are labelled in one connected-
+components pass over their edges, and each enters the sweep as one
+component, as it stands.  From the seed's level on, pixels activate in
+increasing intensity order and union with already-active 4-neighbours, one
+batch per level (all unions of a level are applied together with
+vectorised root-finding and hooking, so within-level order cannot matter).
+The union-find runs on component numbers, not pixels: a pixel with no
+darker neighbour starts a new component, any other pixel takes the number
+of one its darker neighbours belong to, and hooking joins numbers.  Only
+the seed's component is tracked as such:
 
 - It has one virtual root, number 0.  Hooks point the larger root at the
   smaller, so the virtual root never moves.
@@ -38,6 +43,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .imaging import Frame
 
@@ -90,6 +97,28 @@ def _neighbour_codes(img: np.ndarray) -> np.ndarray:
     return codes.ravel()
 
 
+def _components(
+    px: np.ndarray, codes: np.ndarray, offsets: np.ndarray, scratch: np.ndarray
+) -> tuple[int, np.ndarray]:
+    """Count and number the 4-connected components of the pixels px, given
+    their neighbour codes.  px must hold every pixel up to its highest
+    level, so that every edge the codes list joins two of its pixels.
+
+    Each set bit of a code is one edge; bit b of pixel i is entry 8 i + b
+    of the unpacked codes, so the edges come out grouped by pixel, as the
+    rows of a sparse graph.  scratch, indexed by pixel, holds the node ids.
+    """
+    scratch[px] = np.arange(px.size)
+    edge = np.flatnonzero(np.unpackbits(codes, bitorder="little").view(bool))
+    src = edge >> 3
+    graph = csr_matrix(
+        (np.ones(edge.size), scratch[px[src] + offsets[edge & 7]],
+         np.r_[0, np.cumsum(np.bincount(src, minlength=px.size))]),
+        shape=(px.size, px.size),
+    )
+    return connected_components(graph, directed=False)
+
+
 def build_component_tree(
     pixels: np.ndarray,
     seed: tuple[int, int],
@@ -97,7 +126,9 @@ def build_component_tree(
 ) -> "ComponentTree":
     """Sweep the levels of an 8-bit image and keep the seed's chain.
 
-    The sweep halts after the level at which the seed's (x, y) component
+    The sweep starts at the seed's level, with every component of the
+    pixels darker than the seed labelled in one connected-components pass,
+    and halts after the level at which the seed's (x, y) component
     first exceeds stop_area pixels, so the chain is exact for every
     component of area <= stop_area containing the seed and ends with the
     first larger one.  With stop_area = pixels.size the cap is never
@@ -126,9 +157,9 @@ def build_component_tree(
     bits = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
     offsets = np.array([-1, 1, -w, w, 1, w])
 
-    # Components are numbered in creation order and the union-find runs on
-    # the numbers, of which there are far fewer than pixels; each pixel
-    # keeps the number it joined under.  Numbers up to n + 1 can occur.
+    # The union-find runs on component numbers, of which there are far
+    # fewer than pixels; each pixel keeps the number it joined under.
+    # Numbers up to n + 1 can occur.
     root = 0   # the seed component's virtual root
     never = 1  # the pixels the sweep does not reach
     label = np.full(n, never)
@@ -138,10 +169,21 @@ def build_component_tree(
     scratch = np.empty(n + 2, dtype=np.intp)
     uf[:2] = alias[:2] = (root, never)
     stamp[:2] = (-1, 256)  # -1: joined in the level it activated
-    next_label = 2
+
+    # Below the seed's level the seed's component does not exist yet, so
+    # what a pool went through there cannot change the level it joins at:
+    # the components of the darker pixels are labelled in one pass and each
+    # is numbered as one root.  label is the labelling's scratch until the
+    # darker pixels take their pools' numbers.
+    dark = order[: px_starts[seed_level]]
+    n_pools, pool = _components(dark, codes[: dark.size], offsets, label)
+    next_label = 2 + n_pools
+    label[dark] = pool + 2
+    uf[2:next_label] = alias[2:next_label] = np.arange(2, next_label)
+    stamp[2:next_label] = 256
     size = None  # component sizes, per root, once the cap is reachable
 
-    for t in range(256):
+    for t in range(seed_level, 256):
         a0, a1 = px_starts[t], px_starts[t + 1]
         if a0 == a1:
             continue
@@ -216,7 +258,7 @@ def build_component_tree(
             # and one per new pixel; the virtual root's size is the seed's
             gained = np.concatenate([size[hooked], np.ones(new_px.size, dtype=size.dtype)])
             np.add.at(size, ends, gained)
-            if t >= seed_level and size[root] > stop_area:
+            if size[root] > stop_area:
                 break
 
     # A pixel whose component ends at the virtual root joined in the level

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import re
 import shutil
 import tempfile
@@ -378,6 +379,24 @@ def test_batch_skips_implausible_artifact_model(tmp_path, capsys):
     assert summary.failed == 0
     agg_jm = [r.lumen.jm for r in summary.reports]
     assert np.mean(agg_jm) > 0.85  # removal skipped, segmentation intact
+
+
+def test_artifact_model_warnings_go_through_logging(tmp_path, caplog, capsys):
+    single = tmp_path / "single"
+    single.mkdir()
+    save_frame(Frame(pixels=np.array([[1, 2], [3, 4]], np.uint8)), single / "tiny.pgm")
+    text = (
+        "single frame supplied; skipping ring-down removal "
+        "(sequence minimum needs at least 2 frames)"
+    )
+    with caplog.at_level(logging.WARNING, logger="ivuseg.cli"):
+        run_batch(RunConfig(inputs=[single], outdir=tmp_path / "batch"))
+    records = [r for r in caplog.records if r.name == "ivuseg.cli"]
+    assert [(r.levelno, r.getMessage()) for r in records] == [(logging.WARNING, text)]
+    assert capsys.readouterr().err == ""
+    # the command line still prints it on stderr, with its prefix
+    assert main(["segment", str(single), "--outdir", str(tmp_path / "cli")]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"warning: {text}"
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,7 +8,8 @@ from conftest import acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import ErelParams
 from ivuseg.imaging import frame_center, median_filter
-from ivuseg.phantom import generate_phantom
+from ivuseg.phantom import PhantomSpec, RingDownArtifact, generate_phantom
+from ivuseg.preprocess import build_artifact_model, remove_artifacts
 from oracles import brute_component, chain_component_at, reference_seed_chain
 
 tree_frames = arrays(
@@ -21,6 +22,15 @@ plateau_frames = arrays(
     np.uint8,
     st.tuples(st.integers(1, 16), st.integers(1, 16)),
     elements=st.integers(0, 3),
+)
+# 1xN and Nx1 frames: the edges at row and column ends
+line_frames = arrays(
+    np.uint8,
+    st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+    ),
+    elements=st.integers(0, 255),
 )
 
 
@@ -195,6 +205,19 @@ def test_seed_sweep_equals_reference(pixels, data):
     assert_matches_reference(pixels, seed, cap)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tree_frames, plateau_frames, line_frames), st.booleans(), st.data())
+def test_seed_sweep_equals_reference_from_the_extreme_levels(pixels, brightest, data):
+    # on the brightest pixel the sweep starts with every other level
+    # labelled up front; on the darkest nothing is darker than the seed
+    flat = pixels.ravel()
+    extreme = flat.max() if brightest else flat.min()
+    at = data.draw(st.sampled_from(np.flatnonzero(flat == extreme).tolist()), label="seed_at")
+    w = pixels.shape[1]
+    cap = data.draw(st.integers(1, pixels.size), label="cap")
+    assert_matches_reference(pixels, (at % w, at // w), cap)
+
+
 ACCEPTANCE_PHANTOMS = [(s, shadow) for shadow in (False, True) for s in range(20)]
 
 
@@ -206,6 +229,27 @@ def test_seed_sweep_equals_reference_on_acceptance_phantoms(phantom_seed, shadow
     pixels = median_filter(frame, 1).pixels
     for cap in (ErelParams.for_frame(pixels.shape).a_max, pixels.size):
         assert_matches_reference(pixels, frame_center(frame), cap)
+
+
+@pytest.fixture(scope="module")
+def ringdown_pullback():
+    """The frames of a pullback with a 40 px ring-down square on the frame
+    centre, despeckled and with the square filled in: the fill puts the
+    seed above about half of each frame."""
+    spec = PhantomSpec(rng_seed=3, artifacts=[RingDownArtifact(172, 172, 40, 240)])
+    frames, _ = generate_phantom(spec, n_frames=4)
+    model = build_artifact_model(frames, 200)
+    return [remove_artifacts(median_filter(f, 1), model) for f in frames]
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_seed_sweep_equals_reference_on_a_ringdown_pullback(ringdown_pullback, i):
+    frame = ringdown_pullback[i]
+    pixels = frame.pixels
+    seed = frame_center(frame)
+    assert (pixels < pixels[seed[1], seed[0]]).mean() > 0.4
+    for cap in (ErelParams.for_frame(pixels.shape).a_max, pixels.size):
+        assert_matches_reference(pixels, seed, cap)
 
 
 # -- the stop rule ---------------------------------------------------------------

