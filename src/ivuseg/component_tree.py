@@ -40,7 +40,7 @@ Couprie (IEEE TIP 2006) and Nister & Stewenius (ECCV 2008).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -272,35 +272,26 @@ def build_component_tree(
     levels = np.flatnonzero(counts[:256])
     node_of = np.full(257, levels.size, dtype=np.int32)
     node_of[levels] = np.arange(levels.size, dtype=np.int32)
-    return ComponentTree(
+    return ComponentTree(SeedChain(
         pixels=img,
         join_index=node_of[joined],
-        chain_levels=levels,
+        levels=levels,
         areas=np.cumsum(counts[levels]),
-    )
+    ))
 
 
 class ComponentTree:
-    """The result of a seed sweep: the image swept, each pixel's chain node
-    and the chain's levels and areas, which seed_chain() hands out."""
+    """The result of a seed sweep, which seed_chain() hands out."""
 
-    def __init__(
-        self,
-        pixels: np.ndarray,
-        join_index: np.ndarray,
-        chain_levels: np.ndarray,
-        areas: np.ndarray,
-    ):
-        self._pixels = pixels
-        self._join_index = join_index
-        self._chain_levels = chain_levels
-        self._areas = areas
+    def __init__(self, chain: "SeedChain"):
+        self._chain = chain
 
     def seed_chain(self) -> "SeedChain":
         """The nested components containing the build seed."""
-        return SeedChain(self)
+        return self._chain
 
 
+@dataclass(frozen=True, eq=False)
 class SeedChain:
     """The nested components containing a tree's seed, one per growth level.
 
@@ -308,120 +299,14 @@ class SeedChain:
     the uint8 image the tree was built on (pixels).  Every pixel carries
     the index of the smallest node containing it (its join index: the
     chain position of its join level); pixels outside the last node carry
-    len(chain), one past the chain, so prefix sums ignore them.
-    Any additive attribute of node k is then a prefix sum over join-index
-    buckets, O(1) per node after one O(N) pass (attributes).
+    len(chain), one past the chain.  Node k is therefore the set of pixels
+    whose join index is at most k.
     """
 
-    def __init__(self, tree: ComponentTree):
-        self.pixels = tree._pixels
-        self.join_index = tree._join_index
-        self.levels = tree._chain_levels
-        self.areas = tree._areas
+    pixels: np.ndarray
+    join_index: np.ndarray
+    levels: np.ndarray
+    areas: np.ndarray
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    def mask(self, k: int) -> np.ndarray:
-        """Pixel mask of chain node k."""
-        return (self.join_index <= k).reshape(self.pixels.shape)
-
-    def crop(self, k: int) -> "Crop":
-        """Node k's tight bounding box; every node <= k lies inside it."""
-        if not 0 <= k < len(self.levels):
-            raise ValueError(f"chain index {k} outside the chain")
-        h, w = self.pixels.shape
-        join2d = self.join_index.reshape(h, w)
-        inside = join2d <= k
-        inside_rows = inside.any(axis=1)
-        inside_cols = inside.any(axis=0)
-        y0 = int(np.argmax(inside_rows))
-        y1 = h - int(np.argmax(inside_rows[::-1]))
-        x0 = int(np.argmax(inside_cols))
-        x1 = w - int(np.argmax(inside_cols[::-1]))
-        return Crop(
-            k=int(k),
-            join=np.minimum(join2d[y0:y1, x0:x1], k + 1),
-            pixels=self.pixels[y0:y1, x0:x1],
-            x0=x0,
-            y0=y0,
-        )
-
-    def attributes(self, crop: "Crop") -> "NodeAttributes":
-        """Centroid, central moments, mean intensity and cumulative
-        histogram of every chain node 0..crop.k, from one pass over the crop.
-
-        Every attribute of node k is a sum over the pixels with join index
-        <= k, so each table is bucket sums followed by a cumulative sum.
-        Every table entry is a sum of integers below 2**53, so the bucket
-        sums are exact: pixel counts per (bucket, row) and per (bucket,
-        column), x summed per (bucket, row), and intensities from the
-        histogram table, which is cumulative already.  The values therefore
-        do not depend on which node's crop they come from.
-        """
-        sub, kk = crop.join, crop.k
-        ch, cw = sub.shape
-        nb = kk + 2
-        key = sub.ravel() * 256 + crop.pixels.ravel()
-        hist = np.bincount(key, minlength=nb * 256)[: (kk + 1) * 256]
-        hist = np.cumsum(hist.reshape(kk + 1, 256), axis=0)
-
-        xs = np.arange(crop.x0, crop.x0 + cw, dtype=np.int64)
-        ys = np.arange(crop.y0, crop.y0 + ch, dtype=np.int64)
-        by_row = (sub * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
-        by_col = (sub * cw + np.arange(cw, dtype=np.int32)).ravel()
-        n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[: kk + 1]
-        n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[: kk + 1]
-        x_row = np.bincount(
-            by_row, weights=np.broadcast_to(xs.astype(np.float64), sub.shape).ravel(),
-            minlength=nb * ch,
-        ).reshape(nb, ch)[: kk + 1]
-        sx, sy, sxx, sxy, syy = (
-            np.cumsum(v.astype(np.float64))
-            for v in (n_col @ xs, n_row @ ys, n_col @ (xs * xs),
-                      x_row @ ys.astype(np.float64), n_row @ (ys * ys))
-        )
-        areas = self.areas[: kk + 1]
-        a = areas.astype(np.float64)
-        cx, cy = sx / a, sy / a
-        return NodeAttributes(
-            cx=cx,
-            cy=cy,
-            mu_xx=sxx / a - cx * cx,
-            mu_xy=sxy / a - cx * cy,
-            mu_yy=syy / a - cy * cy,
-            mean_intensity=(hist @ np.arange(256)).astype(np.float64) / areas,
-            histogram=hist,
-        )
-
-
-class Crop(NamedTuple):
-    """Chain node k's tight box: the join indices there, clipped at k + 1
-    (so a value <= k marks a pixel of that node), the intensities, and the
-    box's frame offset."""
-
-    k: int
-    join: np.ndarray
-    pixels: np.ndarray
-    x0: int
-    y0: int
-
-
-class NodeAttributes(NamedTuple):
-    """Per-node attributes of chain nodes 0..k, each indexed by node: the
-    centroid, the area-normalised second central moments, the mean intensity
-    and the cumulative 256-bin intensity histogram (one row per node)."""
-
-    cx: np.ndarray
-    cy: np.ndarray
-    mu_xx: np.ndarray
-    mu_xy: np.ndarray
-    mu_yy: np.ndarray
-    mean_intensity: np.ndarray
-    histogram: np.ndarray
-
-    def entropy(self, k: int) -> float:
-        """Shannon entropy (bits) of node k's intensity histogram."""
-        counts = self.histogram[k]
-        p = counts[counts > 0] / counts.sum()
-        return float(-(p * np.log2(p)).sum())

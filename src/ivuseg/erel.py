@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-from .component_tree import ComponentTree, SeedChain
+from .component_tree import ComponentTree
 from .errors import NoCandidateRegionsError
 from .imaging import Contour
 
@@ -86,6 +86,12 @@ class RegionSeries:
     of its border-exposed pixels (boundary_length), mean intensity, entropy
     (bits) of its intensity histogram, centroid (cx, cy) and
     area-normalised second central moments.
+
+    Every region lies inside the largest one's bounding box, whose top-left
+    pixel is origin (x, y) in a frame of the given shape (height, width).
+    row_map covers that box: each pixel holds the first row whose region
+    contains it, or len(series) when none does, so row i's region is the
+    pixels where row_map <= i.
     """
 
     index: np.ndarray
@@ -99,31 +105,46 @@ class RegionSeries:
     mu_xx: np.ndarray
     mu_xy: np.ndarray
     mu_yy: np.ndarray
-    chain: SeedChain
+    row_map: np.ndarray
+    origin: tuple[int, int]
+    shape: tuple[int, int]
 
     def __len__(self) -> int:
         return len(self.index)
 
+    def _box(self) -> tuple[slice, slice]:
+        (x0, y0), (bh, bw) = self.origin, self.row_map.shape
+        return np.s_[y0 : y0 + bh, x0 : x0 + bw]
+
+    def _row(self, i: int) -> int:
+        """Row i as a sequence index: negative counts from the end, and a
+        row outside the series is an IndexError."""
+        return range(len(self))[i]
+
+    def mask(self, i: int) -> np.ndarray:
+        """Region i's pixel mask over the frame."""
+        out = np.zeros(self.shape, dtype=bool)
+        out[self._box()] = self.row_map <= self._row(i)
+        return out
+
     def boundary(self, i: int) -> Contour:
         """Region i's ordered outer-boundary trace (see _moore_cycle), walked
-        on its node's padded crop from its first pixel in raster order."""
-        crop = self.chain.crop(int(self.index[i]))
-        outside = np.pad(crop.join > crop.k, 1, constant_values=True)
+        on the padded box from the region's first pixel in raster order."""
+        outside = np.pad(self.row_map > self._row(i), 1, constant_values=True)
         w2 = outside.shape[1]
         cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
-        return _cycle_contour(cycle, w2, crop.x0, crop.y0)
+        return _cycle_contour(cycle, w2, *self.origin)
 
     def overlaps(self, mask: np.ndarray) -> np.ndarray:
         """Pixels of the frame mask inside each region.
 
-        Region i holds the pixels whose join index is at most index[i], so
-        one cumulative histogram of the mask's join indices counts every
-        region.
+        Region i holds the box pixels whose row is at most i, so one
+        cumulative histogram of the rows under the mask counts every region.
         """
-        inside = np.bincount(
-            self.chain.join_index[mask.ravel()], minlength=len(self.chain) + 1
-        )
-        return np.cumsum(inside)[self.index]
+        if mask.shape != self.shape:
+            raise ValueError(f"mask shape {mask.shape} is not the frame's {self.shape}")
+        inside = np.bincount(self.row_map[mask[self._box()]], minlength=len(self) + 1)
+        return np.cumsum(inside[: len(self)])
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +267,25 @@ def _cycle_contour(cycle, w2: int, ox: int = 0, oy: int = 0) -> Contour:
 
 
 def _boundary_counts(
-    join: np.ndarray, band: np.ndarray, maxima: np.ndarray
+    band_map: np.ndarray, m: int, maxima: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(boundary lengths, gradient-maxima hits) of all candidates in one pass.
+    """(boundary lengths, gradient-maxima hits) of all m candidates in one pass.
 
-    join is the join-index crop of candidate band[-1], clipped at
-    band[-1] + 1: every candidate lies inside it, and everything outside it
-    is background that reaches the frame border.  band holds the
-    candidates' chain indices in ascending order, and maxima is a bool map
-    over the crop.
+    band_map is extract_qplus's map of the largest candidate's bounding box:
+    each pixel holds the position of the first candidate that contains it,
+    or m when none does.  Every candidate lies inside the box, and
+    everything outside it is background that reaches the frame border.
+    maxima is a bool map over the box.
 
-    Let L(p) be the position in band of the first candidate that contains
-    pixel p, or len(band) when none does, as on a one-pixel pad around the
-    crop.  Let e(q) be the widest-path value of q: the largest, over 4-paths
-    from the pad to q, of the smallest L on the path (T. C. Hu, "The maximum
-    capacity route problem", 1961; L. Vincent, IEEE TIP 1993, computes it
-    as a grey reconstruction).  q lies in candidate c's outside background
-    exactly when e(q) > c.  So p lies on c's boundary exactly when
-    L(p) <= c < E(p), where E(p) is the largest e over p's 4-neighbours,
-    and the counts are a difference array summed up to each candidate.
+    Let L(p) be the band map's value at pixel p, and m on a one-pixel pad
+    around the box.  Let e(q) be the widest-path value of q: the largest,
+    over 4-paths from the pad to q, of the smallest L on the path (T. C.
+    Hu, "The maximum capacity route problem", 1961; L. Vincent, IEEE TIP
+    1993, computes it as a grey reconstruction).  q lies in candidate c's
+    outside background exactly when e(q) > c.  So p lies on c's boundary
+    exactly when L(p) <= c < E(p), where E(p) is the largest e over p's
+    4-neighbours, and the counts are a difference array summed up to each
+    candidate.
 
     L, and so e, is constant on each horizontal run of equal L.  The runs
     are the nodes of a graph with one edge per pair of 4-adjacent runs,
@@ -272,13 +293,10 @@ def _boundary_counts(
     the edges' ends.  The tree path from the pad to a run is then a widest
     path, and pointer jumping takes the running minimum of L along it.
     """
-    m = len(band)
-    dt = np.min_scalar_type(m)
-    first = np.searchsorted(band, np.arange(int(band[-1]) + 2)).astype(dt)
-    ch, cw = join.shape
+    ch, cw = band_map.shape
     w2 = cw + 2
-    lp = np.full((ch + 2, w2), m, dtype=dt)
-    lp[1:-1, 1:-1] = first[join]
+    lp = np.full((ch + 2, w2), m, dtype=band_map.dtype)
+    lp[1:-1, 1:-1] = band_map
     flat = lp.ravel()
 
     starts = np.empty(flat.size, dtype=bool)
@@ -440,35 +458,92 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
             thinned.append(k)
     band = np.asarray(thinned)
 
-    # All candidates live inside the largest one's box, so one crop of it
-    # feeds the boundary counts and the attributes, and the gradient map
-    # only needs computing there (padded for the Sobel and suppression
-    # neighbourhoods, and clipped to the frame).
-    crop = chain.crop(int(band[-1]))
-    ch, cw = crop.join.shape
-    x0, y0 = crop.x0, crop.y0
+    # The band map: over the largest candidate's bounding box, the position
+    # of the first candidate that contains each pixel, or m for none.
+    # Every candidate lies inside the box, so the boundary counts, the
+    # attributes and the series' regions all read this one map, and the
+    # gradient map only needs computing there (padded for the Sobel and
+    # suppression neighbourhoods, and clipped to the frame).
+    m = len(band)
     h, w = pixels.shape
+    join = chain.join_index.reshape(h, w)
+    inside = join <= band[-1]
+    ys = np.flatnonzero(inside.any(axis=1))
+    xs = np.flatnonzero(inside.any(axis=0))
+    y0, y1, x0, x1 = int(ys[0]), int(ys[-1]) + 1, int(xs[0]), int(xs[-1]) + 1
+    first = np.searchsorted(band, np.arange(len(chain) + 1)).astype(np.min_scalar_type(m))
+    band_map = np.take(first, join[y0:y1, x0:x1])  # a table lookup, faster than first[...]
     bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
-    window = gradient_magnitude_maxima(
-        pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
-    )
-    maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
-    lengths, hits = _boundary_counts(crop.join, band, maxima)
-    retained = select_extremum_levels(lengths, hits, params)
+    window = gradient_magnitude_maxima(pixels[by0 : min(h, y1 + 2), bx0 : min(w, x1 + 2)])
+    maxima = window[y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
+    lengths, hits = _boundary_counts(band_map, m, maxima)
+    retained = np.asarray(select_extremum_levels(lengths, hits, params), dtype=np.intp)
 
-    attrs = chain.attributes(crop)
+    # position p lies in row i's region exactly when p <= retained[i]
+    n = retained.size
+    to_row = np.searchsorted(retained, np.arange(m + 1)).astype(np.min_scalar_type(n))
+    row_map = np.take(to_row, band_map)
     index = band[retained]
     return RegionSeries(
         index=index,
         levels=chain.levels[index],
         areas=areas[index],
         boundary_length=lengths[retained],
-        mean_intensity=attrs.mean_intensity[index],
-        entropy=np.array([attrs.entropy(k) for k in index.tolist()]),
-        cx=attrs.cx[index],
-        cy=attrs.cy[index],
-        mu_xx=attrs.mu_xx[index],
-        mu_xy=attrs.mu_xy[index],
-        mu_yy=attrs.mu_yy[index],
-        chain=chain,
+        **_region_attributes(row_map, pixels[y0:y1, x0:x1], x0, y0, areas[index]),
+        row_map=row_map,
+        origin=(x0, y0),
+        shape=(h, w),
     )
+
+
+def _region_attributes(
+    row_map: np.ndarray, pixels: np.ndarray, x0: int, y0: int, areas: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Mean intensity, entropy, centroid and central moments of every row's
+    region, from one pass over the box at (x0, y0) that row_map covers.
+
+    Row i's region is the box pixels with row_map <= i, so each attribute
+    is a bucket sum per row followed by a cumulative sum.  Every table
+    entry is a sum of integers below 2**53, so the sums are exact: pixel
+    counts per (row, box row) and per (row, box column), x summed per
+    (row, box row), and intensities from the histogram table, which is
+    cumulative already.
+    """
+    n = areas.size
+    nb = n + 1
+    ch, cw = row_map.shape
+    rows = row_map.astype(np.int32)  # wide enough for the bucket keys below
+    hist = np.bincount((rows * 256 + pixels).ravel(), minlength=nb * 256)[: n * 256]
+    hist = np.cumsum(hist.reshape(n, 256), axis=0)
+
+    xs = np.arange(x0, x0 + cw, dtype=np.int64)
+    ys = np.arange(y0, y0 + ch, dtype=np.int64)
+    by_row = (rows * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
+    by_col = (rows * cw + np.arange(cw, dtype=np.int32)).ravel()
+    n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[:n]
+    n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[:n]
+    x_row = np.bincount(
+        by_row, weights=np.broadcast_to(xs.astype(np.float64), rows.shape).ravel(),
+        minlength=nb * ch,
+    ).reshape(nb, ch)[:n]
+    sx, sy, sxx, sxy, syy = (
+        np.cumsum(v.astype(np.float64))
+        for v in (n_col @ xs, n_row @ ys, n_col @ (xs * xs),
+                  x_row @ ys.astype(np.float64), n_row @ (ys * ys))
+    )
+    a = areas.astype(np.float64)
+    cx, cy = sx / a, sy / a
+
+    def entropy(counts: np.ndarray) -> float:
+        p = counts[counts > 0] / counts.sum()
+        return float(-(p * np.log2(p)).sum())
+
+    return {
+        "mean_intensity": (hist @ np.arange(256)).astype(np.float64) / areas,
+        "entropy": np.array([entropy(counts) for counts in hist]),
+        "cx": cx,
+        "cy": cy,
+        "mu_xx": sxx / a - cx * cx,
+        "mu_xy": sxy / a - cx * cy,
+        "mu_yy": syy / a - cy * cy,
+    }

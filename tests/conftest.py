@@ -43,6 +43,10 @@ def acceptance_phantom_spec(seed: int, shadow: bool = False) -> PhantomSpec:
     )
 
 
+# the (seed, shadow) pairs of the 20 clean and 20 shadow acceptance phantoms
+ACCEPTANCE_PHANTOMS = [(s, shadow) for shadow in (False, True) for s in range(20)]
+
+
 def scaled_phantom_spec(spec: PhantomSpec, size: int) -> PhantomSpec:
     """spec's geometry on a size x size frame, scaled from the 384 x 384 one."""
     scale = size / 384.0

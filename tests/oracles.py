@@ -4,7 +4,8 @@ Everything here favours obviousness over speed and, except for the Moore
 walks below (of a mask, and of a chain node in LazyChainAttributes and
 Region), the library's densify under two_tree_hausdorff (densify is itself
 checked against brute_densify) and the counting and retention stages under
-reference_regions, stays independent of the library's own code paths:
+crop_boundary_counts and reference_regions, stays independent of the
+library's own code paths:
 components come from scipy labelling or a full canonical parent image,
 medians from sorting full windows, moments from direct summation,
 distances from all-pairs scans.
@@ -13,6 +14,7 @@ distances from all-pairs scans.
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -141,7 +143,7 @@ def chain_component_at(chain, t: int) -> np.ndarray | None:
     if t < chain.levels[0]:
         return None
     k = int(np.searchsorted(chain.levels, t, side="right")) - 1
-    return chain.mask(k)
+    return chain_mask(chain, k)
 
 
 def brute_moments(mask: np.ndarray) -> tuple[tuple[float, float], float, float, float]:
@@ -492,6 +494,137 @@ def reference_seed_chain(pixels: np.ndarray, seed: tuple[int, int], stop_area: i
     return join_index, levels[nodes].astype(np.int64), areas
 
 
+# -- reference chain accessors -----------------------------------------------------
+#
+# The seed chain's node accessors as they were before extraction read one band
+# map: a node's mask over the frame, its tight box with the join indices
+# clipped one past it, every node's attributes up to that node from one pass
+# over the box, and the boundary counts of a band of nodes from the box's join
+# indices.  extract_qplus's columns, masks and walks must equal these bit for
+# bit.
+
+class Crop(NamedTuple):
+    """Chain node k's tight box: the join indices there, clipped at k + 1
+    (so a value <= k marks a pixel of that node), the intensities, and the
+    box's frame offset."""
+
+    k: int
+    join: np.ndarray
+    pixels: np.ndarray
+    x0: int
+    y0: int
+
+
+class NodeAttributes(NamedTuple):
+    """Per-node attributes of chain nodes 0..k, each indexed by node: the
+    centroid, the area-normalised second central moments, the mean intensity
+    and the cumulative 256-bin intensity histogram (one row per node)."""
+
+    cx: np.ndarray
+    cy: np.ndarray
+    mu_xx: np.ndarray
+    mu_xy: np.ndarray
+    mu_yy: np.ndarray
+    mean_intensity: np.ndarray
+    histogram: np.ndarray
+
+    def entropy(self, k: int) -> float:
+        """Shannon entropy (bits) of node k's intensity histogram."""
+        counts = self.histogram[k]
+        p = counts[counts > 0] / counts.sum()
+        return float(-(p * np.log2(p)).sum())
+
+
+def chain_mask(chain, k: int) -> np.ndarray:
+    """Pixel mask of chain node k."""
+    return (chain.join_index <= k).reshape(chain.pixels.shape)
+
+
+def chain_crop(chain, k: int) -> Crop:
+    """Node k's tight bounding box; every node <= k lies inside it."""
+    if not 0 <= k < len(chain.levels):
+        raise ValueError(f"chain index {k} outside the chain")
+    h, w = chain.pixels.shape
+    join2d = chain.join_index.reshape(h, w)
+    inside = join2d <= k
+    inside_rows = inside.any(axis=1)
+    inside_cols = inside.any(axis=0)
+    y0 = int(np.argmax(inside_rows))
+    y1 = h - int(np.argmax(inside_rows[::-1]))
+    x0 = int(np.argmax(inside_cols))
+    x1 = w - int(np.argmax(inside_cols[::-1]))
+    return Crop(
+        k=int(k),
+        join=np.minimum(join2d[y0:y1, x0:x1], k + 1),
+        pixels=chain.pixels[y0:y1, x0:x1],
+        x0=x0,
+        y0=y0,
+    )
+
+
+def chain_attributes(chain, crop: Crop) -> NodeAttributes:
+    """Centroid, central moments, mean intensity and cumulative histogram
+    of every chain node 0..crop.k, from bucket sums per node over the crop
+    followed by cumulative sums."""
+    sub, kk = crop.join, crop.k
+    ch, cw = sub.shape
+    nb = kk + 2
+    key = sub.ravel() * 256 + crop.pixels.ravel()
+    hist = np.bincount(key, minlength=nb * 256)[: (kk + 1) * 256]
+    hist = np.cumsum(hist.reshape(kk + 1, 256), axis=0)
+
+    xs = np.arange(crop.x0, crop.x0 + cw, dtype=np.int64)
+    ys = np.arange(crop.y0, crop.y0 + ch, dtype=np.int64)
+    by_row = (sub * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
+    by_col = (sub * cw + np.arange(cw, dtype=np.int32)).ravel()
+    n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[: kk + 1]
+    n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[: kk + 1]
+    x_row = np.bincount(
+        by_row, weights=np.broadcast_to(xs.astype(np.float64), sub.shape).ravel(),
+        minlength=nb * ch,
+    ).reshape(nb, ch)[: kk + 1]
+    sx, sy, sxx, sxy, syy = (
+        np.cumsum(v.astype(np.float64))
+        for v in (n_col @ xs, n_row @ ys, n_col @ (xs * xs),
+                  x_row @ ys.astype(np.float64), n_row @ (ys * ys))
+    )
+    areas = chain.areas[: kk + 1]
+    a = areas.astype(np.float64)
+    cx, cy = sx / a, sy / a
+    return NodeAttributes(
+        cx=cx,
+        cy=cy,
+        mu_xx=sxx / a - cx * cx,
+        mu_xy=sxy / a - cx * cy,
+        mu_yy=syy / a - cy * cy,
+        mean_intensity=(hist @ np.arange(256)).astype(np.float64) / areas,
+        histogram=hist,
+    )
+
+
+def crop_boundary_counts(join: np.ndarray, band: np.ndarray, maxima: np.ndarray):
+    """(boundary lengths, gradient-maxima hits) of the band's nodes, given
+    the join-index crop of node band[-1], clipped at band[-1] + 1, and a
+    maxima map over that crop: the library's one-pass counts fed with the
+    band positions looked up from the crop's join indices."""
+    m = len(band)
+    first = np.searchsorted(band, np.arange(int(band[-1]) + 2)).astype(np.min_scalar_type(m))
+    return erel._boundary_counts(first[join], m, maxima)
+
+
+def thinned_band(chain, params) -> np.ndarray:
+    """The chain nodes extract_qplus scores: those in the area band, thinned
+    to the first of each run growing less than 1% (or 4 px) over the last
+    kept one, as a Python loop."""
+    band = [k for k in range(len(chain)) if params.a_min <= chain.areas[k] <= params.a_max]
+    thinned = band[:1]
+    for k in band[1:]:
+        last = chain.areas[thinned[-1]]
+        if chain.areas[k] - last >= max(0.01 * last, 4):
+            thinned.append(k)
+    return np.asarray(thinned, dtype=np.intp)
+
+
 # -- reference chain attributes ----------------------------------------------------
 #
 # The seed chain's per-node accessors as they were before the chain handed out
@@ -653,8 +786,12 @@ class Region:
     chain: object
 
     @property
+    def mask(self) -> np.ndarray:
+        return chain_mask(self.chain, self.chain_index)
+
+    @property
     def boundary(self) -> Contour:
-        crop = self.chain.crop(self.chain_index)
+        crop = chain_crop(self.chain, self.chain_index)
         outside = np.pad(crop.join > crop.k, 1, constant_values=True)
         w2 = outside.shape[1]
         cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
@@ -665,16 +802,10 @@ def reference_regions(tree, params) -> list[Region]:
     """The retained regions of extract_qplus(tree, params), one object each;
     an empty band gives an empty list."""
     chain = tree.seed_chain()
-    band = [k for k in range(len(chain)) if params.a_min <= chain.areas[k] <= params.a_max]
-    if not band:
+    band = thinned_band(chain, params)
+    if not band.size:
         return []
-    thinned = [band[0]]
-    for k in band[1:]:
-        last = chain.areas[thinned[-1]]
-        if chain.areas[k] - last >= max(0.01 * last, 4):
-            thinned.append(k)
-    band = np.asarray(thinned)
-    crop = chain.crop(int(band[-1]))
+    crop = chain_crop(chain, int(band[-1]))
     ch, cw = crop.join.shape
     x0, y0 = crop.x0, crop.y0
     h, w = chain.pixels.shape
@@ -683,8 +814,8 @@ def reference_regions(tree, params) -> list[Region]:
         chain.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
     )
     maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
-    lengths, hits = erel._boundary_counts(crop.join, band, maxima)
-    attrs = chain.attributes(crop)
+    lengths, hits = crop_boundary_counts(crop.join, band, maxima)
+    attrs = chain_attributes(chain, crop)
     regions = []
     for pos in erel.select_extremum_levels(lengths, hits, params):
         k = int(band[pos])

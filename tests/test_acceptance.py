@@ -17,6 +17,7 @@ import pytest
 from conftest import acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg.cli import RunConfig, _extract, _polygon_mask, main, segment_frame
 from ivuseg.component_tree import build_component_tree
+from ivuseg.erel import ErelParams, extract_qplus
 from ivuseg.geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
 from ivuseg.imaging import Contour, save_contour, save_frame
 from ivuseg.metrics import densify, hausdorff, jaccard
@@ -200,8 +201,8 @@ def phantom_population():
                 "frame": frame,
                 "truth": truth,
                 "series": series,
-                "lumen_mask": series.chain.mask(series.index[lumen_i]),
-                "media_mask": series.chain.mask(series.index[media_i]),
+                "lumen_mask": series.mask(lumen_i),
+                "media_mask": series.mask(media_i),
                 "jm_lumen": jaccard(ellipse_mask(le, shape), ellipse_mask(truth.lumen, shape)),
                 "jm_media": jaccard(ellipse_mask(me, shape), ellipse_mask(truth.media, shape)),
                 "hd_lumen": hausdorff(rasterize_ellipse(le, 720), truth.lumen_contour),
@@ -266,9 +267,10 @@ def test_criterion_5_formula_fixtures():
     values = np.array([10] * 32 + [200] * 32, dtype=np.uint8)
     assert brute_entropy(values) == 1.0
     pixels = np.sort(values).reshape(8, 8)
-    chain = build_component_tree(pixels, (0, 0), pixels.size).seed_chain()
-    k = len(chain) - 1
-    assert chain.attributes(chain.crop(k)).entropy(k) == 1.0
+    tree = build_component_tree(pixels, (0, 0), pixels.size)
+    series = extract_qplus(tree, ErelParams(a_min=1, a_max=pixels.size))
+    assert series.areas[-1] == pixels.size  # the whole frame
+    assert series.entropy[-1] == 1.0
 
     # stability of [1, 2, 3] is exactly 1.0
     omega = stability_scores(np.array([1.0, 2.0, 3.0]))

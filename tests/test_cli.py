@@ -272,8 +272,8 @@ def test_cli_bestcase_dominates_selection(phantom_dir, tmp_path):
         lumen_i, media_i, _ = select_regions(series)
         gold_lumen = _polygon_mask(truth.lumen_contour, frame.pixels.shape)
         gold_media = _polygon_mask(truth.media_contour, frame.pixels.shape)
-        jm_sel_lumen = jaccard(series.chain.mask(series.index[lumen_i]), gold_lumen)
-        jm_sel_media = jaccard(series.chain.mask(series.index[media_i]), gold_media)
+        jm_sel_lumen = jaccard(series.mask(lumen_i), gold_lumen)
+        jm_sel_media = jaccard(series.mask(media_i), gold_media)
         assert best[stem]["lumen"]["jm"] >= jm_sel_lumen - 1e-12
         assert best[stem]["media"]["jm"] >= jm_sel_media - 1e-12
 
@@ -288,7 +288,7 @@ def test_bestcase_jm_is_the_region_mask_loop_maximum(phantom_dir, i):
     best = bestcase_frame(frame, cfg, gold)
     _, _, series = _extract(frame, cfg, None)
     for name, mask in (("lumen", gold.lumen_mask), ("media", gold.media_mask)):
-        jms = [jaccard(series.chain.mask(k), mask) for k in series.index]
+        jms = [jaccard(series.mask(i), mask) for i in range(len(series))]
         idx = jms.index(max(jms))
         assert (best[name]["index"], best[name]["jm"]) == (idx, jms[idx])
 

@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import acceptance_phantom_spec, scaled_phantom_spec
+from conftest import ACCEPTANCE_PHANTOMS, acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import ErelParams
 from ivuseg.imaging import frame_center, median_filter
 from ivuseg.phantom import PhantomSpec, RingDownArtifact, generate_phantom
 from ivuseg.preprocess import build_artifact_model, remove_artifacts
-from oracles import brute_component, chain_component_at, reference_seed_chain
+from oracles import (
+    brute_component,
+    chain_attributes,
+    chain_component_at,
+    chain_crop,
+    chain_mask,
+    reference_seed_chain,
+)
 
 tree_frames = arrays(
     np.uint8,
@@ -109,7 +116,7 @@ def test_chain_components_are_nested(pixels, data):
     chain = whole_chain(pixels, seed)
     previous = None
     for k in range(len(chain)):
-        mask = chain.mask(k)
+        mask = chain_mask(chain, k)
         if previous is not None:
             assert (previous <= mask).all()
             assert mask.sum() > previous.sum()
@@ -127,9 +134,9 @@ def test_chain_attributes_match_direct_summation(pixels, data):
         data.draw(st.integers(0, h - 1), label="seed_y"),
     )
     chain = whole_chain(pixels, seed)
-    attrs = chain.attributes(chain.crop(len(chain) - 1))
+    attrs = chain_attributes(chain, chain_crop(chain, len(chain) - 1))
     for k in range(len(chain)):
-        mask = chain.mask(k)
+        mask = chain_mask(chain, k)
         ys, xs = np.nonzero(mask)
         area = ys.size
         assert chain.areas[k] == area
@@ -158,9 +165,9 @@ def test_attributes_do_not_depend_on_the_crop(pixels, data):
     )
     chain = whole_chain(pixels, seed)
     k = data.draw(st.integers(0, len(chain) - 1), label="k")
-    wide = chain.attributes(chain.crop(k))
+    wide = chain_attributes(chain, chain_crop(chain, k))
     for j in range(k + 1):
-        own = chain.attributes(chain.crop(j))
+        own = chain_attributes(chain, chain_crop(chain, j))
         for name, ours, theirs in zip(own._fields, wide, own):
             assert np.array_equal(ours[: j + 1], theirs), name
         assert wide.entropy(j) == own.entropy(j)
@@ -177,7 +184,7 @@ def test_capped_build_matches_full_on_retained_band(rng):
         retained = [k for k in range(len(full)) if full.areas[k] <= cap]
         for k in retained:
             assert full.areas[k] == capped.areas[k]
-            assert np.array_equal(full.mask(k), capped.mask(k))
+            assert np.array_equal(chain_mask(full, k), chain_mask(capped, k))
 
 
 # -- the sweep against the canonical-parent-image reference -----------------------
@@ -216,9 +223,6 @@ def test_seed_sweep_equals_reference_from_the_extreme_levels(pixels, brightest, 
     w = pixels.shape[1]
     cap = data.draw(st.integers(1, pixels.size), label="cap")
     assert_matches_reference(pixels, (at % w, at // w), cap)
-
-
-ACCEPTANCE_PHANTOMS = [(s, shadow) for shadow in (False, True) for s in range(20)]
 
 
 @pytest.mark.parametrize("size", [384, 768])
@@ -326,7 +330,7 @@ def test_seed_with_only_darker_neighbours_joins_through_their_pools(ring):
     chain = whole_chain(pixels, (2, 2))
     assert chain.levels.tolist() == [100, 200]
     assert chain.areas.tolist() == [9 if ring else 5, 25]
-    assert chain.mask(0).sum() == chain.areas[0]
+    assert chain_mask(chain, 0).sum() == chain.areas[0]
 
 
 # -- input validation ------------------------------------------------------------

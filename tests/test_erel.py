@@ -7,14 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import acceptance_phantom_spec
+from conftest import ACCEPTANCE_PHANTOMS, acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg import erel
 from ivuseg.cli import RunConfig, _extract
 from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import (
     MIN_RETAINED_LEVELS,
     ErelParams,
-    _boundary_counts,
     _local_maxima,
     _moving_average,
     extract_qplus,
@@ -23,7 +22,7 @@ from ivuseg.erel import (
 )
 from ivuseg.errors import NoCandidateRegionsError
 from ivuseg.geometry import Ellipse
-from ivuseg.imaging import Frame, median_filter
+from ivuseg.imaging import Frame, frame_center, median_filter
 from ivuseg.phantom import PhantomSpec, generate_phantom
 from oracles import (
     FOUR,
@@ -32,9 +31,14 @@ from oracles import (
     boundary_pixel_set,
     brute_entropy,
     brute_moments,
+    chain_attributes,
+    chain_crop,
+    chain_mask,
+    crop_boundary_counts,
     outer_adjacent_pixels,
     rasterize_disk,
     reference_regions,
+    thinned_band,
     trace_outer_boundary,
 )
 
@@ -119,7 +123,7 @@ def test_chain_walk_matches_mask_walk():
     frame, _ = generate_phantom(PhantomSpec(rng_seed=5))
     _, _, series = _extract(frame, RunConfig(), None)
     for i in range(0, len(series), max(1, len(series) // 8)):
-        mask = series.chain.mask(series.index[i])
+        mask = series.mask(i)
         assert np.array_equal(series.boundary(i).points, trace_outer_boundary(mask).points)
         assert series.boundary_length[i] == len(boundary_pixel_set(mask))
 
@@ -137,47 +141,71 @@ def demo_series():
 def test_overlaps_count_every_region_against_a_mask(demo_series, seed, density):
     series, shape = demo_series
     mask = np.random.default_rng(seed).random(shape) < density
-    expected = [int(np.count_nonzero(series.chain.mask(k) & mask)) for k in series.index]
+    expected = [int(np.count_nonzero(series.mask(i) & mask)) for i in range(len(series))]
     assert series.overlaps(mask).tolist() == expected
 
 
-def _counted_candidates(run):
-    """Run extraction via run() and return the series it gave and
-    (band, lengths, hits, maxima) as _boundary_counts saw and answered them,
-    for every thinned candidate, not only the retained regions."""
-    seen = {}
-    count = erel._boundary_counts
+def test_overlaps_reject_a_mask_of_another_shape(demo_series):
+    series, (h, w) = demo_series
+    with pytest.raises(ValueError, match="not the frame's"):
+        series.overlaps(np.ones((h - 1, w), dtype=bool))
 
-    def capture(join, band, maxima):
-        seen["args"] = band, maxima
-        seen["counts"] = count(join, band, maxima)
+
+def test_rows_index_like_a_sequence(demo_series):
+    series, _ = demo_series
+    n = len(series)
+    assert np.array_equal(series.mask(-1), series.mask(n - 1))
+    assert np.array_equal(series.boundary(-n).points, series.boundary(0).points)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            series.mask(i)
+        with pytest.raises(IndexError):
+            series.boundary(i)
+
+
+def _counted_candidates(run):
+    """Run extraction via run() and return the series it gave, the chain it
+    read, the thinned candidates' chain indices (band), and (lengths, hits,
+    maxima) as _boundary_counts answered and saw them, for every thinned
+    candidate, not only the retained regions."""
+    seen = {}
+    count, extract = erel._boundary_counts, erel.extract_qplus
+
+    def capture_counts(band_map, m, maxima):
+        seen["maxima"] = maxima
+        seen["counts"] = count(band_map, m, maxima)
         return seen["counts"]
 
+    def capture_extract(tree, params):
+        seen["chain"], seen["params"] = tree.seed_chain(), params
+        return extract(tree, params)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(erel, "_boundary_counts", capture)
+        mp.setattr(erel, "_boundary_counts", capture_counts)
+        mp.setattr(erel, "extract_qplus", capture_extract)
         series = run()
-    band, maxima = seen["args"]
-    return series, band, *seen["counts"], maxima
+    chain = seen["chain"]
+    return series, chain, thinned_band(chain, seen["params"]), *seen["counts"], seen["maxima"]
 
 
 def _oracle_counts(chain, band, k, maxima):
     """(border-exposed pixel count, gradient maxima among them) of chain node
     k, with maxima given over the crop of the band's last node."""
-    crop = chain.crop(int(band[-1]))
-    exposed = border_exposed_pixels(chain.mask(k))
+    crop = chain_crop(chain, int(band[-1]))
+    exposed = border_exposed_pixels(chain_mask(chain, k))
     return len(exposed), int(maxima[exposed[:, 1] - crop.y0, exposed[:, 0] - crop.x0].sum())
 
 
 @pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
 def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
     frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
-    series, band, lengths, hits, maxima = _counted_candidates(
+    _, chain, band, lengths, hits, maxima = _counted_candidates(
         lambda: _extract(frame, RunConfig(), None)[2]
     )
-    chain = series.chain
     assert len(band) >= 40
+    assert len(lengths) == len(hits) == len(band)
     for k, length, hit in zip(band, lengths, hits):
-        mask = chain.mask(k)
+        mask = chain_mask(chain, k)
         assert np.array_equal(border_exposed_pixels(mask), boundary_pixel_set(mask))
         assert (length, hit) == _oracle_counts(chain, band, k, maxima)
 
@@ -200,6 +228,8 @@ POCKET = _frame_with(
 )
 # a dark block in the frame's corner, inside every larger region
 CORNER = _frame_with((8, 9), 100, [(y, x) for y in range(4) for x in range(5)])
+# a dark 2x3 block off the diagonal: its box's x and y offsets differ
+OFFSET = _frame_with((6, 9), 100, [(y, x) for y in (1, 2) for x in (3, 4, 5)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -222,17 +252,16 @@ def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_dra
     a_max = n - a_max_draw % (n - 1)  # a band [1, a_max] within the frame
     params = ErelParams(a_min=1, a_max=a_max)
     try:
-        series, band, lengths, hits, maxima = _counted_candidates(
-            lambda: extract_qplus(build_component_tree(pixels, seed, a_max), params)
+        _, chain, band, lengths, hits, maxima = _counted_candidates(
+            lambda: erel.extract_qplus(build_component_tree(pixels, seed, a_max), params)
         )
     except NoCandidateRegionsError:
         assume(False)  # the seed's first component outgrows the band
-    chain = series.chain
     assert len(lengths) == len(hits) == len(band)
     # the maxima come from a window 2 px wider than the crop, as wide as the
     # Sobel and suppression neighbourhoods reach, so they equal the map of
     # the whole frame
-    crop = chain.crop(int(band[-1]))
+    crop = chain_crop(chain, int(band[-1]))
     (ch, cw), x0, y0 = crop.join.shape, crop.x0, crop.y0
     assert np.array_equal(maxima, gradient_magnitude_maxima(pixels)[y0 : y0 + ch, x0 : x0 + cw])
     for k, length, hit in zip(band, lengths, hits):
@@ -259,10 +288,9 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
     hi = lo + hi_draw % (len(areas) - lo)
     a_max = int(areas[hi]) + 1
     params = ErelParams(a_min=int(areas[lo]), a_max=a_max)
-    series, band, lengths, _, _ = _counted_candidates(
-        lambda: extract_qplus(build_component_tree(pixels, seed, a_max), params)
+    series, chain, band, lengths, _, _ = _counted_candidates(
+        lambda: erel.extract_qplus(build_component_tree(pixels, seed, a_max), params)
     )
-    chain = series.chain
     ref = LazyChainAttributes(chain, int(band[-1]))
     for i, k in enumerate(series.index.tolist()):
         row = (series.levels[i], series.areas[i], series.boundary_length[i],
@@ -276,31 +304,20 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
         assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)),
-           elements=st.one_of(st.sampled_from([0, 40, 41, 90, 200, 255]), st.integers(0, 255))),
-    st.tuples(st.integers(0, 23), st.integers(0, 23)),
-    st.integers(0, 1_000_000),
-    st.integers(0, 1_000_000),
-)
-@example(HOLE, (1, 1), 0, 0)
-@example(POCKET, (1, 1), 0, 0)
-@example(CORNER, (0, 0), 0, 0)
-def test_region_columns_equal_the_per_region_reference(pixels, seed, a_min_draw, a_max_draw):
-    h, w = pixels.shape
-    seed = (seed[0] % w, seed[1] % h)
-    n = pixels.size
-    assume(n >= 2)
-    a_max = n - a_max_draw % (n - 1)  # a band within the frame
-    params = ErelParams(a_min=1 + a_min_draw % (a_max - 1), a_max=a_max)
-    tree = build_component_tree(pixels, seed, a_max)
-    expected = reference_regions(tree, params)
-    if not expected:
-        with pytest.raises(NoCandidateRegionsError):
-            extract_qplus(tree, params)
-        return
-    series = extract_qplus(tree, params)
+def _retaining(keep_seed):
+    """A stand-in for select_extremum_levels that retains a random
+    non-empty subset of the candidates, drawn from keep_seed."""
+    def select(lengths, hits, params):
+        rng = np.random.default_rng(keep_seed)
+        keep = rng.random(len(lengths)) < rng.random()
+        keep[rng.integers(len(lengths))] = True
+        return np.flatnonzero(keep).tolist()
+    return select
+
+
+def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
+    """Every column, mask, walk and mask overlap of the series equals the
+    per-region reference's, whose masks and walks read the chain itself."""
     assert len(series) == len(expected)
     for column, values in (
         (series.index, [r.chain_index for r in expected]),
@@ -316,9 +333,70 @@ def test_region_columns_equal_the_per_region_reference(pixels, seed, a_min_draw,
         (series.mu_yy, [r.mu_yy for r in expected]),
     ):
         assert column.tolist() == values
+    gold = rng.random(shape) < rng.random()
+    assert series.overlaps(gold).tolist() == [int(np.count_nonzero(r.mask & gold)) for r in expected]
     for i, region in enumerate(expected):
+        assert np.array_equal(series.mask(i), region.mask)
         ours, theirs = series.boundary(i), region.boundary
         assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           elements=st.one_of(st.sampled_from([0, 40, 41, 90, 200, 255]), st.integers(0, 255))),
+    st.tuples(st.integers(0, 23), st.integers(0, 23)),
+    st.integers(0, 1_000_000),
+    st.integers(0, 1_000_000),
+    st.integers(0, 1_000_000),
+    st.none() | st.integers(0, 2**32 - 1),
+)
+@example(HOLE, (1, 1), 0, 0, 0, None)
+@example(POCKET, (1, 1), 0, 0, 0, None)
+@example(CORNER, (0, 0), 0, 0, 0, None)
+@example(CORNER, (0, 0), 0, 0, 0, 0)
+@example(OFFSET, (3, 1), 0, 48, 0, None)  # the band is the block alone
+def test_region_columns_equal_the_per_region_reference(
+    pixels, seed, a_min_draw, a_max_draw, cap_draw, keep_seed
+):
+    # any area band, any stop cap from a_max up, and, unless keep_seed is
+    # None, a random retained subset in place of the extremum criterion's
+    h, w = pixels.shape
+    seed = (seed[0] % w, seed[1] % h)
+    n = pixels.size
+    assume(n >= 2)
+    a_max = n - a_max_draw % (n - 1)  # a band within the frame
+    params = ErelParams(a_min=1 + a_min_draw % (a_max - 1), a_max=a_max)
+    tree = build_component_tree(pixels, seed, a_max + cap_draw % (n - a_max + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        if keep_seed is not None:
+            mp.setattr(erel, "select_extremum_levels", _retaining(keep_seed))
+        expected = reference_regions(tree, params)
+        if not expected:
+            with pytest.raises(NoCandidateRegionsError):
+                extract_qplus(tree, params)
+            return
+        series = extract_qplus(tree, params)
+    assert_series_equals_the_per_region_reference(
+        series, expected, pixels.shape, np.random.default_rng(a_min_draw)
+    )
+
+
+@pytest.mark.parametrize("size", [384, 768])
+@pytest.mark.parametrize("phantom_seed, shadow", ACCEPTANCE_PHANTOMS)
+def test_region_columns_equal_the_per_region_reference_on_acceptance_phantoms(
+    phantom_seed, shadow, size
+):
+    spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
+    frame, _ = generate_phantom(spec)
+    pixels = median_filter(frame, 1).pixels
+    params = ErelParams.for_frame(pixels.shape)
+    tree = build_component_tree(pixels, frame_center(frame), params.a_max)
+    expected = reference_regions(tree, params)
+    assert len(expected) >= MIN_RETAINED_LEVELS
+    assert_series_equals_the_per_region_reference(
+        extract_qplus(tree, params), expected, pixels.shape, np.random.default_rng(phantom_seed)
+    )
 
 
 def test_pinned_boundary_counts():
@@ -329,8 +407,8 @@ def test_pinned_boundary_counts():
     for pixels, seed, counts in ((HOLE, (1, 1), [16, 24]), (POCKET, (1, 1), [17, 24]),
                                  (CORNER, (0, 0), [14, 30])):
         params = ErelParams(a_min=1, a_max=pixels.size)
-        _, _, lengths, _, _ = _counted_candidates(
-            lambda: extract_qplus(build_component_tree(pixels, seed, pixels.size), params)
+        _, _, _, lengths, _, _ = _counted_candidates(
+            lambda: erel.extract_qplus(build_component_tree(pixels, seed, pixels.size), params)
         )
         assert lengths.tolist() == counts
 
@@ -349,13 +427,18 @@ def test_region_attributes_on_square():
     pixels[4:14, 3:13] = 10
     chain = build_component_tree(pixels, (3, 4), pixels.size).seed_chain()
     assert chain.areas[0] == 100
-    crop = chain.crop(0)
-    lengths, hits = _boundary_counts(crop.join, np.array([0]), np.ones(crop.join.shape, dtype=bool))
+    crop = chain_crop(chain, 0)
+    lengths, hits = crop_boundary_counts(crop.join, np.array([0]), np.ones(crop.join.shape, dtype=bool))
     assert (lengths.tolist(), hits.tolist()) == ([36], [36])
-    attrs = chain.attributes(crop)
+    attrs = chain_attributes(chain, crop)
     assert attrs.mean_intensity[0] == 10.0
     assert attrs.entropy(0) == 0.0
     assert (attrs.cx[0], attrs.cy[0]) == (7.5, 8.5)  # 10x10 block starting at x=3, y=4
+    series = extract_qplus(build_component_tree(pixels, (3, 4), pixels.size),
+                           ErelParams(a_min=1, a_max=100))
+    assert series.areas.tolist() == [100]
+    assert (series.boundary_length[0], series.mean_intensity[0], series.entropy[0],
+            series.cx[0], series.cy[0]) == (36, 10.0, 0.0, 7.5, 8.5)
 
 
 def test_entropy_two_equal_bins_is_one_bit():
@@ -364,9 +447,10 @@ def test_entropy_two_equal_bins_is_one_bit():
     pixels = np.full((10, 10), 10, np.uint8)
     pixels.ravel()[50:] = 200
     pixels = np.sort(pixels.ravel()).reshape(10, 10)
-    chain = build_component_tree(pixels, (0, 0), pixels.size).seed_chain()
-    k = len(chain) - 1  # whole frame
-    assert chain.attributes(chain.crop(k)).entropy(k) == pytest.approx(1.0, abs=1e-12)
+    tree = build_component_tree(pixels, (0, 0), pixels.size)
+    series = extract_qplus(tree, ErelParams(a_min=1, a_max=pixels.size))
+    assert series.areas[-1] == pixels.size  # whole frame
+    assert series.entropy[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disk_moments_quarter_radius_squared():
