@@ -44,6 +44,9 @@ OVERLAY_GOLD = (255, 255, 0)
 
 
 def _truthy(text: str) -> bool:
+    """1/true/yes or 0/false/no in any case; anything else is a ValueError."""
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
     return text.lower() in ("1", "true", "yes")
 
 
@@ -166,12 +169,7 @@ def segment_frame(
     lumen_i, media_i, profile = selection.select_regions(
         series, z_min=cfg.z_min, z_max=cfg.z_max, min_peaks=cfg.min_peaks
     )
-    lumen, media = (
-        ellipse_from_moments(
-            (series.cx[i], series.cy[i]), series.mu_xx[i], series.mu_xy[i], series.mu_yy[i]
-        )
-        for i in (lumen_i, media_i)
-    )
+    lumen, media = (ellipse_from_moments(*series.moments(i)) for i in (lumen_i, media_i))
     trace = {
         "seed": list(seed),
         "area_band": [params.a_min, params.a_max],
@@ -252,11 +250,19 @@ def _map_frames(cfg: RunConfig, worker) -> list[tuple[Path, bool, object, dict |
     worker result, error record) per input, in input order; loaded is False
     for a frame that could not be read.  Load and worker failures are both
     recorded, so one bad frame never stops the batch.
+
+    Outputs are named by the input's stem, so two inputs with the same stem
+    are a ConfigError before any frame runs.
     """
     cfg.validate()
     files = _collect_inputs(cfg.inputs)
     if not files:
         raise ConfigError("no input frames found")
+    stems: dict[str, Path] = {}
+    for path in files:
+        if stems.setdefault(path.stem, path) is not path:
+            raise ConfigError(f"inputs {stems[path.stem]} and {path} share a stem, "
+                              f"so their outputs would overwrite each other")
     cfg.outdir.mkdir(parents=True, exist_ok=True)
 
     frames: dict[int, Frame] = {}

@@ -4,7 +4,9 @@ A 20 MHz IVUS lumen and media both evolve from a dark surface toward a
 bright boundary, so only the chain of sub-level components rooted at the
 catheter centre is tracked.  The chain is filtered by an area band and an
 edge-support criterion: levels whose region boundary runs along maxima of
-the gradient magnitude are the distinguished levels worth keeping.
+the gradient magnitude are the distinguished levels worth keeping.  With
+fewer than MIN_RETAINED_LEVELS retained levels, extraction keeps the whole
+thinned band, as it does on every phantom frame it has been run on so far.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class RegionSeries:
     """Strictly nested regions in increasing area order, one column each.
 
     Row i is chain node index[i] at level levels[i]: its area, the number
-    of its border-exposed pixels (boundary_length), mean intensity, entropy
-    (bits) of its intensity histogram, centroid (cx, cy) and
-    area-normalised second central moments.
+    of its border-exposed pixels (boundary_length), mean intensity and
+    entropy (bits) of its intensity histogram, the columns selection reads.
+    moments(i) computes a region's centroid and central moments on demand,
+    for the regions that get an ellipse.
 
     Every region lies inside the largest one's bounding box, whose top-left
     pixel is origin (x, y) in a frame of the given shape (height, width).
@@ -100,11 +103,6 @@ class RegionSeries:
     boundary_length: np.ndarray
     mean_intensity: np.ndarray
     entropy: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
-    mu_xx: np.ndarray
-    mu_xy: np.ndarray
-    mu_yy: np.ndarray
     row_map: np.ndarray
     origin: tuple[int, int]
     shape: tuple[int, int]
@@ -126,6 +124,26 @@ class RegionSeries:
         out = np.zeros(self.shape, dtype=bool)
         out[self._box()] = self.row_map <= self._row(i)
         return out
+
+    def moments(self, i: int) -> tuple[tuple[float, float], float, float, float]:
+        """Region i's centroid (cx, cy) and area-normalised second central
+        moments mu_xx, mu_xy, mu_yy: the arguments of ellipse_from_moments.
+
+        The region's pixel counts per box column and per box row, and x
+        summed per box row, give its sums of x, y, xx, xy and yy as exact
+        integers.
+        """
+        k = self._row(i)
+        region = self.row_map <= k
+        (x0, y0), (bh, bw) = self.origin, region.shape
+        xs, ys = np.arange(x0, x0 + bw, dtype=np.int64), np.arange(y0, y0 + bh, dtype=np.int64)
+        n_col, n_row = region.sum(axis=0, dtype=np.int64), region.sum(axis=1, dtype=np.int64)
+        sx, sy, sxx, sxy, syy = (float(v) for v in (
+            n_col @ xs, n_row @ ys, n_col @ (xs * xs), (region @ xs) @ ys, n_row @ (ys * ys)
+        ))
+        a = float(self.areas[k])
+        cx, cy = sx / a, sy / a
+        return (cx, cy), sxx / a - cx * cx, sxy / a - cx * cy, syy / a - cy * cy
 
     def boundary(self, i: int) -> Contour:
         """Region i's ordered outer-boundary trace (see _moore_cycle), walked
@@ -489,50 +507,25 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
         levels=chain.levels[index],
         areas=areas[index],
         boundary_length=lengths[retained],
-        **_region_attributes(row_map, pixels[y0:y1, x0:x1], x0, y0, areas[index]),
+        **_region_attributes(row_map, pixels[y0:y1, x0:x1], areas[index]),
         row_map=row_map,
         origin=(x0, y0),
         shape=(h, w),
     )
 
 
-def _region_attributes(
-    row_map: np.ndarray, pixels: np.ndarray, x0: int, y0: int, areas: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Mean intensity, entropy, centroid and central moments of every row's
-    region, from one pass over the box at (x0, y0) that row_map covers.
+def _region_attributes(row_map: np.ndarray, pixels: np.ndarray, areas: np.ndarray) -> dict:
+    """Mean intensity and entropy of every row's region, from one histogram
+    of (row, intensity) over the box that row_map covers.
 
-    Row i's region is the box pixels with row_map <= i, so each attribute
-    is a bucket sum per row followed by a cumulative sum.  Every table
-    entry is a sum of integers below 2**53, so the sums are exact: pixel
-    counts per (row, box row) and per (row, box column), x summed per
-    (row, box row), and intensities from the histogram table, which is
-    cumulative already.
+    Row i's region is the box pixels with row_map <= i, so a cumulative sum
+    over the rows turns the histogram into each region's own; its counts
+    are exact integers.
     """
     n = areas.size
-    nb = n + 1
-    ch, cw = row_map.shape
-    rows = row_map.astype(np.int32)  # wide enough for the bucket keys below
-    hist = np.bincount((rows * 256 + pixels).ravel(), minlength=nb * 256)[: n * 256]
+    rows = row_map.astype(np.int32)  # wide enough for the histogram keys
+    hist = np.bincount((rows * 256 + pixels).ravel(), minlength=(n + 1) * 256)[: n * 256]
     hist = np.cumsum(hist.reshape(n, 256), axis=0)
-
-    xs = np.arange(x0, x0 + cw, dtype=np.int64)
-    ys = np.arange(y0, y0 + ch, dtype=np.int64)
-    by_row = (rows * ch + np.arange(ch, dtype=np.int32)[:, None]).ravel()
-    by_col = (rows * cw + np.arange(cw, dtype=np.int32)).ravel()
-    n_row = np.bincount(by_row, minlength=nb * ch).reshape(nb, ch)[:n]
-    n_col = np.bincount(by_col, minlength=nb * cw).reshape(nb, cw)[:n]
-    x_row = np.bincount(
-        by_row, weights=np.broadcast_to(xs.astype(np.float64), rows.shape).ravel(),
-        minlength=nb * ch,
-    ).reshape(nb, ch)[:n]
-    sx, sy, sxx, sxy, syy = (
-        np.cumsum(v.astype(np.float64))
-        for v in (n_col @ xs, n_row @ ys, n_col @ (xs * xs),
-                  x_row @ ys.astype(np.float64), n_row @ (ys * ys))
-    )
-    a = areas.astype(np.float64)
-    cx, cy = sx / a, sy / a
 
     def entropy(counts: np.ndarray) -> float:
         p = counts[counts > 0] / counts.sum()
@@ -541,9 +534,4 @@ def _region_attributes(
     return {
         "mean_intensity": (hist @ np.arange(256)).astype(np.float64) / areas,
         "entropy": np.array([entropy(counts) for counts in hist]),
-        "cx": cx,
-        "cy": cy,
-        "mu_xx": sxx / a - cx * cx,
-        "mu_xy": sxy / a - cx * cy,
-        "mu_yy": syy / a - cy * cy,
     }

@@ -30,7 +30,8 @@ class NoCandidateRegionsError(SegmentationError):
 
 
 class DegenerateSelectionError(SegmentationError):
-    """Raised when outlier removal drops every region."""
+    """Raised when the outlier screen would drop more than a quarter of the
+    regions; select_regions then keeps the whole series."""
 
 
 class DegenerateRegionError(SegmentationError):

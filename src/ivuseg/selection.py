@@ -3,9 +3,9 @@
 Each region is scored by the product of its boundary length, mean
 intensity, and entropy; the stability of that score across consecutive
 regions (its value over the change between its two neighbours) peaks where
-the evolution saturates, which is where the anatomy sits.  The earlier of
-the prominent peaks marks the lumen, the last peak the media; with few
-peaks the media falls back to the outermost region.
+the evolution saturates, which is where the anatomy sits.  The more
+prominent of the first two peaks marks the lumen, the last peak the media;
+with few peaks the media falls back to the outermost region.
 """
 
 from __future__ import annotations

@@ -188,13 +188,7 @@ def phantom_population():
             frame, truth = generate_phantom(spec)
             _, _, series = _extract(frame, RunConfig(), None)
             lumen_i, media_i, _ = select_regions(series)
-            le, me = (
-                ellipse_from_moments(
-                    (series.cx[i], series.cy[i]), series.mu_xx[i], series.mu_xy[i],
-                    series.mu_yy[i],
-                )
-                for i in (lumen_i, media_i)
-            )
+            le, me = (ellipse_from_moments(*series.moments(i)) for i in (lumen_i, media_i))
             shape = frame.pixels.shape
             rows.append({
                 "seed": s,

@@ -794,6 +794,40 @@ def test_cli_bad_config_file_exits_3(tmp_path, text):
     assert main(["segment", "x", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("text", ["no_ringdown=ture\n", "trace=maybe\n", "trace=\n"])
+def test_cli_config_boolean_must_be_a_boolean(tmp_path, capsys, text):
+    config = tmp_path / "bad.conf"
+    config.write_text(text)
+    assert main(["segment", "x", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 3
+    assert "bad config value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
+])
+def test_cli_config_boolean_spellings(tmp_path, text, value):
+    config = tmp_path / "run.conf"
+    config.write_text(f"no_ringdown={text}\ntrace={text}\n")
+    assert parse("--config", str(config)) == replace(DEFAULTS, no_ringdown=value, trace=value)
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate", "bestcase"])
+def test_inputs_sharing_a_stem_are_rejected_before_any_frame_runs(
+    small_demo, tmp_path, capsys, command
+):
+    good = small_demo[0]
+    other = tmp_path / "other"
+    other.mkdir()
+    shutil.copy(good / "f3.pgm", other / "f1.pgm")
+    out = tmp_path / "out"
+    code = main([command, str(good), str(other), "--gold", str(good), "--outdir", str(out),
+                 "--no-ringdown", "--jobs", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(good / "f1.pgm") in err and str(other / "f1.pgm") in err
+    assert not out.exists()
+
+
 def test_cli_bad_flag_values():
     with pytest.raises(SystemExit) as usage:
         main(["segment", "x", "--alpha", "abc"])

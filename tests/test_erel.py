@@ -156,11 +156,15 @@ def test_rows_index_like_a_sequence(demo_series):
     n = len(series)
     assert np.array_equal(series.mask(-1), series.mask(n - 1))
     assert np.array_equal(series.boundary(-n).points, series.boundary(0).points)
+    assert series.moments(-1) == series.moments(n - 1)
+    assert series.moments(-n) == series.moments(0)
     for i in (n, -n - 1):
         with pytest.raises(IndexError):
             series.mask(i)
         with pytest.raises(IndexError):
             series.boundary(i)
+        with pytest.raises(IndexError):
+            series.moments(i)
 
 
 def _counted_candidates(run):
@@ -293,9 +297,9 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
     )
     ref = LazyChainAttributes(chain, int(band[-1]))
     for i, k in enumerate(series.index.tolist()):
+        (cx, cy), *mu = series.moments(i)
         row = (series.levels[i], series.areas[i], series.boundary_length[i],
-               series.mean_intensity[i], series.entropy[i], series.cx[i], series.cy[i],
-               series.mu_xx[i], series.mu_xy[i], series.mu_yy[i])
+               series.mean_intensity[i], series.entropy[i], cx, cy, *mu)
         expected = (chain.levels[k], chain.areas[k], lengths[band.tolist().index(k)],
                     ref.mean_intensity(k), ref.entropy(k), *ref.centroid(k),
                     *ref.central_moments(k))
@@ -316,8 +320,9 @@ def _retaining(keep_seed):
 
 
 def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
-    """Every column, mask, walk and mask overlap of the series equals the
-    per-region reference's, whose masks and walks read the chain itself."""
+    """Every column, moment, mask, walk and mask overlap of the series
+    equals the per-region reference's, whose masks and walks read the chain
+    itself; the moments also match direct summation over the mask."""
     assert len(series) == len(expected)
     for column, values in (
         (series.index, [r.chain_index for r in expected]),
@@ -326,17 +331,17 @@ def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
         (series.boundary_length, [r.boundary_length for r in expected]),
         (series.mean_intensity, [r.mean_intensity for r in expected]),
         (series.entropy, [r.entropy for r in expected]),
-        (series.cx, [r.centroid[0] for r in expected]),
-        (series.cy, [r.centroid[1] for r in expected]),
-        (series.mu_xx, [r.mu_xx for r in expected]),
-        (series.mu_xy, [r.mu_xy for r in expected]),
-        (series.mu_yy, [r.mu_yy for r in expected]),
     ):
         assert column.tolist() == values
     gold = rng.random(shape) < rng.random()
     assert series.overlaps(gold).tolist() == [int(np.count_nonzero(r.mask & gold)) for r in expected]
     for i, region in enumerate(expected):
         assert np.array_equal(series.mask(i), region.mask)
+        moments = series.moments(i)
+        assert moments == (region.centroid, region.mu_xx, region.mu_xy, region.mu_yy)
+        (cx, cy), *mu = moments
+        (bx, by), *brute = brute_moments(region.mask)
+        assert [cx, cy, *mu] == pytest.approx([bx, by, *brute], rel=1e-9, abs=1e-9)
         ours, theirs = series.boundary(i), region.boundary
         assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
 
@@ -438,7 +443,9 @@ def test_region_attributes_on_square():
                            ErelParams(a_min=1, a_max=100))
     assert series.areas.tolist() == [100]
     assert (series.boundary_length[0], series.mean_intensity[0], series.entropy[0],
-            series.cx[0], series.cy[0]) == (36, 10.0, 0.0, 7.5, 8.5)
+            *series.moments(0)[0]) == (36, 10.0, 0.0, 7.5, 8.5)
+    # a 10 px run of integers has variance (10**2 - 1) / 12 = 8.25
+    assert series.moments(0) == ((7.5, 8.5), 8.25, 0.0, 8.25)
 
 
 def test_entropy_two_equal_bins_is_one_bit():

@@ -23,7 +23,6 @@ from oracles import loop_find_peaks
 def series_with_areas(areas, boundary_length=10, mean_intensity=1.0, entropy=1.0):
     """Columns of a series with the given areas; the scores broadcast."""
     n = len(areas)
-    zeros, ones = np.zeros(n), np.ones(n)
     return RegionSeries(
         index=np.arange(n),
         levels=np.arange(n),
@@ -31,7 +30,6 @@ def series_with_areas(areas, boundary_length=10, mean_intensity=1.0, entropy=1.0
         boundary_length=np.broadcast_to(boundary_length, n),
         mean_intensity=np.broadcast_to(mean_intensity, n).astype(np.float64),
         entropy=np.broadcast_to(entropy, n).astype(np.float64),
-        cx=zeros, cy=zeros, mu_xx=ones, mu_xy=zeros, mu_yy=ones,
         row_map=None,
         origin=(0, 0),
         shape=(0, 0),
