@@ -209,11 +209,12 @@ MAX_ARTIFACT_FRACTION = 0.2
 
 
 def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.ArtifactModel | None:
-    if cfg.no_ringdown:
+    if cfg.no_ringdown or not frames:
+        # with no frame loaded, every input already has its error record
         return None
     if len(frames) < 2:
         log.warning(
-            "single frame supplied; skipping ring-down removal "
+            "only 1 frame loaded; skipping ring-down removal "
             "(sequence minimum needs at least 2 frames)"
         )
         return None

@@ -11,15 +11,15 @@ The join levels come from an incremental union-find sweep over the
 levels from the seed's up to 255.  No pixel can join the seed's component
 below the seed's own level, so the sweep starts there: the 4-connected
 components of {p : I(p) < seed level} are labelled in one connected-
-components pass over their edges, and each enters the sweep as one
-component, as it stands.  From the seed's level on, pixels activate in
-increasing intensity order and union with already-active 4-neighbours, one
-batch per level (all unions of a level are applied together with
-vectorised root-finding and hooking, so within-level order cannot matter).
-The union-find runs on component numbers, not pixels: a pixel with no
-darker neighbour starts a new component, any other pixel takes the number
-of one its darker neighbours belong to, and hooking joins numbers.  Only
-the seed's component is tracked as such:
+components pass over the graph of their horizontal runs (_pools), and each
+enters the sweep as one component, as it stands.  From the seed's level
+on, pixels activate in increasing intensity order and union with
+already-active 4-neighbours, one batch per level (all unions of a level are
+applied together with vectorised root-finding and hooking, so within-level
+order cannot matter).  The union-find runs on component numbers, not
+pixels: a pixel with no darker neighbour starts a new component, any other
+pixel takes the number of one its darker neighbours belong to, and hooking
+joins numbers.  Only the seed's component is tracked as such:
 
 - It has one virtual root, number 0.  Hooks point the larger root at the
   smaller, so the virtual root never moves.
@@ -97,26 +97,52 @@ def _neighbour_codes(img: np.ndarray) -> np.ndarray:
     return codes.ravel()
 
 
-def _components(
-    px: np.ndarray, codes: np.ndarray, offsets: np.ndarray, scratch: np.ndarray
-) -> tuple[int, np.ndarray]:
-    """Count and number the 4-connected components of the pixels px, given
-    their neighbour codes.  px must hold every pixel up to its highest
-    level, so that every edge the codes list joins two of its pixels.
+def _pools(mask: np.ndarray, outside: int) -> tuple[int, np.ndarray]:
+    """Count and number the 4-connected components of a boolean image.
 
-    Each set bit of a code is one edge; bit b of pixel i is entry 8 i + b
-    of the unpacked codes, so the edges come out grouped by pixel, as the
-    rows of a sparse graph.  scratch, indexed by pixel, holds the node ids.
+    Returns the count and a flat label per pixel: a masked pixel holds its
+    component's number, from outside + 1 to outside + count, and any other
+    pixel holds outside.
+
+    The nodes of the labelled graph are the mask's horizontal runs: a run
+    starts at every masked pixel whose west neighbour is unmasked or outside
+    the frame.  Its edges join the runs of adjacent rows that overlap; an
+    overlap begins where a run of either row starts, so those columns list
+    each pair once, in raster order (He, Chao & Suzuki, IEEE TIP 2008).
     """
-    scratch[px] = np.arange(px.size)
-    edge = np.flatnonzero(np.unpackbits(codes, bitorder="little").view(bool))
-    src = edge >> 3
+    # the labelling reads only the bounding box of the mask
+    label = np.full(mask.shape, outside)
+    ys = np.flatnonzero(mask.any(axis=1))
+    if not ys.size:
+        return 0, label.ravel()
+    xs = np.flatnonzero(mask.any(axis=0))
+    box = np.s_[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1]
+    mask = mask[box]
+    h, w = mask.shape
+    flat = mask.ravel()
+    starts = np.empty_like(flat)
+    starts[0] = flat[0]
+    np.greater(flat[1:], flat[:-1], out=starts[1:])
+    starts[::w] = flat[::w]
+    # each pixel's run number from 1, which an unmasked pixel shares with
+    # the last run before it (or 0)
+    run = np.cumsum(starts, dtype=np.int32)
+    n_runs = int(run[-1])
+    grid = starts.reshape(h, w)
+    overlap = grid[:-1] | grid[1:]
+    overlap &= mask[:-1]
+    overlap &= mask[1:]
+    pair = np.flatnonzero(overlap)  # the upper pixel of each vertical pair
     graph = csr_matrix(
-        (np.ones(edge.size), scratch[px[src] + offsets[edge & 7]],
-         np.r_[0, np.cumsum(np.bincount(src, minlength=px.size))]),
-        shape=(px.size, px.size),
+        (np.ones(pair.size), run[pair + w] - 1,
+         np.r_[0, np.cumsum(np.bincount(run[pair] - 1, minlength=n_runs))]),
+        shape=(n_runs, n_runs),
     )
-    return connected_components(graph, directed=False)
+    count, comp = connected_components(graph, directed=False)
+    run *= flat  # unmasked pixels read entry 0, outside
+    number = np.r_[outside, np.add(comp, outside + 1, dtype=np.intp)]
+    np.take(number, run.reshape(h, w), out=label[box])
+    return count, label.ravel()
 
 
 def build_component_tree(
@@ -127,13 +153,13 @@ def build_component_tree(
     """Sweep the levels of an 8-bit image and keep the seed's chain.
 
     The sweep starts at the seed's level, with every component of the
-    pixels darker than the seed labelled in one connected-components pass,
-    and halts after the level at which the seed's (x, y) component
-    first exceeds stop_area pixels, so the chain is exact for every
-    component of area <= stop_area containing the seed and ends with the
-    first larger one.  With stop_area = pixels.size the cap is never
-    crossed, the sweep runs every level and the chain ends with the whole
-    frame.
+    pixels darker than the seed labelled in one connected-components pass
+    over their horizontal runs, and halts after the level at which the
+    seed's (x, y) component first exceeds stop_area pixels, so the chain is
+    exact for every component of area <= stop_area containing the seed and
+    ends with the first larger one.  With stop_area = pixels.size the cap
+    is never crossed, the sweep runs every level and the chain ends with the
+    whole frame.
     """
     # Frame rejects anything but a non-empty 2-D image of integers in
     # [0, 255]; the chain keeps a private copy of the levels
@@ -149,7 +175,9 @@ def build_component_tree(
 
     order = np.argsort(flat, kind="stable")
     px_starts = np.r_[0, np.cumsum(np.bincount(flat, minlength=256))]
-    codes = _neighbour_codes(img)[order]
+    n_dark = px_starts[seed_level]
+    # the sweep reads the codes of the seed's level and up only
+    codes = _neighbour_codes(img)[order[n_dark:]]
     # An edge carries the max of its endpoint levels, so every edge of a
     # level leaves a pixel that just activated: the darker-neighbour bits
     # list the level's edges to older pixels, and the equal bits those
@@ -162,7 +190,6 @@ def build_component_tree(
     # Numbers up to n + 1 can occur.
     root = 0   # the seed component's virtual root
     never = 1  # the pixels the sweep does not reach
-    label = np.full(n, never)
     uf = np.empty(n + 2, dtype=np.intp)
     alias = np.empty(n + 2, dtype=np.intp)  # a flagged pool reads as the root
     stamp = np.empty(n + 2, dtype=np.int16)  # the level a pool merged at
@@ -173,12 +200,9 @@ def build_component_tree(
     # Below the seed's level the seed's component does not exist yet, so
     # what a pool went through there cannot change the level it joins at:
     # the components of the darker pixels are labelled in one pass and each
-    # is numbered as one root.  label is the labelling's scratch until the
-    # darker pixels take their pools' numbers.
-    dark = order[: px_starts[seed_level]]
-    n_pools, pool = _components(dark, codes[: dark.size], offsets, label)
+    # is numbered as one root.
+    n_pools, label = _pools(img < seed_level, never)
     next_label = 2 + n_pools
-    label[dark] = pool + 2
     uf[2:next_label] = alias[2:next_label] = np.arange(2, next_label)
     stamp[2:next_label] = 256
     size = None  # component sizes, per root, once the cap is reachable
@@ -188,7 +212,7 @@ def build_component_tree(
         if a0 == a1:
             continue
         new_px = order[a0:a1]
-        code = codes[a0:a1]
+        code = codes[a0 - n_dark : a1 - n_dark]
         by_bit = [new_px[(code & bit) != 0] for bit in bits]
         u = np.concatenate(by_bit)
         v = u + np.repeat(offsets, [b.size for b in by_bit])

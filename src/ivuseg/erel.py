@@ -497,10 +497,14 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     lengths, hits = _boundary_counts(band_map, m, maxima)
     retained = np.asarray(select_extremum_levels(lengths, hits, params), dtype=np.intp)
 
-    # position p lies in row i's region exactly when p <= retained[i]
+    # position p lies in row i's region exactly when p <= retained[i]; when
+    # every candidate is retained, the rows are the positions
     n = retained.size
-    to_row = np.searchsorted(retained, np.arange(m + 1)).astype(np.min_scalar_type(n))
-    row_map = np.take(to_row, band_map)
+    if n == m:
+        row_map = band_map
+    else:
+        to_row = np.searchsorted(retained, np.arange(m + 1)).astype(np.min_scalar_type(n))
+        row_map = np.take(to_row, band_map)
     index = band[retained]
     return RegionSeries(
         index=index,

@@ -386,7 +386,7 @@ def test_artifact_model_warnings_go_through_logging(tmp_path, caplog, capsys):
     single.mkdir()
     save_frame(Frame(pixels=np.array([[1, 2], [3, 4]], np.uint8)), single / "tiny.pgm")
     text = (
-        "single frame supplied; skipping ring-down removal "
+        "only 1 frame loaded; skipping ring-down removal "
         "(sequence minimum needs at least 2 frames)"
     )
     with caplog.at_level(logging.WARNING, logger="ivuseg.cli"):
@@ -397,6 +397,27 @@ def test_artifact_model_warnings_go_through_logging(tmp_path, caplog, capsys):
     # the command line still prints it on stderr, with its prefix
     assert main(["segment", str(single), "--outdir", str(tmp_path / "cli")]) == 2
     assert capsys.readouterr().err.splitlines()[0] == f"warning: {text}"
+
+
+@pytest.mark.parametrize("present", [0, 1])
+def test_artifact_model_warning_counts_the_loaded_frames(tmp_path, caplog, present):
+    # two inputs, of which `present` load: with none loaded each input has its
+    # error record and there is nothing to warn about; with one, the warning
+    # names the one frame loaded, not the two inputs
+    inputs = [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+    for path in inputs[:present]:
+        save_frame(Frame(pixels=np.array([[1, 2], [3, 4]], np.uint8)), path)
+    with caplog.at_level(logging.WARNING, logger="ivuseg.cli"):
+        summary = run_batch(RunConfig(inputs=inputs, outdir=tmp_path / "out"))
+    assert summary.failed == 2  # a 2x2 frame has no candidate regions either
+    messages = [r.getMessage() for r in caplog.records if r.name == "ivuseg.cli"]
+    if present:
+        assert messages == [
+            "only 1 frame loaded; skipping ring-down removal "
+            "(sequence minimum needs at least 2 frames)"
+        ]
+    else:
+        assert messages == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from conftest import ACCEPTANCE_PHANTOMS, acceptance_phantom_spec, scaled_phantom_spec
-from ivuseg.component_tree import build_component_tree
+from ivuseg.component_tree import _pools, build_component_tree
 from ivuseg.erel import ErelParams
 from ivuseg.imaging import frame_center, median_filter
 from ivuseg.phantom import PhantomSpec, RingDownArtifact, generate_phantom
 from ivuseg.preprocess import build_artifact_model, remove_artifacts
 from oracles import (
+    FOUR,
     brute_component,
     chain_attributes,
     chain_component_at,
@@ -254,6 +256,39 @@ def test_seed_sweep_equals_reference_on_a_ringdown_pullback(ringdown_pullback, i
     assert (pixels < pixels[seed[1], seed[0]]).mean() > 0.4
     for cap in (ErelParams.for_frame(pixels.shape).a_max, pixels.size):
         assert_matches_reference(pixels, seed, cap)
+
+
+# -- the labelling of the pools below the seed's level ---------------------------
+
+mask_frames = st.one_of(
+    arrays(bool, st.tuples(st.integers(1, 20), st.integers(1, 20))),
+    arrays(bool, st.one_of(
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1)),
+    )),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_frames, st.integers(0, 5))
+@example(np.zeros((3, 4), bool), 1)
+@example(np.ones((3, 4), bool), 1)
+@example(np.ones((1, 5), bool), 1)
+@example(np.array([[1], [1], [0], [1]], bool), 1)
+# a run ending one row and a run starting the next, not joined vertically
+@example(np.array([[0, 0, 1], [1, 0, 0]], bool), 1)
+# an overlap that begins where the upper run starts, not the lower
+@example(np.array([[0, 1, 1], [1, 1, 0]], bool), 1)
+def test_pools_equal_a_four_connected_labelling(mask, outside):
+    count, label = _pools(mask, outside)
+    ref, ref_count = ndimage.label(mask, structure=FOUR)
+    assert count == ref_count
+    assert label.shape == (mask.size,)
+    assert (label[~mask.ravel()] == outside).all()
+    # the same partition of the mask, numbered outside + 1 .. outside + count
+    ours, theirs = label[mask.ravel()], ref.ravel()[mask.ravel()]
+    assert np.array_equal(np.unique(ours), np.arange(outside + 1, outside + 1 + count))
+    assert len(np.unique(ours * (count + 1) + theirs)) == count
 
 
 # -- the stop rule ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ACCEPTANCE_PHANTOMS, acceptance_phantom_spec, scaled_phantom_spec
+from conftest import ACCEPTANCE_PHANTOMS, SRC, acceptance_phantom_spec, scaled_phantom_spec
 from ivuseg import erel
 from ivuseg.cli import RunConfig, _extract
 from ivuseg.component_tree import build_component_tree
@@ -421,7 +422,9 @@ def test_pinned_boundary_counts():
 def test_import_leaves_scipy_ndimage_out():
     # scipy.ndimage costs about 0.1 s at import; the library does not need it
     code = "import sys, ivuseg; print('scipy.ndimage' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
 
 
