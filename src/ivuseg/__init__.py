@@ -18,7 +18,6 @@ from .errors import (
     ContourFormatError,
     DegenerateMaskError,
     DegenerateRegionError,
-    DegenerateSelectionError,
     DimensionMismatchError,
     NoCandidateRegionsError,
     PgmFormatError,
@@ -51,7 +50,6 @@ from .preprocess import (
 )
 from .selection import (
     StabilityProfile,
-    assign_lumen_media,
     feature_vector,
     find_peaks,
     remove_outliers,

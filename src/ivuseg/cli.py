@@ -112,7 +112,8 @@ class RunConfig:
             (self.despeckle_radius >= 1, "despeckle radius must be >= 1"),
             (self.jobs >= 1, "jobs must be >= 1"),
             (self.contour_points >= 16, "contour-points must be >= 16"),
-            (self.mm_per_px is None or self.mm_per_px > 0, "mm-per-px must be positive"),
+            (self.mm_per_px is None or 0 < self.mm_per_px < float("inf"),
+             "mm-per-px must be a finite positive number"),
         ]
         for ok, msg in checks:
             if not ok:

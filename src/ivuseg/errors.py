@@ -2,6 +2,9 @@
 
 Every error that the batch runner turns into a machine-readable record
 derives from SegmentationError so callers can catch one base class.
+Selection's fallbacks (the outlier screen keeping the whole series, the
+media taken as the last region) are answers, not errors: select_regions
+returns them in its StabilityProfile.
 """
 
 
@@ -27,11 +30,6 @@ class DegenerateMaskError(SegmentationError):
 
 class NoCandidateRegionsError(SegmentationError):
     """Raised when the area band leaves no extracted region."""
-
-
-class DegenerateSelectionError(SegmentationError):
-    """Raised when the outlier screen would drop more than a quarter of the
-    regions; select_regions then keeps the whole series."""
 
 
 class DegenerateRegionError(SegmentationError):

@@ -98,8 +98,8 @@ class PhantomSpec:
             )
         if not 0 < self.media_band_fraction < 1:
             raise ValueError("media_band_fraction must lie in (0, 1)")
-        if self.speckle_sigma < 0:
-            raise ValueError("speckle_sigma must be >= 0")
+        if not 0 <= self.speckle_sigma < float("inf"):
+            raise ValueError("speckle_sigma must be finite and >= 0")
         if not 0 <= self.intima_texture < 0.5:
             raise ValueError("intima_texture must lie in [0, 0.5)")
         if not 0 <= self.lumen_texture < 1.0:

@@ -1,11 +1,13 @@
 """Choice of the lumen and media regions from the nested series.
 
-Each region is scored by the product of its boundary length, mean
+select_regions decides in one pass.  Area outliers are screened out, then
+each region is scored by the product of its boundary length, mean
 intensity, and entropy; the stability of that score across consecutive
 regions (its value over the change between its two neighbours) peaks where
 the evolution saturates, which is where the anatomy sits.  The more
 prominent of the first two peaks marks the lumen, the last peak the media;
-with few peaks the media falls back to the outermost region.
+with few peaks the media falls back to the outermost region.  Fallbacks
+are return values, and a frozen StabilityProfile records the decision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .erel import RegionSeries, _local_maxima
-from .errors import DegenerateSelectionError
 
 # Plateaus in the score vector make the stability ratio blow up; they are
 # maximal stability by definition, encoded as a large finite sentinel so
@@ -27,20 +28,21 @@ DEFAULT_Z_MAX = 3.0
 DEFAULT_MIN_PEAKS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityProfile:
     """Decision record of the selection strategy.
 
     peaks and the chosen indices refer to positions in the (outlier-pruned)
     region series; omega[j] is the stability of series index j + 1.
+    degenerate marks a series of one region, both lumen and media.
     """
 
     v: np.ndarray
     omega: np.ndarray
     peaks: list[tuple[int, float]]
-    lumen_index: int = -1
-    media_index: int = -1
-    degenerate: bool = False
+    lumen_index: int
+    media_index: int
+    degenerate: bool
 
 
 def remove_outliers(
@@ -51,11 +53,10 @@ def remove_outliers(
     """Positions of the areas that are no modified Z-score outlier.
 
     M_i = 0.6745 (A_i - median) / MAD; areas with M_i < z_min or
-    M_i > z_max are dropped.  A zero MAD keeps everything.  Dropping more
-    than a quarter of the areas raises DegenerateSelectionError: that many
-    "outliers" means the area distribution itself is not MAD-testable (e.g.
-    two separated size clusters), and the caller keeps the unfiltered
-    series instead.
+    M_i > z_max are dropped (Iglewicz & Hoaglin 1993).  A zero MAD keeps
+    everything, and so does a screen that would drop more than a quarter
+    of the areas: that many "outliers" means the area distribution itself
+    is not MAD-testable (e.g. two separated size clusters).
     """
     areas = np.asarray(areas, dtype=np.float64)
     if areas.size == 0:
@@ -67,10 +68,7 @@ def remove_outliers(
     m = 0.6745 * (areas - med) / mad
     keep = np.flatnonzero((m >= z_min) & (m <= z_max))
     if (areas.size - keep.size) * 4 > areas.size:
-        raise DegenerateSelectionError(
-            "selection degenerate: outlier screen would drop more than a "
-            "quarter of the series"
-        )
+        return np.arange(areas.size)
     return keep
 
 
@@ -122,54 +120,27 @@ def _prominence(vals: np.ndarray, idx: int) -> float:
     return float(h - max(left_min, right_min))
 
 
-def build_profile(v: np.ndarray) -> StabilityProfile:
-    """Locate the stability peaks of the scores v (series coordinates)."""
-    v = np.asarray(v, dtype=np.float64)
-    omega = stability_scores(v)
-    peaks = [(idx + 1, prom) for idx, prom in find_peaks(omega)]
-    return StabilityProfile(v=v, omega=omega, peaks=peaks)
-
-
-def assign_lumen_media(
-    profile: StabilityProfile,
+def lumen_media(
+    n: int,
+    omega: np.ndarray,
+    peaks: list[tuple[int, float]],
     min_peaks: int = DEFAULT_MIN_PEAKS,
 ) -> tuple[int, int]:
-    """Positions of the lumen and the media in the profile's series.
+    """Positions of the lumen and the media in a series of n regions.
 
     The lumen is the higher-prominence peak among the first two (ties go to
-    the earlier one).  With at least min_peaks peaks the media is the last
-    peak; fewer peaks mean artifacts disturbed the evolution and the last
-    region stands in.  Without any peak the lumen falls back to the most
-    stable region.
+    the earlier one), or without peaks the most stable region (position 0
+    when omega is empty).  With at least min_peaks peaks the media is the
+    last peak; fewer peaks mean artifacts disturbed the evolution, and the
+    last region stands in, as it does when the media would be the lumen.
     """
-    n = len(profile.v)
-    if n == 0:
-        raise ValueError("cannot select from an empty series")
-    if n == 1:
-        profile.lumen_index = profile.media_index = 0
-        profile.degenerate = True
-        return 0, 0
-
-    peaks = profile.peaks
     if not peaks:
-        if profile.omega.size:
-            lumen_idx = int(np.argmax(profile.omega)) + 1
-        else:
-            lumen_idx = 0
-        media_idx = n - 1
+        lumen = int(np.argmax(omega)) + 1 if omega.size else 0
+        media = n - 1
     else:
-        first_two = peaks[:2]
-        best = first_two[0]
-        if len(first_two) == 2 and first_two[1][1] > best[1]:
-            best = first_two[1]
-        lumen_idx = best[0]
-        media_idx = peaks[-1][0] if len(peaks) >= min_peaks else n - 1
-
-    if lumen_idx == media_idx:
-        media_idx = n - 1
-    profile.lumen_index = lumen_idx
-    profile.media_index = media_idx
-    return lumen_idx, media_idx
+        lumen = max(peaks[:2], key=lambda peak: peak[1])[0]
+        media = peaks[-1][0] if len(peaks) >= min_peaks else n - 1
+    return lumen, n - 1 if media == lumen else media
 
 
 def select_regions(
@@ -181,14 +152,14 @@ def select_regions(
     """Full selection: outlier pruning, scoring, peak analysis, labelling.
 
     Returns the lumen's and the media's positions in series, and the
-    profile, whose indices are positions in the pruned series.  When the
-    outlier screen would drop more than a quarter of the series
-    (DegenerateSelectionError), the unfiltered series is used instead.
+    profile, whose indices are positions in the pruned series.  An empty
+    series is a ValueError.
     """
-    try:
-        kept = remove_outliers(series.areas, z_min=z_min, z_max=z_max)
-    except DegenerateSelectionError:
-        kept = np.arange(len(series))
-    profile = build_profile(feature_vector(series)[kept])
-    lumen, media = assign_lumen_media(profile, min_peaks=min_peaks)
+    kept = remove_outliers(series.areas, z_min=z_min, z_max=z_max)
+    v = np.asarray(feature_vector(series)[kept], dtype=np.float64)
+    omega = stability_scores(v)
+    peaks = [(idx + 1, prom) for idx, prom in find_peaks(omega)]
+    lumen, media = lumen_media(len(v), omega, peaks, min_peaks)
+    profile = StabilityProfile(v=v, omega=omega, peaks=peaks, lumen_index=lumen,
+                               media_index=media, degenerate=len(v) == 1)
     return int(kept[lumen]), int(kept[media]), profile

@@ -4,8 +4,9 @@ Everything here favours obviousness over speed and, except for the Moore
 walks below (of a mask, and of a chain node in LazyChainAttributes and
 Region), the library's densify under two_tree_hausdorff (densify is itself
 checked against brute_densify) and the counting and retention stages under
-crop_boundary_counts and reference_regions, stays independent of the
-library's own code paths:
+crop_boundary_counts and reference_regions, and the stability scores and
+peaks under reference_select_regions, stays independent of the library's
+own code paths:
 components come from scipy labelling or a full canonical parent image,
 medians from sorting full windows, moments from direct summation,
 distances from all-pairs scans.
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from ivuseg import erel
+from ivuseg import erel, selection
 from ivuseg.erel import _cycle_contour, _cycle_xy, _moore_cycle
 from ivuseg.errors import ContourFormatError, DegenerateMaskError, DimensionMismatchError
 from ivuseg.geometry import Ellipse
@@ -853,3 +854,77 @@ def loop_find_peaks(values: np.ndarray) -> list[int]:
         else:
             i += 1
     return peaks
+
+
+@dataclass
+class ReferenceProfile:
+    """The stability profile as selection filled it in before
+    select_regions built it in one pass: the indices were patched in."""
+
+    v: np.ndarray
+    omega: np.ndarray
+    peaks: list[tuple[int, float]]
+    lumen_index: int = -1
+    media_index: int = -1
+    degenerate: bool = False
+
+
+def reference_build_profile(v: np.ndarray) -> ReferenceProfile:
+    """Locate the stability peaks of the scores v (series coordinates)."""
+    v = np.asarray(v, dtype=np.float64)
+    omega = selection.stability_scores(v)
+    peaks = [(idx + 1, prom) for idx, prom in selection.find_peaks(omega)]
+    return ReferenceProfile(v=v, omega=omega, peaks=peaks)
+
+
+def reference_assign_lumen_media(profile: ReferenceProfile, min_peaks: int = 3) -> tuple[int, int]:
+    """Lumen and media positions by the rule as it was first written,
+    recorded on the profile."""
+    n = len(profile.v)
+    if n == 0:
+        raise ValueError("cannot select from an empty series")
+    if n == 1:
+        profile.lumen_index = profile.media_index = 0
+        profile.degenerate = True
+        return 0, 0
+
+    peaks = profile.peaks
+    if not peaks:
+        if profile.omega.size:
+            lumen_idx = int(np.argmax(profile.omega)) + 1
+        else:
+            lumen_idx = 0
+        media_idx = n - 1
+    else:
+        first_two = peaks[:2]
+        best = first_two[0]
+        if len(first_two) == 2 and first_two[1][1] > best[1]:
+            best = first_two[1]
+        lumen_idx = best[0]
+        media_idx = peaks[-1][0] if len(peaks) >= min_peaks else n - 1
+
+    if lumen_idx == media_idx:
+        media_idx = n - 1
+    profile.lumen_index = lumen_idx
+    profile.media_index = media_idx
+    return lumen_idx, media_idx
+
+
+def reference_select_regions(series, z_min=-3.0, z_max=3.0, min_peaks=3):
+    """select_regions as a screen, a profile and a patched-in assignment.
+
+    The screen is the modified Z-score with a plain loop over the areas;
+    when it would drop more than a quarter of them the whole series is kept.
+    """
+    areas = np.asarray(series.areas, dtype=np.float64)
+    med = float(np.median(areas))
+    mad = float(np.median(np.abs(areas - med)))
+    kept = np.arange(areas.size)
+    if mad != 0.0:
+        screened = [i for i, a in enumerate(areas) if z_min <= 0.6745 * (a - med) / mad <= z_max]
+        if (areas.size - len(screened)) * 4 <= areas.size:
+            kept = np.array(screened, dtype=np.int64)
+    v = series.boundary_length * series.mean_intensity * series.entropy
+    profile = reference_build_profile(v[kept])
+    lumen, media = reference_assign_lumen_media(profile, min_peaks=min_peaks)
+    return int(kept[lumen]), int(kept[media]), profile

@@ -85,6 +85,22 @@ def test_run_config_validation():
         RunConfig(jobs=0).validate()
 
 
+@pytest.mark.parametrize("pitch", ["0", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_pixel_pitch_must_be_finite_and_positive(tmp_path, capsys, pitch, source):
+    # an infinite pitch used to pass and write "hd_mm": Infinity, which is no JSON
+    out = tmp_path / "o"
+    args = ["evaluate", str(tmp_path), "--gold", str(tmp_path), "--outdir", str(out)]
+    if source == "flag":
+        args += ["--mm-per-px", pitch]
+    else:
+        (tmp_path / "run.conf").write_text(f"mm_per_px={pitch}\n")
+        args += ["--config", str(tmp_path / "run.conf")]
+    assert main(args) == 3
+    assert "mm-per-px must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_batch_outputs_and_metrics(phantom_dir, tmp_path):
     frames, gold = phantom_dir
     outdir = tmp_path / "out"
@@ -188,6 +204,9 @@ def test_cli_phantom_subcommand(tmp_path):
 @pytest.mark.parametrize("args, spec_text", [
     (["--frames", "0"], None),
     (["--sigma", "-1"], None),
+    (["--sigma", "nan"], None),
+    (["--sigma", "inf"], None),
+    (["--spec", "bad.spec"], "speckle_sigma=nan\n"),
     (["--spec", "missing.spec"], None),
     (["--spec", "bad.spec"], "bogus=1\n"),
     (["--spec", "bad.spec"], "artifact=shadow:1\n"),
@@ -578,6 +597,31 @@ def _run_quietly(argv: list[str]) -> tuple[int, str]:
 
 def _outputs(outdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_batch_outputs_are_strict_json(tmp_path):
+    # every *.json the batch commands write must parse without NaN/Infinity
+    demo = tmp_path / "demo"
+    assert _run_quietly(["phantom", "--outdir", str(demo), "--frames", "2",
+                         "--rng-seed", "7"])[0] == 0
+    runs = {
+        "segment": (["--trace"], 4),
+        "evaluate": (["--mm-per-px", "0.026", "--trace"], 5),
+        "bestcase": ([], 1),
+    }
+    for command, (extra, count) in runs.items():
+        out = tmp_path / command
+        code, _ = _run_quietly([command, str(demo), "--gold", str(demo),
+                                "--outdir", str(out), *extra])
+        assert code == 0
+        written = sorted(out.rglob("*.json"))
+        assert len(written) == count, [p.name for p in written]
+        for path in written:
+            json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.fixture(scope="module")

@@ -1,23 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ivuseg.erel import RegionSeries
-from ivuseg.errors import DegenerateSelectionError
 from ivuseg.selection import (
     STABILITY_SENTINEL,
-    StabilityProfile,
-    assign_lumen_media,
-    build_profile,
     feature_vector,
     find_peaks,
+    lumen_media,
     remove_outliers,
     select_regions,
     stability_scores,
 )
-from oracles import loop_find_peaks
+from oracles import loop_find_peaks, reference_select_regions
 
 
 def series_with_areas(areas, boundary_length=10, mean_intensity=1.0, entropy=1.0):
@@ -54,11 +53,16 @@ def test_outliers_within_one_mad_kept():
     assert len(remove_outliers(np.array([99, 100, 100, 101, 101]))) == 5
 
 
-def test_outlier_mass_removal_is_degenerate():
+def test_outlier_mass_removal_keeps_every_position():
     # two separated size clusters: the screen would drop the smaller cluster
-    # wholesale, which is the degenerate case
-    with pytest.raises(DegenerateSelectionError):
-        remove_outliers(np.array([100, 101, 120, 5000, 5001, 5002, 5003, 5004, 5005]))
+    # wholesale, which is the degenerate case, so nothing is dropped
+    areas = np.array([100, 101, 120, 5000, 5001, 5002, 5003, 5004, 5005])
+    assert remove_outliers(areas).tolist() == list(range(9))
+
+
+def test_select_regions_of_nothing_is_an_error():
+    with pytest.raises(ValueError):
+        select_regions(series_with_areas([]))
 
 
 def test_select_regions_falls_back_on_degenerate_removal():
@@ -164,70 +168,60 @@ def test_selection_invariant_under_positive_scaling(vals, scale):
 
 # -- lumen/media assignment --------------------------------------------------------
 
-def profile_with_peaks(n, peaks):
-    return StabilityProfile(
-        v=np.ones(n), omega=np.ones(max(0, n - 2)), peaks=peaks
-    )
-
-
 def test_assign_three_peaks_uses_prominence_then_last():
-    profile = profile_with_peaks(11, [(2, 3.0), (5, 1.2), (9, 2.0)])
-    assert assign_lumen_media(profile) == (2, 9)
-    assert profile.lumen_index == 2
-    assert profile.media_index == 9
+    assert lumen_media(11, np.ones(9), [(2, 3.0), (5, 1.2), (9, 2.0)]) == (2, 9)
 
 
 def test_assign_two_peaks_media_falls_to_last_region():
-    profile = profile_with_peaks(10, [(4, 1.0), (6, 5.0)])
-    assert assign_lumen_media(profile) == (6, 9)
-    assert profile.lumen_index == 6
-    assert profile.media_index == 9
+    assert lumen_media(10, np.ones(8), [(4, 1.0), (6, 5.0)]) == (6, 9)
 
 
 def test_assign_tie_prefers_earlier_peak():
-    profile = profile_with_peaks(10, [(3, 2.0), (5, 2.0), (8, 0.5)])
-    assign_lumen_media(profile)
-    assert profile.lumen_index == 3
+    assert lumen_media(10, np.ones(8), [(3, 2.0), (5, 2.0), (8, 0.5)]) == (3, 8)
 
 
 def test_assign_no_peaks_uses_max_stability():
-    profile = StabilityProfile(
-        v=np.ones(6),
-        omega=np.array([1.0, 7.0, 2.0, 3.0]),
-        peaks=[],
-    )
-    assign_lumen_media(profile)
-    assert profile.lumen_index == 2  # omega argmax 1 -> series index 2
-    assert profile.media_index == 5
+    # omega argmax 1 -> series index 2; the media is the last region
+    assert lumen_media(6, np.array([1.0, 7.0, 2.0, 3.0]), []) == (2, 5)
 
 
 def test_assign_single_region_degenerate():
-    profile = StabilityProfile(v=np.ones(1), omega=np.empty(0), peaks=[])
-    assert assign_lumen_media(profile) == (0, 0)
-    assert profile.degenerate
+    assert lumen_media(1, np.empty(0), []) == (0, 0)
+    lumen, media, profile = select_regions(series_with_areas([500]))
+    assert (lumen, media) == (0, 0)
+    assert (profile.lumen_index, profile.media_index, profile.degenerate) == (0, 0, True)
 
 
 def test_assign_lumen_never_after_media():
     rng = np.random.default_rng(0)
     for _ in range(200):
         n = int(rng.integers(1, 30))
-        areas = np.sort(rng.integers(100, 10_000, n))
-        areas = np.unique(areas)
-        if areas.size == 0:
-            continue
-        v = (rng.integers(4, 400, areas.size) * rng.uniform(1, 200, areas.size)
-             * rng.uniform(0.0, 8.0, areas.size))
-        profile = build_profile(v)
-        assign_lumen_media(profile)
+        areas = np.unique(rng.integers(100, 10_000, n))
+        m = areas.size
+        series = series_with_areas(areas, boundary_length=rng.integers(4, 400, m),
+                                   mean_intensity=rng.uniform(1, 200, m),
+                                   entropy=rng.uniform(0.0, 8.0, m))
+        lumen, media, profile = select_regions(series)
         assert profile.lumen_index <= profile.media_index
-        assert areas[profile.lumen_index] <= areas[profile.media_index]
+        assert lumen <= media
+        assert areas[lumen] <= areas[media]
 
 
-def test_build_profile_peaks_in_series_coordinates():
-    profile = build_profile(np.array([1, 1, 1, 9, 1, 1, 1, 1, 1, 1], dtype=np.float64))
-    # v spikes at series index 3; omega peaks there too (1-based interior)
+def test_profile_peaks_in_series_coordinates():
+    # equal areas pass the screen whole; v spikes at series index 3 and
+    # omega peaks there too (1-based interior)
+    series = series_with_areas(np.full(10, 700),
+                               boundary_length=np.array([1, 1, 1, 9, 1, 1, 1, 1, 1, 1]))
+    lumen, media, profile = select_regions(series)
     assert any(idx == 3 for idx, _ in profile.peaks)
     assert len(profile.omega) == len(profile.v) - 2
+    assert not profile.degenerate
+
+
+def test_profile_is_frozen():
+    _, _, profile = select_regions(series_with_areas([100, 140, 200, 280, 400]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        profile.media_index = 0
 
 
 def test_determinism():
@@ -237,3 +231,47 @@ def test_determinism():
     assert a[:2] == b[:2]
     assert a[2].lumen_index == b[2].lumen_index
     assert a[2].media_index == b[2].media_index
+
+
+# -- against the reference -------------------------------------------------------
+
+@st.composite
+def drawn_series(draw):
+    """Series of 1-40 regions: plateau-heavy or free scores, and areas
+    that are tight, spread, or two clusters that trip the quarter rule."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["tight", "spread", "clusters"]))
+    if kind == "tight":
+        areas = draw(st.lists(st.integers(1000, 1010), min_size=n, max_size=n))
+    elif kind == "spread":
+        areas = draw(st.lists(st.integers(1, 100_000), min_size=n, max_size=n))
+    else:
+        small = draw(st.integers(0, n))
+        areas = ([100 + draw(st.integers(0, 20)) for _ in range(small)]
+                 + [5000 + draw(st.integers(0, 10)) for _ in range(n - small)])
+    scores = st.one_of(
+        st.lists(st.sampled_from([1, 2, 3]), min_size=n, max_size=n),
+        st.lists(st.integers(0, 500), min_size=n, max_size=n),
+    )
+    return series_with_areas(
+        sorted(areas),
+        boundary_length=np.array(draw(scores), dtype=np.int64),
+        mean_intensity=np.array(draw(scores), dtype=np.float64),
+        entropy=np.round(draw(st.lists(st.floats(0.0, 8.0), min_size=n, max_size=n)), 3),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn_series(), st.integers(1, 5))
+@example(series_with_areas([100, 101, 120, 5000, 5001, 5002, 5003, 5004, 5005],
+                           boundary_length=np.array([3, 1, 2, 9, 1, 1, 4, 1, 2])), 3)
+@example(series_with_areas([42]), 1)
+def test_select_regions_equals_the_reference(series, min_peaks):
+    lumen, media, profile = select_regions(series, min_peaks=min_peaks)
+    ref_lumen, ref_media, ref = reference_select_regions(series, min_peaks=min_peaks)
+    assert (lumen, media) == (ref_lumen, ref_media)
+    assert profile.v.tobytes() == ref.v.tobytes()
+    assert profile.omega.tobytes() == ref.omega.tobytes()
+    assert profile.peaks == ref.peaks
+    assert (profile.lumen_index, profile.media_index, profile.degenerate) == (
+        ref.lumen_index, ref.media_index, ref.degenerate)
