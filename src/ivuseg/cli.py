@@ -41,6 +41,9 @@ log = logging.getLogger(__name__)
 OVERLAY_LUMEN = (255, 0, 255)
 OVERLAY_MEDIA = (0, 255, 0)
 OVERLAY_GOLD = (255, 255, 0)
+# The largest pixel pitch accepted: at 1 mm/px a 384-px frame spans 38 cm,
+# beyond any IVUS field of view.
+MAX_MM_PER_PX = 1.0
 
 
 def _truthy(text: str) -> bool:
@@ -112,8 +115,8 @@ class RunConfig:
             (self.despeckle_radius >= 1, "despeckle radius must be >= 1"),
             (self.jobs >= 1, "jobs must be >= 1"),
             (self.contour_points >= 16, "contour-points must be >= 16"),
-            (self.mm_per_px is None or 0 < self.mm_per_px < float("inf"),
-             "mm-per-px must be a finite positive number"),
+            (self.mm_per_px is None or 0 < self.mm_per_px <= MAX_MM_PER_PX,
+             f"mm-per-px must be a finite positive number, at most {MAX_MM_PER_PX:g} mm/px"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -2,6 +2,10 @@
 
 All operations are pure: they never mutate their inputs and return fresh
 values, so frames can be shared freely across worker processes.
+
+One window rule serves despeckling and the artifact fill: a pixel's value is
+the lower median of the valid samples in a square window clipped to the
+frame.  window_medians is its one implementation.
 """
 
 from __future__ import annotations
@@ -230,63 +234,67 @@ def _median9_network(pixels: np.ndarray) -> np.ndarray:
     return v[4]
 
 
-def _edge_medians(bands: np.ndarray) -> np.ndarray:
-    """Lower medians of the six-pixel windows along edge bands.
+# Window values window_medians gathers and sorts at once: 2 MiB of uint16.
+_WINDOW_CHUNK = 1 << 20
 
-    bands is (sides, 2, length): per side, the two lines nearest that edge.
-    Returns (sides, length - 2), the medians of the 2x3 windows centred on
-    the edge line's inner pixels.
+
+def window_medians(
+    pixels: np.ndarray, excluded: np.ndarray | None, ys: np.ndarray, xs: np.ndarray, radius: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower medians of the windows centred on the pixels (ys, xs).
+
+    A window's samples are the pixels at most radius away in each axis,
+    clipped to the frame, less those marked in the bool map excluded (None
+    excludes none).  Returns (medians, counts): element (count - 1) // 2 of
+    each window's sorted samples as uint16, and the number of samples.  A
+    window without samples reads 256.  Windows are gathered and sorted a
+    chunk of pixels at a time, _WINDOW_CHUNK values per chunk, so memory
+    stays flat however many pixels or however large the window.
     """
-    length = bands.shape[2]
-    windows = np.stack([
-        bands[:, line, dx : length - 2 + dx] for line in range(2) for dx in range(3)
-    ])
-    return np.sort(windows, axis=0)[2]
-
-
-# Window values the general median path sorts at once: 2 MiB of int16.
-_MEDIAN_CHUNK = 1 << 20
+    h, w = pixels.shape
+    k = 2 * radius + 1
+    # cells off the frame or excluded read 256, above every intensity, so
+    # they sort after a window's samples
+    grid = np.full((h + 2 * radius, w + 2 * radius), 256, dtype=np.uint16)
+    inner = grid[radius : radius + h, radius : radius + w]
+    inner[...] = pixels
+    if excluded is not None:
+        inner[excluded] = 256
+    windows = np.lib.stride_tricks.sliding_window_view(grid, (k, k))
+    medians = np.empty(ys.size, dtype=np.uint16)
+    counts = np.empty(ys.size, dtype=np.intp)
+    step = max(1, _WINDOW_CHUNK // (k * k))
+    for start in range(0, ys.size, step):
+        part = slice(start, start + step)
+        cells = windows[ys[part], xs[part]].reshape(-1, k * k)
+        counts[part] = np.count_nonzero(cells != 256, axis=1)
+        cells.sort(axis=1)
+        medians[part] = cells[np.arange(cells.shape[0]), (counts[part] - 1) // 2]
+    return medians, counts
 
 
 def median_filter(frame: Frame, radius: int = 1) -> Frame:
     """Median despeckle with a (2*radius+1)^2 window.
 
-    Windows are clamped at the borders: only in-image pixels enter the
-    median, no padding values are invented.  Windows with an even pixel
-    count take the lower middle element, so output intensities are always
-    drawn from the input.
+    Each pixel takes the lower median of its window clipped to the frame:
+    only in-image pixels enter, no padding values are invented, and a window
+    with an even pixel count takes the lower middle element, so output
+    intensities are always drawn from the input.  At radius 1 a sorting
+    network computes the interior and window_medians the one-pixel border;
+    at any other radius window_medians computes every pixel.
     """
     if radius < 1:
         raise ValueError("median radius must be >= 1")
-    h, w = frame.pixels.shape
-    k = 2 * radius + 1
-
+    px = frame.pixels
+    h, w = px.shape
     if radius == 1 and h > 2 and w > 2:
-        px = frame.pixels
         out = np.empty_like(px)
         out[1:-1, 1:-1] = _median9_network(px)
-        # clamped border windows: 2x3 along the edges, 2x2 at the corners
-        out[[0, -1], 1:-1] = _edge_medians(np.stack([px[:2], px[-2:]]))
-        out[1:-1, [0, -1]] = _edge_medians(np.stack([px[:, :2].T, px[:, -2:].T])).T
-        corners = np.stack([px[:2, :2], px[:2, -2:], px[-2:, :2], px[-2:, -2:]])
-        out[[0, 0, -1, -1], [0, -1, 0, -1]] = np.sort(corners.reshape(4, 4), axis=1)[:, 1]
+        rows = np.arange(1, h - 1)
+        ys = np.r_[np.zeros(w, np.intp), np.full(w, h - 1), rows, rows]
+        xs = np.r_[np.arange(w), np.arange(w), np.zeros(h - 2, np.intp), np.full(h - 2, w - 1)]
+        out[ys, xs] = window_medians(px, None, ys, xs, 1)[0]
         return Frame(pixels=out)
-
-    # general path: sort each clamped window, sentinel-padded so the per-
-    # pixel valid count selects the lower-middle order statistic; a band of
-    # rows at a time, so the sorted copy stays within _MEDIAN_CHUNK values
-    padded = np.full((h + 2 * radius, w + 2 * radius), 300, dtype=np.int16)
-    padded[radius : radius + h, radius : radius + w] = frame.pixels
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-
-    rows = np.minimum(np.arange(h), radius) + np.minimum(h - 1 - np.arange(h), radius) + 1
-    cols = np.minimum(np.arange(w), radius) + np.minimum(w - 1 - np.arange(w), radius) + 1
-    counts = rows[:, None] * cols[None, :]
-    mid = (counts - 1) // 2
-    out = np.empty((h, w), dtype=np.int16)
-    band = max(1, _MEDIAN_CHUNK // (w * k * k))
-    for y in range(0, h, band):
-        stack = np.array(windows[y : y + band]).reshape(-1, w, k * k)
-        stack.sort(axis=2)
-        out[y : y + band] = np.take_along_axis(stack, mid[y : y + band, :, None], axis=2)[:, :, 0]
-    return Frame(pixels=out.astype(np.uint8))
+    ys, xs = np.divmod(np.arange(h * w), w)
+    medians = window_medians(px, None, ys, xs, radius)[0]
+    return Frame(pixels=medians.reshape(h, w).astype(np.uint8))

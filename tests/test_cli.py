@@ -85,10 +85,11 @@ def test_run_config_validation():
         RunConfig(jobs=0).validate()
 
 
-@pytest.mark.parametrize("pitch", ["0", "inf"])
+@pytest.mark.parametrize("pitch", ["0", "inf", "1e308"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_pixel_pitch_must_be_finite_and_positive(tmp_path, capsys, pitch, source):
-    # an infinite pitch used to pass and write "hd_mm": Infinity, which is no JSON
+    # an infinite pitch used to pass and write "hd_mm": Infinity, which is no
+    # JSON; so did 1e308, whose distances overflow to infinity
     out = tmp_path / "o"
     args = ["evaluate", str(tmp_path), "--gold", str(tmp_path), "--outdir", str(out)]
     if source == "flag":

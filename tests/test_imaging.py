@@ -313,20 +313,23 @@ def test_median_matches_brute_force(pixels, radius):
 
 @settings(max_examples=30, deadline=None)
 @given(small_frames, st.integers(2, 3), st.integers(1, 400))
-def test_median_in_row_bands_matches_brute_force(pixels, radius, chunk):
-    # a small sort budget splits the frame into bands of one or more rows
+def test_median_in_chunks_matches_brute_force(pixels, radius, chunk):
+    # a small sort budget splits the pixels into chunks of one or more windows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(imaging, "_MEDIAN_CHUNK", chunk)
+        mp.setattr(imaging, "_WINDOW_CHUNK", chunk)
         out = median_filter(Frame(pixels=pixels), radius).pixels
     assert np.array_equal(out, brute_median_filter(pixels, radius))
 
 
-def test_median_memory_does_not_grow_with_the_window():
-    # sorting every (2r+1)^2 window of the frame at once took 95 MiB at r = 6
-    pixels = np.random.default_rng(0).integers(0, 256, (384, 384)).astype(np.uint8)
+# Sorting every (2r+1)^2 window of the frame at once took 95 MiB at r = 6 on
+# 384x384; sorting a whole row of windows at once took 84 MiB at r = 60 on a
+# 3x1000 frame, whose one row of windows is 28 MiB.
+@pytest.mark.parametrize("shape, radius", [((384, 384), 6), ((3, 1000), 60)])
+def test_median_memory_does_not_grow_with_the_window(shape, radius):
+    pixels = np.random.default_rng(0).integers(0, 256, shape).astype(np.uint8)
     tracemalloc.start()
     try:
-        median_filter(Frame(pixels=pixels), 6)
+        median_filter(Frame(pixels=pixels), radius)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ivuseg import imaging
 from ivuseg.errors import DegenerateMaskError, DimensionMismatchError
 from ivuseg.imaging import Frame
 from ivuseg.preprocess import ArtifactModel, build_artifact_model, remove_artifacts
@@ -199,3 +200,17 @@ def test_remove_artifacts_matches_pixel_loop(case):
     ours = remove_artifacts(frame, model)
     ref = brute_remove_artifacts(frame, model)
     assert np.array_equal(ours.pixels, ref.pixels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_frames(), st.integers(1, 2000))
+def test_remove_artifacts_in_chunks_matches_pixel_loop(case, chunk):
+    # a small sort budget splits the masked pixels into chunks of 1 to 40
+    # windows, so the fills of each window size cross chunk boundaries
+    pixels, mask = case
+    model = ArtifactModel(mask=mask)
+    frame = Frame(pixels=pixels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(imaging, "_WINDOW_CHUNK", chunk)
+        ours = remove_artifacts(frame, model)
+    assert np.array_equal(ours.pixels, brute_remove_artifacts(frame, model).pixels)
