@@ -1,10 +1,11 @@
 """Segmentation quality over the acceptance phantom populations.
 
-Runs the full pipeline on 50 clean and 50 shadow phantoms and prints the
+Runs the full pipeline on 50 clean and 50 shadow phantoms (the shadow
+attenuation, 0.6, is fixed by acceptance_phantom_spec) and prints the
 per-population mean/std of JM, HD, and PAD for both structures, in the
 layout of a per-artifact performance table.
 
-Usage: python scripts/phantom_benchmark.py [--n 50] [--shadow-attenuation 0.6]
+Usage: python scripts/phantom_benchmark.py [--n 50]
 """
 
 import argparse

@@ -115,6 +115,8 @@ class RunConfig:
             (self.despeckle_radius >= 1, "despeckle radius must be >= 1"),
             (self.jobs >= 1, "jobs must be >= 1"),
             (self.contour_points >= 16, "contour-points must be >= 16"),
+            # a seed past one frame's size is that frame's error: sizes differ
+            (self.seed is None or min(self.seed) >= 0, "seed coordinates must be >= 0"),
             (self.mm_per_px is None or 0 < self.mm_per_px <= MAX_MM_PER_PX,
              f"mm-per-px must be a finite positive number, at most {MAX_MM_PER_PX:g} mm/px"),
         ]
@@ -499,6 +501,8 @@ def bestcase_frame(
 
     A region's overlap with a gold mask comes from one histogram of the
     mask's join indices (RegionSeries.overlaps), its union from the areas.
+    The best region's Hausdorff distance is taken between its
+    border-exposed pixel centres and the half-pixel densified gold contour.
     """
     _, _, series = _extract(frame, cfg, artifact_model)
     areas = series.areas
@@ -512,7 +516,7 @@ def bestcase_frame(
         jms = inter / (areas + gold_area - inter)
         idx = int(np.argmax(jms))
         area = int(areas[idx])
-        hd = metrics.hausdorff(series.boundary(idx), contour)
+        hd = metrics.hausdorff_points(series.boundary(idx), metrics.densify(contour))
         out[name] = {
             "jm": float(jms[idx]),
             "index": idx,

@@ -19,7 +19,6 @@ from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
 from .component_tree import ComponentTree
 from .errors import NoCandidateRegionsError
-from .imaging import Contour
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 1
@@ -94,7 +93,10 @@ class RegionSeries:
     pixel is origin (x, y) in a frame of the given shape (height, width).
     row_map covers that box: each pixel holds the first row whose region
     contains it, or len(series) when none does, so row i's region is the
-    pixels where row_map <= i.
+    pixels where row_map <= i.  reach_map covers it too: each pixel holds
+    the first row whose outside background reaches none of its
+    4-neighbours, so row i's border-exposed pixels are those where
+    row_map <= i < reach_map.
     """
 
     index: np.ndarray
@@ -104,6 +106,7 @@ class RegionSeries:
     mean_intensity: np.ndarray
     entropy: np.ndarray
     row_map: np.ndarray
+    reach_map: np.ndarray
     origin: tuple[int, int]
     shape: tuple[int, int]
 
@@ -145,13 +148,13 @@ class RegionSeries:
         cx, cy = sx / a, sy / a
         return (cx, cy), sxx / a - cx * cx, sxy / a - cx * cy, syy / a - cy * cy
 
-    def boundary(self, i: int) -> Contour:
-        """Region i's ordered outer-boundary trace (see _moore_cycle), walked
-        on the padded box from the region's first pixel in raster order."""
-        outside = np.pad(self.row_map > self._row(i), 1, constant_values=True)
-        w2 = outside.shape[1]
-        cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
-        return _cycle_contour(cycle, w2, *self.origin)
+    def boundary(self, i: int) -> np.ndarray:
+        """Region i's border-exposed pixels as an (n, 2) array of frame
+        (x, y) in raster order: the pixels boundary_length[i] counts."""
+        k = self._row(i)
+        ys, xs = np.nonzero((self.row_map <= k) & (k < self.reach_map))
+        x0, y0 = self.origin
+        return np.column_stack([xs + x0, ys + y0])
 
     def overlaps(self, mask: np.ndarray) -> np.ndarray:
         """Pixels of the frame mask inside each region.
@@ -213,81 +216,19 @@ def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Boundary machinery.  boundary_length is the number of border-exposed
-# pixels: region pixels with a 4-neighbour in the background that is
-# 4-connected to the outside.  Hole boundaries do not count, and neither do
-# pocket pixels that touch the outside only across a diagonal gap.  All
-# candidates are counted in one widest-path pass (_boundary_counts).  The
-# Moore walk below only draws a region's ordered contour
-# (RegionSeries.boundary), the one bestcase scores by Hausdorff distance.
+# Boundary machinery.  A region's boundary is its border-exposed pixels:
+# region pixels with a 4-neighbour in the background that is 4-connected to
+# the outside.  Hole boundaries do not count, and neither do pocket pixels
+# that touch the outside only across a diagonal gap.  One widest-path pass
+# (_boundary_counts) finds them for all candidates: boundary_length counts
+# them, and RegionSeries.boundary lists them.
 # ---------------------------------------------------------------------------
-
-# Clockwise Moore neighbourhood in image coordinates (y down), west first.
-_MOORE_STEPS = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
-# _NEXT_BACKTRACK[b][i-1]: backtrack direction after moving to the pixel found
-# at clockwise probe i from backtrack direction b (the cell probed just
-# before, seen from the new pixel).
-_NEXT_BACKTRACK: list[list[int]] = []
-for _b in range(8):
-    row = []
-    for _i in range(1, 9):
-        _d = (_b + _i) % 8
-        _py, _px = _MOORE_STEPS[(_b + _i - 1) % 8]
-        _ny, _nx = _MOORE_STEPS[_d]
-        row.append(_MOORE_STEPS.index((_py - _ny, _px - _nx)))
-    _NEXT_BACKTRACK.append(row)
-
-
-def _moore_cycle(vals, k: int, start_flat: int, w2: int) -> list[int]:
-    """Flat padded-grid indices of the Moore walk cycle from start_flat.
-
-    vals is a flat indexable over a grid with a one-pixel outside border of
-    width w2; a pixel is inside the region when its value is <= k.  The
-    walk starts at the region's first pixel in raster order, whose west
-    neighbour is outside.
-    """
-    steps = [dy * w2 + dx for dy, dx in _MOORE_STEPS]
-    probe = [[steps[(b + i) % 8] for i in range(1, 9)] for b in range(8)]
-    nxt_b = _NEXT_BACKTRACK
-
-    cur = start_flat
-    b = 0
-    path = [cur]
-    seen = {(cur << 3) | b: 0}
-    while True:
-        offs = probe[b]
-        for i in range(8):
-            cand = cur + offs[i]
-            if vals[cand] <= k:
-                break
-        else:
-            return path  # an isolated pixel
-        cur = cand
-        b = nxt_b[b][i]
-        state = (cur << 3) | b
-        idx = seen.get(state)
-        if idx is not None:
-            return path[idx:]
-        seen[state] = len(path)
-        path.append(cur)
-
-
-def _cycle_xy(cycle, w2: int, ox: int = 0, oy: int = 0) -> np.ndarray:
-    """(n, 2) integer frame (x, y) of flat padded-grid indices."""
-    arr = np.asarray(cycle)
-    return np.column_stack([arr % w2 - 1 + ox, arr // w2 - 1 + oy])
-
-
-def _cycle_contour(cycle, w2: int, ox: int = 0, oy: int = 0) -> Contour:
-    """A walk cycle as a contour; closed when it has at least 3 points."""
-    pts = _cycle_xy(cycle, w2, ox, oy).astype(np.float64)
-    return Contour(points=pts, closed=pts.shape[0] >= 3)
-
 
 def _boundary_counts(
     band_map: np.ndarray, m: int, maxima: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(boundary lengths, gradient-maxima hits) of all m candidates in one pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(boundary lengths, gradient-maxima hits, reach map) of all m
+    candidates in one pass.
 
     band_map is extract_qplus's map of the largest candidate's bounding box:
     each pixel holds the position of the first candidate that contains it,
@@ -303,7 +244,7 @@ def _boundary_counts(
     outside background exactly when e(q) > c.  So p lies on c's boundary
     exactly when L(p) <= c < E(p), where E(p) is the largest e over p's
     4-neighbours, and the counts are a difference array summed up to each
-    candidate.
+    candidate.  The reach map is E over the box.
 
     L, and so e, is constant on each horizontal run of equal L.  The runs
     are the nodes of a graph with one edge per pair of 4-adjacent runs,
@@ -368,7 +309,7 @@ def _boundary_counts(
         diff = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
         return np.cumsum(diff[:m])
 
-    return per_candidate(enter, leave), per_candidate(enter[hit], leave[hit])
+    return per_candidate(enter, leave), per_candidate(enter[hit], leave[hit]), reach
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +435,18 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
     window = gradient_magnitude_maxima(pixels[by0 : min(h, y1 + 2), bx0 : min(w, x1 + 2)])
     maxima = window[y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
-    lengths, hits = _boundary_counts(band_map, m, maxima)
+    lengths, hits, reach = _boundary_counts(band_map, m, maxima)
     retained = np.asarray(select_extremum_levels(lengths, hits, params), dtype=np.intp)
 
-    # position p lies in row i's region exactly when p <= retained[i]; when
-    # every candidate is retained, the rows are the positions
+    # position p lies in row i's region exactly when p <= retained[i], and
+    # retained[i] < p exactly when i < to_row[p]; when every candidate is
+    # retained, the rows are the positions
     n = retained.size
     if n == m:
-        row_map = band_map
+        row_map, reach_map = band_map, reach
     else:
         to_row = np.searchsorted(retained, np.arange(m + 1)).astype(np.min_scalar_type(n))
-        row_map = np.take(to_row, band_map)
+        row_map, reach_map = np.take(to_row, band_map), np.take(to_row, reach)
     index = band[retained]
     return RegionSeries(
         index=index,
@@ -513,6 +455,7 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
         boundary_length=lengths[retained],
         **_region_attributes(row_map, pixels[y0:y1, x0:x1], areas[index]),
         row_map=row_map,
+        reach_map=reach_map,
         origin=(x0, y0),
         shape=(h, w),
     )

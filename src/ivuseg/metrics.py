@@ -2,7 +2,8 @@
 
 The Hausdorff distance is computed between point sets sampled on the two
 contours; both polylines are densified to at most half-pixel spacing first
-so the sampling error stays below a tenth of a pixel.
+so the sampling error stays below a tenth of a pixel.  hausdorff_points
+takes the point sets themselves.
 """
 
 from __future__ import annotations
@@ -66,11 +67,13 @@ def _directed_max(tree: cKDTree, pts: np.ndarray, tol: float) -> np.float64:
     efficient algorithm for calculating the exact Hausdorff distance"
     (IEEE TPAMI 2015).  Every HAUSDORFF_STRIDE-th point and the last are
     queried; each point is bounded from the sampled points before and
-    after it in contour order, and only points whose bound comes within
-    tol of the best sampled distance are queried too.  tol covers rounding
-    in the queries and the bounds, so a skipped point is never the
-    farthest, and the result is the largest of the same per-point query
-    values a full query gives.
+    after it in array order, and only points whose bound comes within tol
+    of the best sampled distance are queried too.  tol covers rounding in
+    the queries and the bounds, so a skipped point is never the farthest,
+    and the result is the largest of the same per-point query values a
+    full query gives.  The bound holds for points in any order; in contour
+    order neighbours are close, so the bounds are tight and few points
+    need a query.
     """
     k = HAUSDORFF_STRIDE
     n = len(pts)
@@ -91,8 +94,12 @@ def _directed_max(tree: cKDTree, pts: np.ndarray, tol: float) -> np.float64:
 
 def hausdorff(c1: Contour, c2: Contour) -> float:
     """Symmetric Hausdorff distance in pixels between two contours."""
-    p1 = densify(c1)
-    p2 = densify(c2)
+    return hausdorff_points(densify(c1), densify(c2))
+
+
+def hausdorff_points(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two non-empty (n, 2) point
+    sets, in any order."""
     # rounding in a distance or a bound is a few ulps of the coordinates
     tol = 1e-9 * (1.0 + max(np.abs(p1).max(), np.abs(p2).max()))
     d12 = _directed_max(cKDTree(p2), p1, tol)

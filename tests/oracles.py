@@ -1,15 +1,14 @@
 """Independent brute-force reference implementations for the test suite.
 
-Everything here favours obviousness over speed and, except for the Moore
-walks below (of a mask, and of a chain node in LazyChainAttributes and
-Region), the library's densify under two_tree_hausdorff (densify is itself
-checked against brute_densify) and the counting and retention stages under
+Everything here favours obviousness over speed and, except for the
+library's densify under two_tree_hausdorff (densify is itself checked
+against brute_densify) and the counting and retention stages under
 crop_boundary_counts and reference_regions, and the stability scores and
 peaks under reference_select_regions, stays independent of the library's
 own code paths:
 components come from scipy labelling or a full canonical parent image,
-medians from sorting full windows, moments from direct summation,
-distances from all-pairs scans.
+boundaries from a flood fill, medians from sorting full windows, moments
+from direct summation, distances from all-pairs scans.
 """
 
 import math
@@ -22,14 +21,12 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from ivuseg import erel, selection
-from ivuseg.erel import _cycle_contour, _cycle_xy, _moore_cycle
 from ivuseg.errors import ContourFormatError, DegenerateMaskError, DimensionMismatchError
 from ivuseg.geometry import Ellipse
 from ivuseg.imaging import Contour, Frame
 from ivuseg.metrics import densify
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-EIGHT = np.ones((3, 3), dtype=bool)
 
 
 def brute_median_filter(pixels: np.ndarray, radius: int) -> np.ndarray:
@@ -260,69 +257,27 @@ def per_point_save_contour(contour: Contour, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Outer boundaries of a bool mask.  The library walks a chain node's boundary
-# on the chain's join-index grid; the references below walk a plain mask
-# instead.  The mask walk reuses the library's _moore_cycle on a padded
-# ~mask byte grid (a pixel is inside when its byte is 0), so it checks the
-# chain's grid, crop and start pixel rather than the walk itself; the flood
-# from the frame border in outer_adjacent_pixels is independent of it.
+# The outer boundary of a bool mask, by flood fill.  The library reads every
+# candidate's boundary off one widest-path pass; this labels one mask's
+# background instead.
 # ---------------------------------------------------------------------------
-
-def _mask_cycle(mask: np.ndarray) -> tuple[list[int], int]:
-    """(Moore walk cycle, padded width) of a bool mask's outer boundary."""
-    if not mask.any():
-        raise ValueError("cannot trace an empty region")
-    ys, xs = np.nonzero(mask)
-    w2 = mask.shape[1] + 2
-    outside = np.pad(~mask, 1, constant_values=True).astype(np.uint8).tobytes()
-    return _moore_cycle(outside, 0, (int(ys[0]) + 1) * w2 + int(xs[0]) + 1, w2), w2
-
-
-def trace_outer_boundary(mask: np.ndarray) -> Contour:
-    """Ordered Moore-neighbourhood walk around the outer contour.
-
-    Starts at the first region pixel in raster order (whose west neighbour
-    is outside the region) and walks clockwise.  The walk is a deterministic
-    function of its (pixel, backtrack) state, so it must eventually repeat a
-    state; the contour is the pixel cycle between the two occurrences, which
-    covers the complete outer boundary exactly once (spurs appear twice,
-    once per side).
-    """
-    return _cycle_contour(*_mask_cycle(mask))
-
-
-def boundary_pixel_set(mask: np.ndarray) -> np.ndarray:
-    """Distinct (x, y) pixels on the Moore-traced outer boundary."""
-    cycle, w2 = _mask_cycle(mask)
-    return _cycle_xy(np.unique(cycle), w2)
-
-
-def outer_adjacent_pixels(mask: np.ndarray) -> np.ndarray:
-    """(n, 2) (x, y) region pixels 8-adjacent to the border-connected
-    background; a superset of the traced outer boundary, which skips pocket
-    pixels that touch the outside only across a diagonal gap."""
-    padded = np.pad(mask, 1, mode="constant", constant_values=False)
-    border = np.zeros_like(padded)
-    border[0, :] = border[-1, :] = True
-    border[:, 0] = border[:, -1] = True
-    outer_bg = ndimage.binary_propagation(border & ~padded, mask=~padded, structure=EIGHT)
-    boundary = padded & ndimage.binary_dilation(outer_bg, structure=EIGHT)
-    ys, xs = np.nonzero(boundary[1:-1, 1:-1])
-    return np.column_stack([xs, ys])
-
 
 def border_exposed_pixels(mask: np.ndarray) -> np.ndarray:
     """(n, 2) (x, y) region pixels, in raster order, with a 4-neighbour in
     the background that is 4-connected to the frame border (the one-pixel
-    padding around the frame counts as border).  A flood-fill statement of
-    the Moore walk's boundary set: it leaves out the hole boundaries and
-    the pocket pixels that touch the outside only across a diagonal gap."""
-    padded = np.pad(mask, 1, mode="constant", constant_values=False)
+    padding around the frame counts as border).  It leaves out the hole
+    boundaries and the pocket pixels that touch the outside only across a
+    diagonal gap.  The flood runs over the mask's bounding box, padded by
+    one pixel: background beyond the box reaches the border along its own
+    row or column."""
+    ys, xs = np.nonzero(mask)
+    y0, x0 = ys.min(), xs.min()
+    padded = np.pad(mask[y0 : ys.max() + 1, x0 : xs.max() + 1], 1, constant_values=False)
     labels, _ = ndimage.label(~padded, structure=FOUR)
     outside = labels == labels[0, 0]
     exposed = padded & ndimage.binary_dilation(outside, structure=FOUR)
     ys, xs = np.nonzero(exposed[1:-1, 1:-1])
-    return np.column_stack([xs, ys])
+    return np.column_stack([xs + x0, ys + y0])
 
 
 # -- reference seed chain ----------------------------------------------------------
@@ -501,8 +456,7 @@ def reference_seed_chain(pixels: np.ndarray, seed: tuple[int, int], stop_area: i
 # map: a node's mask over the frame, its tight box with the join indices
 # clipped one past it, every node's attributes up to that node from one pass
 # over the box, and the boundary counts of a band of nodes from the box's join
-# indices.  extract_qplus's columns, masks and walks must equal these bit for
-# bit.
+# indices.  extract_qplus's columns and masks must equal these bit for bit.
 
 class Crop(NamedTuple):
     """Chain node k's tight box: the join indices there, clipped at k + 1
@@ -610,7 +564,8 @@ def crop_boundary_counts(join: np.ndarray, band: np.ndarray, maxima: np.ndarray)
     band positions looked up from the crop's join indices."""
     m = len(band)
     first = np.searchsorted(band, np.arange(int(band[-1]) + 2)).astype(np.min_scalar_type(m))
-    return erel._boundary_counts(first[join], m, maxima)
+    lengths, hits, _ = erel._boundary_counts(first[join], m, maxima)
+    return lengths, hits
 
 
 def thinned_band(chain, params) -> np.ndarray:
@@ -630,9 +585,8 @@ def thinned_band(chain, params) -> np.ndarray:
 #
 # The seed chain's per-node accessors as they were before the chain handed out
 # whole attribute arrays: restricted to the nodes <= kmax, each table built on
-# first use over node kmax's tight box, and a node's boundary walked on that
-# box's join grid from the node's first pixel.  The extraction stage's Region
-# fields and boundaries must equal these bit for bit.
+# first use over node kmax's tight box.  The extraction stage's Region fields
+# must equal these bit for bit.
 
 class LazyChainAttributes:
     def __init__(self, chain, kmax: int):
@@ -642,8 +596,6 @@ class LazyChainAttributes:
         self._crop = None
         self._prefix = None
         self._hist = None
-        self._walk_grid = None
-        self._first_pixel = None
 
     def _check(self, k: int) -> None:
         if k > self._kmax:
@@ -727,50 +679,15 @@ class LazyChainAttributes:
         p = counts[counts > 0] / self._chain.areas[k]
         return float(-(p * np.log2(p)).sum())
 
-    def walk_grid(self):
-        """(values, padded width, x offset, y offset) for Moore walks."""
-        if self._walk_grid is None:
-            sub, lv, x0, y0, cw, ch = self._cropped()
-            sentinel = self._kmax + 1
-            padded = np.full((ch + 2, cw + 2), sentinel, dtype=np.int64)
-            padded[1:-1, 1:-1] = sub
-            if sentinel <= 255:
-                vals = padded.astype(np.uint8).tobytes()
-            else:
-                vals = padded.ravel().tolist()
-            self._walk_grid = (vals, cw + 2, x0, y0)
-        return self._walk_grid
-
-    def first_pixel(self, k: int) -> tuple[int, int]:
-        """(x, y) of the first pixel of node k in the attribute grid's raster."""
-        self._check(k)
-        if self._first_pixel is None:
-            sub, lv, x0, y0, cw, ch = self._cropped()
-            j = sub.ravel()
-            nb = self._kmax + 2
-            first = np.full(nb, j.size, dtype=np.int64)
-            np.minimum.at(first, j, np.arange(j.size))
-            self._first_pixel = np.minimum.accumulate(first[: self._kmax + 1])
-        sub, lv, x0, y0, cw, ch = self._cropped()
-        flat = int(self._first_pixel[k])
-        return flat % cw + x0, flat // cw + y0
-
-    def boundary(self, k: int) -> Contour:
-        """Node k's Moore walk on the kmax box, from its first pixel."""
-        vals, w2, ox, oy = self.walk_grid()
-        sx, sy = self.first_pixel(k)
-        start = (sy - oy + 1) * w2 + (sx - ox + 1)
-        return _cycle_contour(_moore_cycle(vals, k, start, w2), w2, ox, oy)
-
 
 # -- reference regions ---------------------------------------------------------------
 #
 # The extraction stage as it was when each retained region was its own object:
 # the band and the area thinning as Python lists, then one Region per retained
-# candidate with its attributes looked up one at a time, and a boundary walked
-# on the node's own crop.  It reuses the library's gradient map, boundary
-# counts and retention (each checked against its own oracle), and
-# extract_qplus's columns must equal its fields bit for bit.
+# candidate with its attributes looked up one at a time.  It reuses the
+# library's gradient map, boundary counts and retention (each checked against
+# its own oracle), and extract_qplus's columns must equal its fields bit for
+# bit.
 
 @dataclass
 class Region:
@@ -789,14 +706,6 @@ class Region:
     @property
     def mask(self) -> np.ndarray:
         return chain_mask(self.chain, self.chain_index)
-
-    @property
-    def boundary(self) -> Contour:
-        crop = chain_crop(self.chain, self.chain_index)
-        outside = np.pad(crop.join > crop.k, 1, constant_values=True)
-        w2 = outside.shape[1]
-        cycle = _moore_cycle(outside.tobytes(), 0, int(np.argmin(outside)), w2)
-        return _cycle_contour(cycle, w2, crop.x0, crop.y0)
 
 
 def reference_regions(tree, params) -> list[Region]:

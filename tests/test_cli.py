@@ -894,6 +894,25 @@ def test_inputs_sharing_a_stem_are_rejected_before_any_frame_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1,5", "5,-1"])
+def test_negative_seed_is_rejected_before_any_frame_runs(small_demo, tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    code = main(["segment", str(small_demo[0]), "--no-ringdown", f"--seed={seed}",
+                 "--outdir", str(out)])
+    assert code == 3
+    assert "seed coordinates must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_past_the_frame_fails_each_frame(small_demo, tmp_path):
+    # frames may differ in size, so only the frame can tell its seed is outside
+    out = tmp_path / "out"
+    code, _ = _run_quietly(["segment", str(small_demo[0]), "--no-ringdown", "--seed=96,5",
+                            "--outdir", str(out)])
+    assert code == 2
+    assert sorted(p.name for p in out.iterdir()) == [f"f{i}_error.json" for i in (1, 3, 5)]
+
+
 def test_cli_bad_flag_values():
     with pytest.raises(SystemExit) as usage:
         main(["segment", "x", "--alpha", "abc"])

@@ -26,24 +26,18 @@ from ivuseg.geometry import Ellipse
 from ivuseg.imaging import Frame, frame_center, median_filter
 from ivuseg.phantom import PhantomSpec, generate_phantom
 from oracles import (
-    FOUR,
     LazyChainAttributes,
     border_exposed_pixels,
-    boundary_pixel_set,
     brute_entropy,
     brute_moments,
     chain_attributes,
     chain_crop,
     chain_mask,
     crop_boundary_counts,
-    outer_adjacent_pixels,
     rasterize_disk,
     reference_regions,
     thinned_band,
-    trace_outer_boundary,
 )
-
-from scipy import ndimage
 
 
 # -- parameters ----------------------------------------------------------------
@@ -71,62 +65,30 @@ def test_params_for_frame_without_area_band_has_no_candidates(shape):
 
 # -- boundary machinery ----------------------------------------------------------
 
-def test_square_boundary_count_and_trace():
-    mask = np.zeros((20, 20), dtype=bool)
-    mask[4:14, 3:13] = True
-    assert len(boundary_pixel_set(mask)) == 36
-    contour = trace_outer_boundary(mask)
-    assert contour.closed
-    assert len(set(map(tuple, contour.points.astype(int).tolist()))) == 36
+def test_square_boundary_count():
+    pixels = np.full((20, 20), 200, np.uint8)
+    pixels[4:14, 3:13] = 10
+    series = extract_qplus(build_component_tree(pixels, (3, 4), pixels.size),
+                           ErelParams(a_min=1, a_max=100))
+    exposed = border_exposed_pixels(pixels == 10)
+    assert len(exposed) == 36
+    assert np.array_equal(series.boundary(0), exposed)
 
 
 def test_ring_boundary_excludes_hole():
     ys, xs = np.mgrid[0:40, 0:40]
     disk = (ys - 20) ** 2 + (xs - 20) ** 2 <= 15 ** 2
     ring = disk & ~((ys - 20) ** 2 + (xs - 20) ** 2 <= 5 ** 2)
-    ring_b = set(map(tuple, boundary_pixel_set(ring).tolist()))
-    disk_b = set(map(tuple, boundary_pixel_set(disk).tolist()))
-    assert ring_b == disk_b
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_trace_is_connected_cycle_within_flood_superset(seed):
-    rng = np.random.default_rng(seed)
-    h, w = rng.integers(3, 18, size=2)
-    raw = rng.random((h, w)) < 0.55
-    labels, count = ndimage.label(raw, structure=FOUR)
-    if count == 0:
-        return
-    sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, count + 1))
-    comp = labels == (1 + int(np.argmax(sizes)))
-    contour = trace_outer_boundary(comp)
-    pts = contour.points.astype(int)
-    trace_set = set(map(tuple, pts.tolist()))
-    superset = set(map(tuple, outer_adjacent_pixels(comp).tolist()))
-    assert trace_set <= superset
-    if contour.closed:
-        loop = np.vstack([pts, pts[:1]])
-        steps = np.abs(np.diff(loop, axis=0)).max(axis=1)
-        assert (steps <= 1).all()
+    assert np.array_equal(border_exposed_pixels(ring), border_exposed_pixels(disk))
 
 
 def test_single_pixel_boundary():
-    mask = np.zeros((5, 6), dtype=bool)
-    mask[2, 3] = True
-    contour = trace_outer_boundary(mask)
-    assert not contour.closed
-    assert contour.points.tolist() == [[3.0, 2.0]]
-    assert boundary_pixel_set(mask).tolist() == [[3, 2]]
-
-
-def test_chain_walk_matches_mask_walk():
-    frame, _ = generate_phantom(PhantomSpec(rng_seed=5))
-    _, _, series = _extract(frame, RunConfig(), None)
-    for i in range(0, len(series), max(1, len(series) // 8)):
-        mask = series.mask(i)
-        assert np.array_equal(series.boundary(i).points, trace_outer_boundary(mask).points)
-        assert series.boundary_length[i] == len(boundary_pixel_set(mask))
+    pixels = np.full((5, 6), 200, np.uint8)
+    pixels[2, 3] = 10
+    series = extract_qplus(build_component_tree(pixels, (3, 2), pixels.size),
+                           ErelParams(a_min=1, a_max=2))
+    assert border_exposed_pixels(pixels == 10).tolist() == [[3, 2]]
+    assert series.boundary(0).tolist() == [[3, 2]]
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +114,19 @@ def test_overlaps_reject_a_mask_of_another_shape(demo_series):
         series.overlaps(np.ones((h - 1, w), dtype=bool))
 
 
+def test_boundary_is_the_counted_border_exposed_set(demo_series):
+    series, _ = demo_series
+    for i in range(len(series)):
+        boundary = series.boundary(i)
+        assert np.array_equal(boundary, border_exposed_pixels(series.mask(i)))
+        assert len(boundary) == series.boundary_length[i]
+
+
 def test_rows_index_like_a_sequence(demo_series):
     series, _ = demo_series
     n = len(series)
     assert np.array_equal(series.mask(-1), series.mask(n - 1))
-    assert np.array_equal(series.boundary(-n).points, series.boundary(0).points)
+    assert np.array_equal(series.boundary(-n), series.boundary(0))
     assert series.moments(-1) == series.moments(n - 1)
     assert series.moments(-n) == series.moments(0)
     for i in (n, -n - 1):
@@ -190,7 +160,8 @@ def _counted_candidates(run):
         mp.setattr(erel, "extract_qplus", capture_extract)
         series = run()
     chain = seen["chain"]
-    return series, chain, thinned_band(chain, seen["params"]), *seen["counts"], seen["maxima"]
+    lengths, hits, _ = seen["counts"]
+    return series, chain, thinned_band(chain, seen["params"]), lengths, hits, seen["maxima"]
 
 
 def _oracle_counts(chain, band, k, maxima):
@@ -202,7 +173,7 @@ def _oracle_counts(chain, band, k, maxima):
 
 
 @pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
-def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
+def test_boundary_counts_match_the_oracle_on_acceptance_phantoms(seed, shadow):
     frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
     _, chain, band, lengths, hits, maxima = _counted_candidates(
         lambda: _extract(frame, RunConfig(), None)[2]
@@ -210,8 +181,6 @@ def test_moore_boundary_is_the_border_exposed_set(seed, shadow):
     assert len(band) >= 40
     assert len(lengths) == len(hits) == len(band)
     for k, length, hit in zip(band, lengths, hits):
-        mask = chain_mask(chain, k)
-        assert np.array_equal(border_exposed_pixels(mask), boundary_pixel_set(mask))
         assert (length, hit) == _oracle_counts(chain, band, k, maxima)
 
 
@@ -305,8 +274,7 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
                     ref.mean_intensity(k), ref.entropy(k), *ref.centroid(k),
                     *ref.central_moments(k))
         assert row == expected
-        ours, theirs = series.boundary(i), ref.boundary(k)
-        assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
+        assert np.array_equal(series.boundary(i), border_exposed_pixels(chain_mask(chain, k)))
 
 
 def _retaining(keep_seed):
@@ -321,9 +289,11 @@ def _retaining(keep_seed):
 
 
 def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
-    """Every column, moment, mask, walk and mask overlap of the series
-    equals the per-region reference's, whose masks and walks read the chain
-    itself; the moments also match direct summation over the mask."""
+    """Every column, moment, mask, boundary and mask overlap of the series
+    equals the per-region reference's, whose masks read the chain itself;
+    the moments also match direct summation over the mask, and each
+    boundary is the mask's border-exposed pixels, as many as
+    boundary_length counts."""
     assert len(series) == len(expected)
     for column, values in (
         (series.index, [r.chain_index for r in expected]),
@@ -343,8 +313,9 @@ def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
         (cx, cy), *mu = moments
         (bx, by), *brute = brute_moments(region.mask)
         assert [cx, cy, *mu] == pytest.approx([bx, by, *brute], rel=1e-9, abs=1e-9)
-        ours, theirs = series.boundary(i), region.boundary
-        assert np.array_equal(ours.points, theirs.points) and ours.closed == theirs.closed
+        boundary = series.boundary(i)
+        assert np.array_equal(boundary, border_exposed_pixels(region.mask))
+        assert len(boundary) == region.boundary_length
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,18 +359,26 @@ def test_region_columns_equal_the_per_region_reference(
     )
 
 
+@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("size", [384, 768])
 @pytest.mark.parametrize("phantom_seed, shadow", ACCEPTANCE_PHANTOMS)
 def test_region_columns_equal_the_per_region_reference_on_acceptance_phantoms(
-    phantom_seed, shadow, size
+    phantom_seed, shadow, size, forced, monkeypatch
 ):
+    # forced: the extremum criterion takes effect, so rows skip candidates
+    # and both row maps are relabelled
+    if forced:
+        monkeypatch.setattr(erel, "MIN_RETAINED_LEVELS", 1)
     spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
     frame, _ = generate_phantom(spec)
     pixels = median_filter(frame, 1).pixels
     params = ErelParams.for_frame(pixels.shape)
     tree = build_component_tree(pixels, frame_center(frame), params.a_max)
     expected = reference_regions(tree, params)
-    assert len(expected) >= MIN_RETAINED_LEVELS
+    if forced:
+        assert len(expected) < len(thinned_band(tree.seed_chain(), params))
+    else:
+        assert len(expected) >= MIN_RETAINED_LEVELS
     assert_series_equals_the_per_region_reference(
         extract_qplus(tree, params), expected, pixels.shape, np.random.default_rng(phantom_seed)
     )

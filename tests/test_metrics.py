@@ -13,6 +13,7 @@ from ivuseg.metrics import (
     aggregate,
     densify,
     hausdorff,
+    hausdorff_points,
     jaccard,
     pad,
     structure_metrics,
@@ -213,6 +214,27 @@ def test_pruned_hausdorff_equals_the_two_tree_query(pair):
     c1, c2 = pair
     assert same_float(hausdorff(c1, c2), two_tree_hausdorff(c1, c2))
     assert same_float(hausdorff(c2, c1), two_tree_hausdorff(c2, c1))
+
+
+point_sets = st.lists(
+    st.tuples(st.floats(0, 60), st.floats(0, 60)), min_size=1, max_size=200
+).map(lambda pts: np.array(pts, dtype=float))
+# integer pixel centres, as RegionSeries.boundary gives them: many ties
+pixel_sets = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=200, unique=True
+).map(lambda pts: np.array(pts, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(point_sets, pixel_sets), st.one_of(point_sets, pixel_sets),
+       st.integers(0, 2**32 - 1))
+def test_hausdorff_points_is_exact_for_unordered_point_sets(p, q, seed):
+    rng = np.random.default_rng(seed)
+    ps, qs = rng.permutation(p), rng.permutation(q)
+    ours = hausdorff_points(ps, qs)
+    assert ours == pytest.approx(brute_hausdorff(p, q), abs=1e-9)
+    # the order changes only which points are queried, not their distances
+    assert same_float(ours, hausdorff_points(p, q))
 
 
 # -- pad -------------------------------------------------------------------------

@@ -30,6 +30,7 @@ def series_with_areas(areas, boundary_length=10, mean_intensity=1.0, entropy=1.0
         mean_intensity=np.broadcast_to(mean_intensity, n).astype(np.float64),
         entropy=np.broadcast_to(entropy, n).astype(np.float64),
         row_map=None,
+        reach_map=None,
         origin=(0, 0),
         shape=(0, 0),
     )
