@@ -281,6 +281,12 @@ def _map_frames(cfg: RunConfig, worker) -> list[tuple[Path, bool, object, dict |
             outcomes[i] = None, _error_record(exc)
 
     model = _build_artifact_model(list(frames.values()), cfg)
+    if cfg.gold_dir is not None:
+        # Importing the scorer's scipy.spatial in the middle of a batch, at
+        # its first scored frame, leaves the heap so that every later frame
+        # takes hundreds of page faults; loaded here, before any frame and
+        # before the pool forks, it costs the frames nothing.
+        metrics.load_kdtree()
 
     tasks = [(files[i].stem, frame, cfg, model) for i, frame in frames.items()]
     if cfg.jobs > 1 and len(tasks) > 1:

@@ -12,11 +12,14 @@ import csv
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .imaging import Contour
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 DENSIFY_SPACING = 0.5
 # Every this many densified points one is queried exactly; the rest are
@@ -59,6 +62,19 @@ def densify(contour: Contour, max_spacing: float = DENSIFY_SPACING) -> np.ndarra
     return out if contour.closed else np.vstack([out, pts[-1:]])
 
 
+def load_kdtree() -> type[cKDTree]:
+    """scipy.spatial's cKDTree, which answers the nearest-point queries.
+
+    scipy.spatial is imported on the first call, not with the package:
+    segmenting never scores, and the import is about a fifth of the
+    package's start-up.  A batch that scores calls this before its first
+    frame (cli._map_frames).
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree
+
+
 def _directed_max(tree: cKDTree, pts: np.ndarray, tol: float) -> np.float64:
     """Largest distance from a point of pts to its nearest point in the tree.
 
@@ -97,13 +113,26 @@ def hausdorff(c1: Contour, c2: Contour) -> float:
     return hausdorff_points(densify(c1), densify(c2))
 
 
+def _check_points(name: str, pts: np.ndarray) -> None:
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"{name} must be an (n, 2) array of points, got shape {pts.shape}")
+    if pts.shape[0] == 0:
+        raise ValueError(f"{name} is empty; the Hausdorff distance needs a point")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} has a non-finite coordinate")
+
+
 def hausdorff_points(p1: np.ndarray, p2: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two non-empty (n, 2) point
-    sets, in any order."""
+    sets, in any order.  An empty, non-finite or not (n, 2) set raises
+    ValueError."""
+    _check_points("p1", p1)
+    _check_points("p2", p2)
+    kdtree = load_kdtree()
     # rounding in a distance or a bound is a few ulps of the coordinates
     tol = 1e-9 * (1.0 + max(np.abs(p1).max(), np.abs(p2).max()))
-    d12 = _directed_max(cKDTree(p2), p1, tol)
-    d21 = _directed_max(cKDTree(p1), p2, tol)
+    d12 = _directed_max(kdtree(p2), p1, tol)
+    d21 = _directed_max(kdtree(p1), p2, tol)
     return float(max(d12, d21))
 
 

@@ -398,9 +398,11 @@ def test_pinned_boundary_counts():
         assert lengths.tolist() == counts
 
 
-def test_import_leaves_scipy_ndimage_out():
-    # scipy.ndimage costs about 0.1 s at import; the library does not need it
-    code = "import sys, ivuseg; print('scipy.ndimage' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.ndimage", "scipy.spatial"])
+def test_import_leaves_scipy_ndimage_out(module):
+    # scipy.ndimage costs about 0.1 s at import and the library does not need
+    # it; scipy.spatial costs as much and only scoring needs it
+    code = f"import sys, ivuseg; print({module!r} in sys.modules)"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})

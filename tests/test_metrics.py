@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SRC
 from ivuseg.geometry import Ellipse, rasterize_ellipse
 from ivuseg.imaging import Contour
 from ivuseg.metrics import (
@@ -235,6 +240,91 @@ def test_hausdorff_points_is_exact_for_unordered_point_sets(p, q, seed):
     assert ours == pytest.approx(brute_hausdorff(p, q), abs=1e-9)
     # the order changes only which points are queried, not their distances
     assert same_float(ours, hausdorff_points(p, q))
+
+
+@pytest.mark.parametrize(
+    "p, q, problem",
+    [
+        (np.empty((0, 2)), np.zeros((3, 2)), "p1 is empty"),
+        (np.zeros((3, 2)), np.empty((0, 2)), "p2 is empty"),
+        (np.zeros((3, 3)), np.ones((3, 3)), r"p1 must be an \(n, 2\) array"),
+        (np.zeros((3, 2)), np.zeros(4), r"p2 must be an \(n, 2\) array"),
+        (np.array([[0.0, 1.0], [np.nan, 2.0]]), np.zeros((3, 2)), "p1 has a non-finite"),
+        (np.zeros((3, 2)), np.array([[np.inf, 1.0]]), "p2 has a non-finite"),
+    ],
+    ids=["empty p1", "empty p2", "3-d points", "flat array", "nan", "inf"],
+)
+def test_hausdorff_points_rejects_bad_point_sets(p, q, problem):
+    with pytest.raises(ValueError, match=problem):
+        hausdorff_points(p, q)
+
+
+def _run_python(code: str) -> str:
+    """Run code in a fresh interpreter with src/ and tests/ importable; its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.path.dirname(__file__),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_scoring_imports_scipy_spatial_only_when_called(tmp_path):
+    # segmenting a frame and an unscored batch never load scipy.spatial; the
+    # first Hausdorff call does, and gives the all-pairs oracle's value
+    hd, ref = _run_python(f"""
+        import sys
+        from pathlib import Path
+        from conftest import acceptance_phantom_spec
+        from ivuseg import RunConfig, cli, metrics, rasterize_ellipse
+        from ivuseg.imaging import save_frame
+        from ivuseg.phantom import generate_phantom
+
+        frame, truth = generate_phantom(acceptance_phantom_spec(0))
+        lumen = rasterize_ellipse(cli.segment_frame(frame, RunConfig()).lumen, 720)
+        frames = Path({str(tmp_path)!r}) / "frames"
+        frames.mkdir()
+        save_frame(frame, frames / "f.pgm")
+        summary = cli.run_batch(RunConfig(inputs=[frames], outdir=frames.parent / "out", jobs=1))
+        assert summary.processed == 1
+        assert "scipy.spatial" not in sys.modules
+        hd = metrics.hausdorff(lumen, truth.lumen_contour)
+        assert "scipy.spatial" in sys.modules
+        from oracles import brute_hausdorff
+        ref = brute_hausdorff(metrics.densify(lumen), metrics.densify(truth.lumen_contour))
+        print(hd.hex(), ref.hex())
+    """).split()
+    assert float.fromhex(hd) > 0
+    assert hd == ref
+
+
+def test_scored_batch_loads_scipy_spatial_before_its_first_frame(tmp_path):
+    # loaded at the first scored frame instead, the import leaves the heap
+    # so that every later frame takes hundreds of page faults
+    out = _run_python(f"""
+        import sys
+        from pathlib import Path
+        from conftest import acceptance_phantom_spec
+        from ivuseg import RunConfig, cli
+        from ivuseg.imaging import save_contour, save_frame
+        from ivuseg.phantom import generate_phantom
+
+        root = Path({str(tmp_path)!r})
+        frame, truth = generate_phantom(acceptance_phantom_spec(0))
+        save_frame(frame, root / "f.pgm")
+        save_contour(truth.lumen_contour, root / "f_lumen.txt")
+        save_contour(truth.media_contour, root / "f_media.txt")
+        segment_frame = cli.segment_frame
+
+        def watched(*args):
+            print("scipy.spatial" in sys.modules)
+            return segment_frame(*args)
+
+        cli.segment_frame = watched
+        cfg = RunConfig(inputs=[root / "f.pgm"], gold_dir=root, outdir=root / "out", jobs=1)
+        assert len(cli.run_batch(cfg).reports) == 1
+    """)
+    assert out.split() == ["True"]
 
 
 # -- pad -------------------------------------------------------------------------
