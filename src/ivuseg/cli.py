@@ -16,7 +16,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -652,11 +652,12 @@ def _cmd_bestcase(args: argparse.Namespace) -> int:
 
 
 def _cmd_phantom(args: argparse.Namespace) -> int:
+    # Absent flags stay out of the namespace, so the spec file's value, or
+    # the PhantomSpec default, shows through.
+    flags = {k: v for k, v in vars(args).items() if k in ("rng_seed", "speckle_sigma")}
     try:
-        if args.spec is not None:
-            spec = phantom.load_spec(args.spec)
-        else:
-            spec = phantom.PhantomSpec(rng_seed=args.rng_seed, speckle_sigma=args.sigma)
+        spec = phantom.load_spec(args.spec) if args.spec is not None else phantom.PhantomSpec()
+        spec = replace(spec, **flags)
         frames, truth = phantom.generate_phantom(spec, n_frames=args.frames)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -693,11 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p_ph = sub.add_parser("phantom", help="generate synthetic frames with ground truth")
-    p_ph.add_argument("--spec", type=Path, help="phantom spec file (key=value)")
+    p_ph.add_argument("--spec", type=Path,
+                      help="phantom spec file (key=value); --rng-seed and --sigma override it")
     p_ph.add_argument("--outdir", type=Path, default=Path("phantom_out"))
     p_ph.add_argument("--frames", type=int, default=1)
-    p_ph.add_argument("--rng-seed", type=int, dest="rng_seed", default=0)
-    p_ph.add_argument("--sigma", type=float, default=0.3)
+    p_ph.add_argument("--rng-seed", type=int, dest="rng_seed", default=argparse.SUPPRESS)
+    p_ph.add_argument("--sigma", type=float, dest="speckle_sigma", default=argparse.SUPPRESS)
     p_ph.set_defaults(func=_cmd_phantom)
 
     return parser

@@ -92,6 +92,8 @@ class PhantomSpec:
 
     def __post_init__(self) -> None:
         lum, inti, med, adv = self.layer_means
+        if not all(0 <= v <= 255 for v in self.layer_means):
+            raise ValueError("layer means must lie in [0, 255]")
         if not (lum < med < inti <= adv):
             raise ValueError(
                 "layer means must satisfy lumen < media band < intima <= adventitia"

@@ -20,7 +20,7 @@ from ivuseg.component_tree import build_component_tree
 from ivuseg.erel import ErelParams, extract_qplus
 from ivuseg.geometry import Ellipse, ellipse_from_moments, ellipse_mask, rasterize_ellipse
 from ivuseg.imaging import Contour, save_contour, save_frame
-from ivuseg.metrics import densify, hausdorff, jaccard
+from ivuseg.metrics import densify, hausdorff, jaccard, pad
 from ivuseg.phantom import generate_phantom
 from ivuseg.selection import find_peaks, remove_outliers, select_regions, stability_scores
 from oracles import (
@@ -179,7 +179,12 @@ def test_criterion_3_ellipse_round_trip():
 
 @pytest.fixture(scope="module")
 def phantom_population():
-    """Segment 50 clean and 50 shadow phantoms once for criteria 4 and 8."""
+    """Segment 50 clean and 50 shadow phantoms once for criteria 4 and 8.
+
+    Each row scores the ellipses of the selected lumen and media regions
+    against the generating ellipses: JM and PAD of their pixel masks, and
+    HD from 720 points on the fitted ellipse to the gold contour.
+    """
     results = {}
     for label, shadow in (("clean", False), ("shadow", True)):
         rows = []
@@ -188,21 +193,35 @@ def phantom_population():
             frame, truth = generate_phantom(spec)
             _, _, series = _extract(frame, RunConfig(), None)
             lumen_i, media_i, _ = select_regions(series)
-            le, me = (ellipse_from_moments(*series.moments(i)) for i in (lumen_i, media_i))
             shape = frame.pixels.shape
-            rows.append({
-                "seed": s,
-                "frame": frame,
-                "truth": truth,
-                "series": series,
-                "lumen_mask": series.mask(lumen_i),
-                "media_mask": series.mask(media_i),
-                "jm_lumen": jaccard(ellipse_mask(le, shape), ellipse_mask(truth.lumen, shape)),
-                "jm_media": jaccard(ellipse_mask(me, shape), ellipse_mask(truth.media, shape)),
-                "hd_lumen": hausdorff(rasterize_ellipse(le, 720), truth.lumen_contour),
-            })
+            row = {"seed": s, "frame": frame, "truth": truth, "series": series}
+            for name, i, gold, gold_contour in (
+                ("lumen", lumen_i, truth.lumen, truth.lumen_contour),
+                ("media", media_i, truth.media, truth.media_contour),
+            ):
+                ellipse = ellipse_from_moments(*series.moments(i))
+                auto, ref = ellipse_mask(ellipse, shape), ellipse_mask(gold, shape)
+                row[f"{name}_mask"] = series.mask(i)
+                row[f"jm_{name}"] = jaccard(auto, ref)
+                row[f"hd_{name}"] = hausdorff(rasterize_ellipse(ellipse, 720), gold_contour)
+                row[f"pad_{name}"] = pad(auto.sum(), ref.sum())
+            rows.append(row)
         results[label] = rows
     return results
+
+
+def quality_table(population) -> str:
+    """HD, JM and PAD as mean (sd) per population and structure, laid out
+    like the per-artifact results table of Balocco et al. (CMIG 2014)."""
+    lines = [f"  {'':16} {'HD px':>14} {'JM':>14} {'PAD':>14}"]
+    for label, rows in population.items():
+        for name in ("lumen", "media"):
+            cells = []
+            for metric, digits in (("hd", 2), ("jm", 3), ("pad", 3)):
+                values = [r[f"{metric}_{name}"] for r in rows]
+                cells.append(f"{np.mean(values):.{digits}f} ({np.std(values):.2f})")
+            lines.append(f"  {label:7} {name:8}" + "".join(f" {c:>14}" for c in cells))
+    return "\n".join(lines)
 
 
 def test_criterion_4_selection_end_to_end(phantom_population):
@@ -219,6 +238,7 @@ def test_criterion_4_selection_end_to_end(phantom_population):
     report("4", f"clean: lumen JM {mean_jm_lumen:.3f} (>= 0.85), media JM "
                 f"{mean_jm_media:.3f} (>= 0.80), lumen HD {mean_hd_lumen:.2f} px "
                 f"(<= 3); shadow: lumen JM {shadow_jm_lumen:.3f} (>= 0.80)")
+    print(quality_table(phantom_population))
 
 
 def test_criterion_8_bestcase_dominates(phantom_population, tmp_path):

@@ -33,7 +33,7 @@ from ivuseg.errors import ConfigError, ContourFormatError, SegmentationError
 from ivuseg.geometry import Ellipse, ellipse_mask, rasterize_ellipse
 from ivuseg.imaging import Contour, Frame, load_contour, load_frame, save_contour, save_frame
 from ivuseg.metrics import jaccard
-from ivuseg.phantom import PhantomSpec, generate_phantom
+from ivuseg.phantom import PhantomSpec, generate_phantom, load_spec, save_spec
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,25 @@ def test_cli_phantom_subcommand(tmp_path):
     assert (out / "phantom.spec").exists()
 
 
+@pytest.mark.parametrize("flags, seed, sigma", [
+    ([], 5, 0.2),
+    (["--rng-seed", "9"], 9, 0.2),
+    (["--sigma", "0.4"], 5, 0.4),
+    (["--rng-seed", "9", "--sigma", "0.4"], 9, 0.4),
+])
+def test_cli_phantom_flags_override_the_spec_file(tmp_path, flags, seed, sigma):
+    spec = PhantomSpec(width=96, height=96, lumen=Ellipse(48.0, 48.0, 15.0, 13.0, 0.3),
+                       media=Ellipse(48.0, 48.0, 28.0, 25.0, -0.2),
+                       rng_seed=5, speckle_sigma=0.2)
+    save_spec(spec, tmp_path / "d.spec")
+    out = tmp_path / "ph"
+    assert main(["phantom", "--spec", str(tmp_path / "d.spec"), "--outdir", str(out), *flags]) == 0
+    expected = replace(spec, rng_seed=seed, speckle_sigma=sigma)
+    assert load_spec(out / "phantom.spec") == expected
+    frame, _ = generate_phantom(expected)
+    assert np.array_equal(load_frame(out / "phantom_000.pgm").pixels, frame.pixels)
+
+
 @pytest.mark.parametrize("args, spec_text", [
     (["--frames", "0"], None),
     (["--sigma", "-1"], None),
@@ -211,6 +230,7 @@ def test_cli_phantom_subcommand(tmp_path):
     (["--spec", "missing.spec"], None),
     (["--spec", "bad.spec"], "bogus=1\n"),
     (["--spec", "bad.spec"], "artifact=shadow:1\n"),
+    (["--spec", "bad.spec"], "layer_means=40,160,70,400\n"),
 ])
 def test_cli_bad_phantom_arguments_exit_3(tmp_path, capsys, args, spec_text):
     if spec_text is not None:
@@ -379,7 +399,7 @@ def test_batch_skips_implausible_artifact_model(tmp_path, capsys):
     # phantom speckle is multiplicative, so bright tissue never darkens to
     # the clinical default threshold in the minimum image; the batch must
     # refuse to treat most of the frame as a catheter artifact
-    from ivuseg.phantom import PhantomSpec, generate_phantom
+    from ivuseg.phantom import PhantomSpec, generate_phantom, load_spec, save_spec
     from ivuseg.imaging import save_frame
 
     frames, truth = generate_phantom(PhantomSpec(rng_seed=7), n_frames=8)

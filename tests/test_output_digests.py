@@ -11,8 +11,8 @@
 
 A change that means to keep outputs byte-identical leaves every digest as
 it is.  Changes that mean to alter outputs move them on purpose: ROADMAP
-item 2 (filled regions and the media where the filled area stops growing)
-and item 4 (artifact removal that keeps the dark core) will.  Such a change
+item 5 (filled regions and the media where the filled area stops growing)
+and item 7 (artifact removal that keeps the dark core) will.  Such a change
 regenerates the pinned file with ``PYTHONPATH=src python
 tests/test_output_digests.py`` and says why in CHANGES.md.
 """

@@ -93,6 +93,13 @@ def test_layer_ordering_enforced():
         PhantomSpec(layer_means=(80, 160, 70, 180))  # lumen >= media band
 
 
+@pytest.mark.parametrize("means", [(40, 160, 70, 400), (-10, 160, 70, 180)])
+def test_layer_means_must_be_grey_levels(means):
+    # ordered, but a mean outside [0, 255] would be clipped when rendered
+    with pytest.raises(ValueError, match=r"\[0, 255\]"):
+        PhantomSpec(layer_means=means)
+
+
 def test_lumen_must_fit_inside_media():
     with pytest.raises(ValueError):
         PhantomSpec(
