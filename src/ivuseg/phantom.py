@@ -106,6 +106,12 @@ class PhantomSpec:
             raise ValueError("intima_texture must lie in [0, 0.5)")
         if not 0 <= self.lumen_texture < 1.0:
             raise ValueError("lumen_texture must lie in [0, 1)")
+        # the textures scale a layer's mean by up to 1 + texture, which
+        # rendering would otherwise clip at 255 without a word
+        if inti * (1 + self.intima_texture) > 255:
+            raise ValueError("intima mean * (1 + intima_texture) must not exceed 255")
+        if lum * (1 + self.lumen_texture) > 255:
+            raise ValueError("lumen mean * (1 + lumen_texture) must not exceed 255")
         # the lumen must sit strictly inside the media: every lumen contour
         # point has to be well inside the media's implicit unit level.
         pts = rasterize_ellipse(self.lumen, 256).points

@@ -368,6 +368,88 @@ def test_seed_with_only_darker_neighbours_joins_through_their_pools(ring):
     assert chain_mask(chain, 0).sum() == chain.areas[0]
 
 
+# -- the per-frame edge lists and lone-pixel numbers -----------------------------
+#
+# The sweep lists each neighbour bit's edges and numbers the lone pixels (no
+# darker 4-neighbour) a block of levels at a time, a block spanning at least
+# 1/32 of the frame, so on frames of 64 px and more a block can run past the
+# level the sweep stops at.
+
+def lone_pixels(pixels):
+    """Pixels with no strictly darker 4-neighbour."""
+    padded = np.pad(pixels.astype(np.int16), 1, constant_values=256)
+    darkest = np.minimum.reduce([
+        padded[1:-1, :-2], padded[1:-1, 2:], padded[:-2, 1:-1], padded[2:, 1:-1],
+    ])
+    return darkest >= pixels
+
+
+@pytest.mark.parametrize("step", [1, 16])  # 16: plateaus, so equal edges
+@pytest.mark.parametrize("seed_at", range(0, 256, 17))
+def test_cap_crossed_at_the_seed_level_leaves_brighter_lone_pixels_unreached(seed_at, step):
+    # a dark seed, so that the levels listed with the seed's hold lone pixels
+    rng = np.random.default_rng(seed_at)
+    pixels = (step * rng.integers(0, 256 // step, (16, 16))).astype(np.uint8)
+    seed = (seed_at % 16, seed_at // 16)
+    level = step * int(rng.integers(0, 64 // step))
+    pixels[seed[1], seed[0]] = level
+    brighter = pixels > level
+    # the seed's component at its own level exceeds both caps
+    for cap in (0, brute_component(pixels, level, seed).sum() - 1):
+        chain = assert_matches_reference(pixels, seed, cap)
+        assert chain.levels.tolist() == [level]
+        join = chain.join_index.reshape(pixels.shape)
+        assert (join[brighter & lone_pixels(pixels)] == len(chain)).all()
+        assert (join[brighter] == len(chain)).all()
+    assert (brighter & lone_pixels(pixels)).any()
+
+
+@pytest.mark.parametrize("shape", [(1, 120), (120, 1)])
+@pytest.mark.parametrize("grey_levels", [4, 256])
+def test_line_frames_whose_vertical_or_horizontal_lists_are_empty(shape, grey_levels):
+    # a 1xN frame has no N, S or equal-S edges, an Nx1 frame no W, E or
+    # equal-E edges; few grey levels give long plateaus of equal edges
+    rng = np.random.default_rng(grey_levels)
+    line = rng.integers(0, grey_levels, shape).astype(np.uint8)
+    for seed_at in range(0, 120, 7):
+        seed = (seed_at, 0) if shape[0] == 1 else (0, seed_at)
+        for cap in (0, 1, 5, 17, 40, 80, 119, 120):
+            assert_matches_reference(line, seed, cap)
+        assert chain_matches_brute_force(line, seed)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 70), (70, 1), (12, 12)])
+def test_seed_at_level_255(shape):
+    rng = np.random.default_rng(255)
+    pixels = rng.integers(0, 256, shape).astype(np.uint8)
+    seed_px = shape[0] * shape[1] // 2
+    pixels.flat[seed_px] = 255
+    seed = (seed_px % shape[1], seed_px // shape[1])
+    for cap in (0, 1, pixels.size // 3, pixels.size):
+        chain = assert_matches_reference(pixels, seed, cap)
+        # the sub-level set at 255 is the whole frame
+        assert chain.levels.tolist() == [255]
+        assert chain.areas.tolist() == [pixels.size]
+
+
+def test_levels_without_lone_pixels_between_levels_with_them():
+    # a ramp rising from the top-left corner: every pixel but the corner
+    # has a darker neighbour, except for a few pits cut into it
+    ys, xs = np.mgrid[:20, :20]
+    pixels = (4 * (xs + ys)).astype(np.uint8)
+    pixels[5, 9], pixels[14, 3], pixels[12, 15] = 30, 45, 90
+    lone = lone_pixels(pixels)
+    lone_levels = set(pixels[lone].tolist())
+    assert lone_levels == {0, 30, 45, 90}
+    # levels 4, 8, ... carry pixels and no lone pixel, before and after
+    # levels that carry some
+    assert not ({4, 8, 32, 48, 92} & lone_levels)
+    for seed in ((0, 0), (9, 5), (3, 14), (15, 12), (10, 10)):
+        for cap in (0, 1, 3, 10, 50, 133, 200, 399, 400):
+            assert_matches_reference(pixels, seed, cap)
+        assert chain_matches_brute_force(pixels, seed)
+
+
 # -- input validation ------------------------------------------------------------
 
 @pytest.mark.parametrize("pixels", [

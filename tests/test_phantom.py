@@ -100,6 +100,26 @@ def test_layer_means_must_be_grey_levels(means):
         PhantomSpec(layer_means=means)
 
 
+@pytest.mark.parametrize("means, textures, layer", [
+    # the intima modulation reaches 200 * 1.4 = 280
+    ((40, 200, 70, 220), {"intima_texture": 0.4}, "intima"),
+    # the lumen grading reaches 150 * 1.9 = 285
+    ((150, 200, 170, 220), {"lumen_texture": 0.9}, "lumen"),
+])
+def test_textures_must_keep_layers_below_255(means, textures, layer):
+    with pytest.raises(ValueError, match=f"{layer} mean"):
+        PhantomSpec(layer_means=means, **textures)
+
+
+def test_textures_reaching_exactly_255_are_accepted():
+    spec = PhantomSpec(
+        layer_means=(170, 204, 180, 220), intima_texture=0.25, lumen_texture=0.5,
+        speckle_sigma=0.0,
+    )
+    frame, _ = generate_phantom(spec)
+    assert frame.pixels.max() == 255
+
+
 def test_lumen_must_fit_inside_media():
     with pytest.raises(ValueError):
         PhantomSpec(
