@@ -232,6 +232,9 @@ def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.Art
             "skipping ring-down removal"
         )
         return None
+    if not model.positions.size:
+        # nothing to fill: frames skip a copy, and pool tasks a mask
+        return None
     fraction = float(model.mask.mean())
     if fraction > MAX_ARTIFACT_FRACTION:
         log.warning(

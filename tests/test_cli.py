@@ -421,6 +421,33 @@ def test_batch_skips_implausible_artifact_model(tmp_path, capsys):
     assert np.mean(agg_jm) > 0.85  # removal skipped, segmentation intact
 
 
+def test_empty_artifact_mask_gives_no_model(tmp_path, monkeypatch):
+    # a threshold the minimum image never reaches masks nothing: the frames
+    # get no artifact model, and write what --no-ringdown writes
+    frames, _ = generate_phantom(PhantomSpec(rng_seed=5), n_frames=3)
+    frames[0] = Frame(pixels=np.minimum(frames[0].pixels, 254))
+    frames_dir = tmp_path / "pullback"
+    frames_dir.mkdir()
+    for i, frame in enumerate(frames):
+        save_frame(frame, frames_dir / f"f_{i:02d}.pgm")
+    models = []
+    original = cli.segment_frame
+
+    def spy(frame, cfg, artifact_model=None):
+        models.append(artifact_model)
+        return original(frame, cfg, artifact_model)
+
+    monkeypatch.setattr(cli, "segment_frame", spy)
+    outputs = {}
+    for name, kwargs in (("empty", {"ringdown_threshold": 255}), ("off", {"no_ringdown": True})):
+        outdir = tmp_path / name
+        summary = run_batch(RunConfig(inputs=[frames_dir], outdir=outdir, trace=True, **kwargs))
+        assert summary.failed == 0
+        outputs[name] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    assert models == [None] * 6
+    assert len(outputs["empty"]) == 12 and outputs["empty"] == outputs["off"]
+
+
 def test_artifact_model_warnings_go_through_logging(tmp_path, caplog, capsys):
     single = tmp_path / "single"
     single.mkdir()

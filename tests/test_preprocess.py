@@ -1,10 +1,13 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ivuseg import imaging
+from ivuseg import imaging, preprocess
 from ivuseg.errors import DegenerateMaskError, DimensionMismatchError
 from ivuseg.imaging import Frame
 from ivuseg.preprocess import ArtifactModel, build_artifact_model, remove_artifacts
@@ -214,3 +217,63 @@ def test_remove_artifacts_in_chunks_matches_pixel_loop(case, chunk):
         mp.setattr(imaging, "_WINDOW_CHUNK", chunk)
         ours = remove_artifacts(frame, model)
     assert np.array_equal(ours.pixels, brute_remove_artifacts(frame, model).pixels)
+
+
+def test_artifact_model_is_frozen():
+    model = ArtifactModel(mask=np.eye(4, dtype=bool))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.mask = np.zeros((4, 4), dtype=bool)
+    # nor can the mask change in place under its schedule
+    with pytest.raises(ValueError):
+        model.mask[0, 1] = True
+
+
+@pytest.mark.parametrize("shape", [(), (16,), (4, 4, 1)])
+def test_artifact_model_rejects_a_mask_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        ArtifactModel(mask=np.ones(shape, dtype=bool))
+
+
+def test_full_mask_model_constructs_and_schedules_the_global_median():
+    model = ArtifactModel(mask=np.ones((4, 4), dtype=bool))
+    assert (model.windows == 3).all() and model.positions.tolist() == list(range(16))
+
+
+def test_fill_schedule_of_a_block_in_a_clean_rim():
+    # the 34x34 block's 3-px outer ring reaches the rim with the 7x7 window,
+    # the next 2 rings with the 11x11, the next 2 with the 15x15, and its
+    # 20x20 centre takes the global median
+    _, mask = _block_case(40, 40, np.s_[3:37, 3:37])
+    model = ArtifactModel(mask=mask)
+    assert np.array_equal(model.positions, np.flatnonzero(mask))
+    assert np.bincount(model.windows, minlength=4).tolist() == [372, 208, 176, 400]
+
+
+def test_pickled_model_fills_as_the_original(rng):
+    pixels, mask = _block_case(30, 30, np.s_[0:20, 12:30])
+    model = ArtifactModel(mask=mask)
+    copy = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(copy.mask, mask)
+    assert np.array_equal(copy.windows, model.windows)
+    for frame in (Frame(pixels=pixels), Frame(pixels=rng.integers(0, 256, (30, 30)))):
+        assert np.array_equal(remove_artifacts(frame, copy).pixels,
+                              remove_artifacts(frame, model).pixels)
+
+
+@pytest.mark.parametrize("block", [np.s_[3:37, 3:37], np.s_[0:20, 12:30], np.s_[0:40, 0:39]])
+def test_each_masked_window_is_gathered_at_most_once_per_frame(monkeypatch, block):
+    pixels, mask = _block_case(40, 40, block)
+    model = ArtifactModel(mask=mask)
+    calls = []
+
+    def spy(pixels, excluded, ys, xs, radius):
+        calls.append((radius, ys * pixels.shape[1] + xs))
+        return imaging.window_medians(pixels, excluded, ys, xs, radius)
+
+    monkeypatch.setattr(preprocess, "window_medians", spy)
+    remove_artifacts(Frame(pixels=pixels), model)
+    radii = [radius for radius, _ in calls]
+    gathered = np.concatenate([flat for _, flat in calls])
+    assert len(set(radii)) == len(radii)
+    assert np.unique(gathered).size == gathered.size
+    assert gathered.size == np.count_nonzero(model.windows < 3)
