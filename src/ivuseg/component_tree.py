@@ -55,21 +55,27 @@ from scipy.sparse.csgraph import connected_components
 from .imaging import Frame
 
 
+# Frames of more pixels than this keep their pixels' component numbers as
+# int32: the sweep's scattered label reads and writes then touch half the
+# memory, which at 768x768 (4.7 MB of intp labels against a 2 MB L2) saves
+# more than the two casts per level cost; at 384x384 the casts would not pay.
+_INT32_LABELS_PX = 1 << 18
+
+
 def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vectorised root lookup with path compression on the queried entries."""
     if x.size == 0:
         return x
     r = uf[x]
     rr = uf[r]
-    lag = rr != r
-    if lag.any():
-        # only the unconverged entries keep jumping (and need compressing;
-        # the rest already point straight at their roots)
-        idx = np.flatnonzero(lag)
+    # only the unconverged entries keep jumping (and need compressing; the
+    # rest already point straight at their roots)
+    idx = (rr != r).nonzero()[0]
+    if idx.size:
         sub = rr[idx]
         while True:
             nxt = uf[sub]
-            if (nxt == sub).all():
+            if not np.count_nonzero(nxt != sub):
                 break
             sub = nxt
         r[idx] = sub
@@ -103,12 +109,12 @@ def _neighbour_codes(img: np.ndarray) -> np.ndarray:
     return codes.ravel()
 
 
-def _pools(mask: np.ndarray, outside: int) -> tuple[int, np.ndarray]:
+def _pools(mask: np.ndarray, outside: int, dtype=np.intp) -> tuple[int, np.ndarray]:
     """Count and number the 4-connected components of a boolean image.
 
-    Returns the count and a flat label per pixel: a masked pixel holds its
-    component's number, from outside + 1 to outside + count, and any other
-    pixel holds outside.
+    Returns the count and a flat label per pixel, of the given dtype: a
+    masked pixel holds its component's number, from outside + 1 to
+    outside + count, and any other pixel holds outside.
 
     The nodes of the labelled graph are the mask's horizontal runs: a run
     starts at every masked pixel whose west neighbour is unmasked or outside
@@ -117,7 +123,7 @@ def _pools(mask: np.ndarray, outside: int) -> tuple[int, np.ndarray]:
     each pair once, in raster order (He, Chao & Suzuki, IEEE TIP 2008).
     """
     # the labelling reads only the bounding box of the mask
-    label = np.full(mask.shape, outside)
+    label = np.full(mask.shape, outside, dtype=dtype)
     ys = np.flatnonzero(mask.any(axis=1))
     if not ys.size:
         return 0, label.ravel()
@@ -146,7 +152,7 @@ def _pools(mask: np.ndarray, outside: int) -> tuple[int, np.ndarray]:
     )
     count, comp = connected_components(graph, directed=False)
     run *= flat  # unmasked pixels read entry 0, outside
-    number = np.r_[outside, np.add(comp, outside + 1, dtype=np.intp)]
+    number = np.r_[outside, np.add(comp, outside + 1, dtype=dtype)]
     np.take(number, run.reshape(h, w), out=label[box])
     return count, label.ravel()
 
@@ -195,7 +201,8 @@ def build_component_tree(
     # keeps its number and reads as never.
     root = 0   # the seed component's virtual root
     never = 1  # the pixels the sweep does not reach
-    n_pools, label = _pools(img < seed_level, never)
+    label_dtype = np.int32 if n > _INT32_LABELS_PX else np.intp
+    n_pools, label = _pools(img < seed_level, never, label_dtype)
     next_label = 2 + n_pools
     n_numbers = next_label + np.count_nonzero(((codes & 15) == 0) & (flat >= seed_level))
     uf = np.arange(n_numbers)
@@ -221,30 +228,35 @@ def build_component_tree(
     block_px = max(n // 32, 1)
     block_end = seed_level  # the first level past the listed block
 
+    # the level bounds as Python ints: the sweep reads two per level
+    starts = px_starts.tolist()
     for t in range(seed_level, 256):
-        a0, a1 = px_starts[t], px_starts[t + 1]
+        a0, a1 = starts[t], starts[t + 1]
         if a0 == a1:
             continue
         if t >= block_end:
             block_start = t
             block_end = int(np.searchsorted(px_starts, min(max(a0 + block_px, stop_area), n)))
-            block = order[a0 : px_starts[block_end]]
+            block = order[a0 : starts[block_end]]
             code = codes[block]
-            # lone pixels are numbered in sweep order; flatnonzero of a
-            # boolean mask is several times faster than indexing by it
-            lone = block[np.flatnonzero((code & 15) == 0)]
+            # lone pixels are numbered in sweep order; the positions of a
+            # boolean mask's hits are several times faster than indexing by it
+            lone = block[((code & 15) == 0).nonzero()[0]]
             label[lone] = np.arange(next_label, next_label + lone.size)
             next_label += lone.size
             level_starts = px_starts[t : block_end + 1] - a0
             edges, cuts = [], []
             for bit, offset in zip(bits, offsets):
-                at = np.flatnonzero((code & bit) != 0)
+                at = ((code & bit) != 0).nonzero()[0]
                 u = block[at]
                 edges.append(np.stack((u, u + offset)))
-                cuts.append(np.searchsorted(at, level_starts).tolist())
+                cuts.append(np.searchsorted(at, level_starts))
+            # per level of the block, its edges to older pixels
+            older = np.diff(sum(cuts[:4])).tolist()
+            cuts = [c.tolist() for c in cuts]
         k = t - block_start
         u, v = np.concatenate([e[:, c[k] : c[k + 1]] for e, c in zip(edges, cuts)], axis=1)
-        n_older = sum(c[k + 1] - c[k] for c in cuts[:4])
+        n_older = older[k]
 
         if size is None and a1 >= stop_area:
             # the seed component can only exceed the cap once at least that
@@ -261,15 +273,13 @@ def build_component_tree(
         # (whichever scattered store wins); only the component pairs it
         # bridges, the same-level edges and, at its level, the seed's edge
         # to the virtual root go through the hooking rounds.
-        rv = alias[_find(uf, label[v[:n_older]])]
+        rv = alias[_find(uf, label[v[:n_older]].astype(np.intp, copy=False))]
         label[u[:n_older]] = rv
-        ra = [label[u]]
-        rb = [rv, label[v[n_older:]]]
+        ra = label[u].astype(np.intp, copy=False)
+        rb = np.concatenate((rv, label[v[n_older:]]))
         if t == seed_level:
-            ra.append(label[seed_px : seed_px + 1])
-            rb.append(np.array([root]))
-        ra = np.concatenate(ra)
-        rb = np.concatenate(rb)
+            ra = np.concatenate((ra, label[seed_px : seed_px + 1]))
+            rb = np.concatenate((rb, [root]))
         # Batched unions: hook the larger root under the smaller until every
         # pair is internal to one component.  Plain scatter stores suffice:
         # every write points at a strictly smaller number, so no cycle can
@@ -278,7 +288,7 @@ def build_component_tree(
         # next round.
         hooked = [np.empty(0, dtype=np.intp)]
         while True:
-            open_ = np.flatnonzero(ra != rb)
+            open_ = (ra != rb).nonzero()[0]
             if not open_.size:
                 break
             ra, rb = ra[open_], rb[open_]
@@ -300,9 +310,10 @@ def build_component_tree(
             hooked = hooked[_distinct(hooked, scratch)]
             ends = _find(uf, np.concatenate([hooked, label[order[a0:a1]]]))
         absorbed = hooked[ends[: hooked.size] == root]
-        uf[absorbed] = absorbed
-        alias[absorbed] = root
-        stamp[absorbed] = t
+        if absorbed.size:
+            uf[absorbed] = absorbed
+            alias[absorbed] = root
+            stamp[absorbed] = t
 
         if size is not None:
             # every final root gains the sizes of the roots hooked under it
@@ -314,9 +325,10 @@ def build_component_tree(
 
     # A pixel whose component ends at the virtual root joined in the level
     # it activated; any other pixel's join level is the stamp its
-    # component's root carries (256 for never).
-    joined = stamp[_find(uf, np.arange(n_numbers))][label]
-    joined = np.where(joined < 0, flat, joined)
+    # component's root carries (256 for never).  One maximum reads both:
+    # the virtual root's stamp is below every level, and an absorbed pool's
+    # stamp is at least the level of each of its pixels.
+    joined = np.maximum(stamp[_find(uf, np.arange(n_numbers))].take(label), flat)
     counts = np.bincount(joined, minlength=257)
     # the sweep stopped right after the level whose cumulative count
     # crossed the cap, so every join level found is a chain node
@@ -325,7 +337,7 @@ def build_component_tree(
     node_of[levels] = np.arange(levels.size, dtype=np.int32)
     return ComponentTree(SeedChain(
         pixels=img,
-        join_index=node_of[joined],
+        join_index=node_of.take(joined),
         levels=levels,
         areas=np.cumsum(counts[levels]),
     ))

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from conftest import ACCEPTANCE_PHANTOMS, acceptance_phantom_spec, scaled_phantom_spec
+from ivuseg import component_tree
 from ivuseg.component_tree import _pools, build_component_tree
 from ivuseg.erel import ErelParams
 from ivuseg.imaging import frame_center, median_filter
@@ -214,6 +215,22 @@ def test_seed_sweep_equals_reference(pixels, data):
     assert_matches_reference(pixels, seed, cap)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tree_frames, plateau_frames), st.data())
+def test_seed_sweep_with_int32_labels_equals_reference(pixels, data):
+    # frames of more than _INT32_LABELS_PX pixels sweep with int32 labels;
+    # a threshold of 0 takes that path on small frames too
+    h, w = pixels.shape
+    seed = (
+        data.draw(st.integers(0, w - 1), label="seed_x"),
+        data.draw(st.integers(0, h - 1), label="seed_y"),
+    )
+    cap = data.draw(st.integers(1, pixels.size), label="cap")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(component_tree, "_INT32_LABELS_PX", 0)
+        assert_matches_reference(pixels, seed, cap)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(tree_frames, plateau_frames, line_frames), st.booleans(), st.data())
 def test_seed_sweep_equals_reference_from_the_extreme_levels(pixels, brightest, data):
@@ -366,6 +383,35 @@ def test_seed_with_only_darker_neighbours_joins_through_their_pools(ring):
     assert chain.levels.tolist() == [100, 200]
     assert chain.areas.tolist() == [9 if ring else 5, 25]
     assert chain_mask(chain, 0).sum() == chain.areas[0]
+
+
+@pytest.mark.parametrize("cap", [30, 144])
+def test_join_levels_of_absorbed_pools_unreached_lone_pixels_and_own_levels(cap):
+    # a basin at 60 holding the seed, a ring at 80 around it, and a corridor
+    # at 120 to a pool at 10, darker than the seed; a lone pixel at 150
+    # sits in the background at 200
+    pixels = np.full((12, 12), 200, np.uint8)
+    pixels[0:5, 0:5] = 80
+    pixels[1:4, 1:4] = 60
+    pixels[2, 5:8] = 120
+    pixels[1:4, 8:10] = 10
+    pixels[9, 9] = 150
+    chain = assert_matches_reference(pixels, (2, 2), cap)
+    join = chain.levels.tolist() + [None]
+    at = lambda y, x: join[chain.join_index.reshape(pixels.shape)[y, x]]
+    # the ring and the corridor join at their own levels, the pool at the
+    # corridor's, 110 levels above its pixels
+    assert (at(0, 0), at(2, 4), at(2, 6), at(2, 8), at(3, 9)) == (80, 80, 120, 120, 120)
+    if cap == 30:
+        # the seed's component outgrows the cap at 120 (34 px), so the sweep
+        # never reaches the lone pixel, which is numbered all the same: the
+        # levels listed at 120 span at least 144 / 32 = 4 px, through 150
+        assert chain.levels.tolist() == [60, 80, 120]
+        assert at(9, 9) is None
+    else:
+        # the lone pixel is a pool of one from 150 on, absorbed at 200
+        assert chain.levels.tolist() == [60, 80, 120, 200]
+        assert at(9, 9) == 200
 
 
 # -- the per-frame edge lists and lone-pixel numbers -----------------------------

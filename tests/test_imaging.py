@@ -336,7 +336,7 @@ def test_median_memory_does_not_grow_with_the_window(shape, radius):
     assert peak < 16 * 2**20
 
 
-# the radius-1 fast path: sorting network inside, clamped windows on the border
+# the radius-1 fast path: sorted columns inside, clamped windows on the border
 radius1_frames = st.one_of(
     arrays(np.uint8, st.tuples(st.integers(3, 16), st.integers(3, 16)), elements=st.integers(0, hi))
     for hi in (255, 3)
@@ -353,6 +353,22 @@ def test_median_radius1_matches_brute_force(pixels):
 @pytest.mark.parametrize("shape", [(3, 3), (3, 11), (11, 3)])
 def test_median_radius1_thinnest_frames(shape):
     pixels = np.random.default_rng(sum(shape)).integers(0, 256, shape).astype(np.uint8)
+    out = median_filter(Frame(pixels=pixels), 1).pixels
+    assert np.array_equal(out, brute_median_filter(pixels, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 255), min_size=2, max_size=3, unique=True),
+    st.integers(3, 40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_median_radius1_on_tie_heavy_thin_frames(palette, n, tall, draw):
+    # two or three grey levels tie most of a window's values, and 3xN and
+    # Nx3 frames have a single row or column of interior windows
+    shape = (n, 3) if tall else (3, n)
+    pixels = np.random.default_rng(draw).choice(np.asarray(palette, np.uint8), shape)
     out = median_filter(Frame(pixels=pixels), 1).pixels
     assert np.array_equal(out, brute_median_filter(pixels, 1))
 
