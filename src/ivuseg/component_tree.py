@@ -55,13 +55,6 @@ from scipy.sparse.csgraph import connected_components
 from .imaging import Frame
 
 
-# Frames of more pixels than this keep their pixels' component numbers as
-# int32: the sweep's scattered label reads and writes then touch half the
-# memory, which at 768x768 (4.7 MB of intp labels against a 2 MB L2) saves
-# more than the two casts per level cost; at 384x384 the casts would not pay.
-_INT32_LABELS_PX = 1 << 18
-
-
 def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Vectorised root lookup with path compression on the queried entries."""
     if x.size == 0:
@@ -109,12 +102,12 @@ def _neighbour_codes(img: np.ndarray) -> np.ndarray:
     return codes.ravel()
 
 
-def _pools(mask: np.ndarray, outside: int, dtype=np.intp) -> tuple[int, np.ndarray]:
+def _pools(mask: np.ndarray, outside: int) -> tuple[int, np.ndarray]:
     """Count and number the 4-connected components of a boolean image.
 
-    Returns the count and a flat label per pixel, of the given dtype: a
-    masked pixel holds its component's number, from outside + 1 to
-    outside + count, and any other pixel holds outside.
+    Returns the count and a flat label per pixel: a masked pixel holds its
+    component's number, from outside + 1 to outside + count, and any other
+    pixel holds outside.
 
     The nodes of the labelled graph are the mask's horizontal runs: a run
     starts at every masked pixel whose west neighbour is unmasked or outside
@@ -123,7 +116,7 @@ def _pools(mask: np.ndarray, outside: int, dtype=np.intp) -> tuple[int, np.ndarr
     each pair once, in raster order (He, Chao & Suzuki, IEEE TIP 2008).
     """
     # the labelling reads only the bounding box of the mask
-    label = np.full(mask.shape, outside, dtype=dtype)
+    label = np.full(mask.shape, outside)
     ys = np.flatnonzero(mask.any(axis=1))
     if not ys.size:
         return 0, label.ravel()
@@ -152,7 +145,7 @@ def _pools(mask: np.ndarray, outside: int, dtype=np.intp) -> tuple[int, np.ndarr
     )
     count, comp = connected_components(graph, directed=False)
     run *= flat  # unmasked pixels read entry 0, outside
-    number = np.r_[outside, np.add(comp, outside + 1, dtype=dtype)]
+    number = np.r_[outside, np.add(comp, outside + 1, dtype=np.intp)]
     np.take(number, run.reshape(h, w), out=label[box])
     return count, label.ravel()
 
@@ -201,8 +194,7 @@ def build_component_tree(
     # keeps its number and reads as never.
     root = 0   # the seed component's virtual root
     never = 1  # the pixels the sweep does not reach
-    label_dtype = np.int32 if n > _INT32_LABELS_PX else np.intp
-    n_pools, label = _pools(img < seed_level, never, label_dtype)
+    n_pools, label = _pools(img < seed_level, never)
     next_label = 2 + n_pools
     n_numbers = next_label + np.count_nonzero(((codes & 15) == 0) & (flat >= seed_level))
     uf = np.arange(n_numbers)
@@ -273,9 +265,9 @@ def build_component_tree(
         # (whichever scattered store wins); only the component pairs it
         # bridges, the same-level edges and, at its level, the seed's edge
         # to the virtual root go through the hooking rounds.
-        rv = alias[_find(uf, label[v[:n_older]].astype(np.intp, copy=False))]
+        rv = alias[_find(uf, label[v[:n_older]])]
         label[u[:n_older]] = rv
-        ra = label[u].astype(np.intp, copy=False)
+        ra = label[u]
         rb = np.concatenate((rv, label[v[n_older:]]))
         if t == seed_level:
             ra = np.concatenate((ra, label[seed_px : seed_px + 1]))

@@ -173,35 +173,13 @@ class RegionSeries:
 # along the quantised gradient direction.
 # ---------------------------------------------------------------------------
 
-# Pixels of the gradient map computed at once: the int32 temporaries of a
-# band this size stay in cache, where those of a whole 768x768 frame's
-# window do not.  The window of a 384x384 phantom, about 330x330, fits in
-# one band.
-_GRADIENT_BAND_PX = 1 << 17
-
-
 def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
     """Boolean map of pixels that are local maxima of |grad| along the gradient.
 
     Integer arithmetic throughout: squared magnitudes compare the same way
     magnitudes do, and the direction quantisation thresholds (tan 22.5 deg)
-    are evaluated in a cross-multiplied form.  The map is computed in bands
-    of whole rows, about _GRADIENT_BAND_PX pixels each, each band from its
-    rows plus two above and below, as far as the Sobel and suppression
-    neighbourhoods reach, so it equals the map of the whole frame at once.
+    are evaluated in a cross-multiplied form.
     """
-    h, w = pixels.shape
-    band = max(1, _GRADIENT_BAND_PX // w)
-    keep = np.empty(pixels.shape, dtype=bool)
-    for y0 in range(0, h, band):
-        y1 = min(y0 + band, h)
-        top = max(0, y0 - 2)
-        keep[y0:y1] = _gradient_maxima(pixels[top : y1 + 2])[y0 - top : y1 - top]
-    return keep
-
-
-def _gradient_maxima(pixels: np.ndarray) -> np.ndarray:
-    """gradient_magnitude_maxima of the whole of pixels at once."""
     f = np.pad(pixels, 1, mode="edge").astype(np.int32)
     gx = (
         (f[:-2, 2:] + 2 * f[1:-1, 2:] + f[2:, 2:])

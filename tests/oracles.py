@@ -44,42 +44,6 @@ def brute_median_filter(pixels: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def unbanded_gradient_maxima(pixels: np.ndarray) -> np.ndarray:
-    """erel.gradient_magnitude_maxima over the whole frame at once: Sobel
-    squared magnitudes, kept where they are at least both neighbours'
-    along the gradient direction quantised to 45 degrees."""
-    f = np.pad(pixels, 1, mode="edge").astype(np.int32)
-    gx = (
-        (f[:-2, 2:] + 2 * f[1:-1, 2:] + f[2:, 2:])
-        - (f[:-2, :-2] + 2 * f[1:-1, :-2] + f[2:, :-2])
-    )
-    gy = (
-        (f[2:, :-2] + 2 * f[2:, 1:-1] + f[2:, 2:])
-        - (f[:-2, :-2] + 2 * f[:-2, 1:-1] + f[:-2, 2:])
-    )
-    mag = gx * gx + gy * gy
-    ax = np.abs(gx)
-    ay = np.abs(gy)
-    tan_scaled = 434322  # tan(22.5 deg) * 2^20
-    horizontal = (ay << 20) <= tan_scaled * ax
-    vertical = (ax << 20) <= tan_scaled * ay
-    diag_main = ~horizontal & ~vertical & (np.sign(gx) == np.sign(gy))
-    diag_anti = ~horizontal & ~vertical & ~diag_main
-    m = np.pad(mag, 1, mode="constant", constant_values=-1)
-    c = m[1:-1, 1:-1]
-    keep = np.zeros(c.shape, dtype=bool)
-    for sel, (dy, dx) in (
-        (horizontal, (0, 1)),
-        (vertical, (1, 0)),
-        (diag_main, (1, 1)),
-        (diag_anti, (1, -1)),
-    ):
-        n1 = m[1 + dy : m.shape[0] - 1 + dy, 1 + dx : m.shape[1] - 1 + dx]
-        n2 = m[1 - dy : m.shape[0] - 1 - dy, 1 - dx : m.shape[1] - 1 - dx]
-        keep |= sel & (c >= n1) & (c >= n2)
-    return keep & (mag > 0)
-
-
 def brute_densify(contour: Contour, max_spacing: float = 0.5) -> np.ndarray:
     """Points on the contour polyline at most max_spacing apart, one
     segment at a time."""

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from conftest import ACCEPTANCE_PHANTOMS, acceptance_phantom_spec, scaled_phantom_spec
-from ivuseg import component_tree
 from ivuseg.component_tree import _pools, build_component_tree
 from ivuseg.erel import ErelParams
 from ivuseg.imaging import frame_center, median_filter
@@ -213,22 +212,6 @@ def test_seed_sweep_equals_reference(pixels, data):
     )
     cap = data.draw(st.integers(1, pixels.size), label="cap")
     assert_matches_reference(pixels, seed, cap)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(tree_frames, plateau_frames), st.data())
-def test_seed_sweep_with_int32_labels_equals_reference(pixels, data):
-    # frames of more than _INT32_LABELS_PX pixels sweep with int32 labels;
-    # a threshold of 0 takes that path on small frames too
-    h, w = pixels.shape
-    seed = (
-        data.draw(st.integers(0, w - 1), label="seed_x"),
-        data.draw(st.integers(0, h - 1), label="seed_y"),
-    )
-    cap = data.draw(st.integers(1, pixels.size), label="cap")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(component_tree, "_INT32_LABELS_PX", 0)
-        assert_matches_reference(pixels, seed, cap)
 
 
 @settings(max_examples=150, deadline=None)

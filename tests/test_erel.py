@@ -37,7 +37,6 @@ from oracles import (
     rasterize_disk,
     reference_regions,
     thinned_band,
-    unbanded_gradient_maxima,
 )
 
 
@@ -461,26 +460,6 @@ def test_mgm_marks_vertical_step_edge():
     mgm = gradient_magnitude_maxima(pixels)
     assert mgm[:, 7:9].any()
     assert not mgm[:, :5].any() and not mgm[:, 12:].any()
-
-
-# Every other test frame is smaller than one band, so only these frames take
-# the banded path: 1-3 rows either side of one, two or three bands, where a
-# band's halo is cut short by the frame or the last band is thin.
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.sampled_from([-3, -2, -1, 1, 2, 3]),
-    st.integers(1, 7),
-    st.sampled_from([2, 3, 256]),
-    st.integers(0, 2**32 - 1),
-)
-def test_banded_gradient_maxima_equal_the_unbanded_kernel(bands, rows, width, palette, draw):
-    h = bands * (erel._GRADIENT_BAND_PX // width) + rows
-    rng = np.random.default_rng(draw)
-    # two or three grey levels give flat runs and ties between neighbours
-    values = rng.choice(256, palette, replace=False)
-    pixels = values[rng.integers(0, palette, (h, width))].astype(np.uint8)
-    assert np.array_equal(gradient_magnitude_maxima(pixels), unbanded_gradient_maxima(pixels))
 
 
 # -- extremum-level retention -------------------------------------------------------
