@@ -63,14 +63,14 @@ def _parse_seed(text: str) -> tuple[int, int] | None:
     return x, y
 
 
-def _tunable(default, parse, flag: str | None = None, help: str | None = None):
+def _tunable(default, parse, help: str | None = None):
     """A RunConfig field that is also a CLI flag and a config-file key.
 
     parse turns the text of a flag or config value into the field value
-    (_truthy makes a store-true flag); the flag defaults to the field name
-    with dashes.
+    (_truthy makes a store-true flag); the flag is the field name with
+    dashes.
     """
-    return field(default=default, metadata={"parse": parse, "flag": flag, "help": help})
+    return field(default=default, metadata={"parse": parse, "help": help})
 
 
 @dataclass
@@ -87,17 +87,11 @@ class RunConfig:
     mm_per_px: float | None = _tunable(None, float)
     alpha: float = _tunable(erel.DEFAULT_ALPHA, float)
     beta: int = _tunable(erel.DEFAULT_BETA, int)
-    amin_frac: float = _tunable(erel.DEFAULT_AMIN_FRAC, float)
-    amax_frac: float = _tunable(erel.DEFAULT_AMAX_FRAC, float)
     ringdown_threshold: int = _tunable(preprocess.DEFAULT_RINGDOWN_THRESHOLD, int)
     no_ringdown: bool = _tunable(False, _truthy)
-    min_peaks: int = _tunable(selection.DEFAULT_MIN_PEAKS, int)
-    z_min: float = _tunable(selection.DEFAULT_Z_MIN, float, flag="--zmin")
-    z_max: float = _tunable(selection.DEFAULT_Z_MAX, float, flag="--zmax")
     seed: tuple[int, int] | None = _tunable(
         None, _parse_seed, help="seed pixel as x,y (default: frame centre)"
     )
-    despeckle_radius: int = _tunable(1, int)
     jobs: int = _tunable(1, int)
     trace: bool = _tunable(False, _truthy)
     contour_points: int = _tunable(360, int)
@@ -108,11 +102,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         checks = [
-            (0 < self.amin_frac < self.amax_frac <= 1, "need 0 < amin-frac < amax-frac <= 1"),
             (0 <= self.ringdown_threshold <= 255, "ringdown threshold must lie in [0, 255]"),
-            (self.min_peaks >= 1, "min-peaks must be >= 1"),
-            (self.z_min < self.z_max, "z-min must be below z-max"),
-            (self.despeckle_radius >= 1, "despeckle radius must be >= 1"),
             (self.jobs >= 1, "jobs must be >= 1"),
             (self.contour_points >= 16, "contour-points must be >= 16"),
             # a seed past one frame's size is that frame's error: sizes differ
@@ -143,19 +133,13 @@ def _extract(
     seed's nested regions in the frame's area band.
     """
     cfg.validate()
-    despeckled = median_filter(frame, cfg.despeckle_radius)
+    despeckled = median_filter(frame)
     if artifact_model is not None:
         despeckled = preprocess.remove_artifacts(despeckled, artifact_model)
     seed = cfg.seed if cfg.seed is not None else frame_center(frame)
     if not (0 <= seed[0] < frame.width and 0 <= seed[1] < frame.height):
         raise ConfigError(f"seed {seed} outside the {frame.width}x{frame.height} frame")
-    params = erel.ErelParams.for_frame(
-        despeckled.pixels.shape,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        amin_frac=cfg.amin_frac,
-        amax_frac=cfg.amax_frac,
-    )
+    params = erel.ErelParams.for_frame(despeckled.pixels.shape, alpha=cfg.alpha, beta=cfg.beta)
     tree = build_component_tree(despeckled.pixels, seed, params.a_max)
     return seed, params, erel.extract_qplus(tree, params)
 
@@ -172,9 +156,7 @@ def segment_frame(
     each stage plus the full stability profile.
     """
     seed, params, series = _extract(frame, cfg, artifact_model)
-    lumen_i, media_i, profile = selection.select_regions(
-        series, z_min=cfg.z_min, z_max=cfg.z_max, min_peaks=cfg.min_peaks
-    )
+    lumen_i, media_i, profile = selection.select_regions(series)
     lumen, media = (ellipse_from_moments(*series.moments(i)) for i in (lumen_i, media_i))
     trace = {
         "seed": list(seed),
@@ -247,6 +229,16 @@ def _build_artifact_model(frames: list[Frame], cfg: RunConfig) -> preprocess.Art
     return model
 
 
+def _make_outdir(outdir: Path) -> None:
+    """Create the output directory; a path that cannot be one is a ConfigError."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {outdir}: {exc.strerror or exc}"
+        ) from exc
+
+
 def _error_record(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "message": str(exc)}
 
@@ -273,7 +265,7 @@ def _map_frames(cfg: RunConfig, worker) -> list[tuple[Path, bool, object, dict |
         if stems.setdefault(path.stem, path) is not path:
             raise ConfigError(f"inputs {stems[path.stem]} and {path} share a stem, "
                               f"so their outputs would overwrite each other")
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(cfg.outdir)
 
     frames: dict[int, Frame] = {}
     outcomes: dict[int, tuple] = {}
@@ -562,7 +554,7 @@ def _add_tunable_flags(p: argparse.ArgumentParser) -> None:
     # RunConfig default shows through.
     p.add_argument("--config", type=Path, help="key=value config file; flags override it")
     for name, f in _tunables().items():
-        flag = f.metadata["flag"] or "--" + name.replace("_", "-")
+        flag = "--" + name.replace("_", "-")
         if f.metadata["parse"] is _truthy:
             p.add_argument(flag, dest=name, action="store_true", default=argparse.SUPPRESS)
         else:
@@ -574,6 +566,8 @@ def _read_config_file(path: Path) -> dict:
     """Parsed values of a key=value config file; keys are RunConfig field names."""
     try:
         text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not text: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     tunables = _tunables()
@@ -667,7 +661,7 @@ def _cmd_phantom(args: argparse.Namespace) -> int:
     if args.frames == 1:
         frames = [frames]
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     for i, frame in enumerate(frames):
         save_frame(frame, outdir / f"phantom_{i:03d}.pgm")
         save_contour(truth.lumen_contour, outdir / f"phantom_{i:03d}_lumen.txt")

@@ -54,23 +54,16 @@ class ErelParams:
 
     @classmethod
     def for_frame(
-        cls,
-        shape: tuple[int, int],
-        alpha: float = DEFAULT_ALPHA,
-        beta: int = DEFAULT_BETA,
-        amin_frac: float = DEFAULT_AMIN_FRAC,
-        amax_frac: float = DEFAULT_AMAX_FRAC,
+        cls, shape: tuple[int, int], alpha: float = DEFAULT_ALPHA, beta: int = DEFAULT_BETA
     ) -> "ErelParams":
-        """Area band as fractions of the frame's pixel count.
+        """The paper's area band: A_min = (R x C)/100, A_max = (R x C)/3.
 
-        A frame too small for the fractions to leave an area band has no
-        candidate regions, which is a per-frame failure, not a bad config.
+        A frame too small to leave an area band has no candidate regions,
+        which is a per-frame failure, not a bad config.
         """
         n = shape[0] * shape[1]
-        a_min = int(n * amin_frac)
-        a_max = int(n * amax_frac)
-        if a_max > n:
-            raise ValueError("a_max cannot exceed the pixel count")
+        a_min = int(n * DEFAULT_AMIN_FRAC)
+        a_max = int(n * DEFAULT_AMAX_FRAC)
         if not 0 < a_min < a_max:
             raise NoCandidateRegionsError(
                 f"no candidate regions: a {shape[1]}x{shape[0]} frame leaves an "

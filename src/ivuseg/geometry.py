@@ -41,14 +41,6 @@ class Ellipse:
         if not (-math.pi / 2 < self.theta <= math.pi / 2):
             raise ValueError("theta must lie in (-pi/2, pi/2]")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return self.cx, self.cy
-
-    @property
-    def area(self) -> float:
-        return math.pi * self.a * self.b
-
     def implicit(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Value of the implicit form; <= 1 inside the ellipse."""
         dx = np.asarray(x, dtype=np.float64) - self.cx

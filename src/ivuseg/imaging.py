@@ -247,13 +247,13 @@ _WINDOW_CHUNK = 1 << 20
 
 def window_medians(
     pixels: np.ndarray, excluded: np.ndarray | None, ys: np.ndarray, xs: np.ndarray, radius: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Lower medians of the windows centred on the pixels (ys, xs).
 
     A window's samples are the pixels at most radius away in each axis,
     clipped to the frame, less those marked in the bool map excluded (None
-    excludes none).  Returns (medians, counts): element (count - 1) // 2 of
-    each window's sorted samples as uint16, and the number of samples.  A
+    excludes none).  Returns element (count - 1) // 2 of each window's
+    sorted samples as uint16, where count is its number of samples.  A
     window without samples reads 256.  Windows are gathered and sorted a
     chunk of pixels at a time, _WINDOW_CHUNK values per chunk, so memory
     stays flat however many pixels or however large the window.
@@ -269,40 +269,34 @@ def window_medians(
         inner[excluded] = 256
     windows = np.lib.stride_tricks.sliding_window_view(grid, (k, k))
     medians = np.empty(ys.size, dtype=np.uint16)
-    counts = np.empty(ys.size, dtype=np.intp)
     step = max(1, _WINDOW_CHUNK // (k * k))
     for start in range(0, ys.size, step):
         part = slice(start, start + step)
         cells = windows[ys[part], xs[part]].reshape(-1, k * k)
-        counts[part] = np.count_nonzero(cells != 256, axis=1)
+        counts = np.count_nonzero(cells != 256, axis=1)
         cells.sort(axis=1)
-        medians[part] = cells[np.arange(cells.shape[0]), (counts[part] - 1) // 2]
-    return medians, counts
+        medians[part] = cells[np.arange(cells.shape[0]), (counts - 1) // 2]
+    return medians
 
 
-def median_filter(frame: Frame, radius: int = 1) -> Frame:
-    """Median despeckle with a (2*radius+1)^2 window.
+def median_filter(frame: Frame) -> Frame:
+    """3x3 median despeckle.
 
-    Each pixel takes the lower median of its window clipped to the frame:
-    only in-image pixels enter, no padding values are invented, and a window
-    with an even pixel count takes the lower middle element, so output
-    intensities are always drawn from the input.  At radius 1 _median9
-    computes the interior from sorted columns and window_medians the
-    one-pixel border; at any other radius window_medians computes every
-    pixel.
+    Each pixel takes the lower median of its 3x3 window clipped to the
+    frame: only in-image pixels enter, no padding values are invented, and
+    a window with an even pixel count takes the lower middle element, so
+    output intensities are always drawn from the input.  _median9 computes
+    the interior from sorted columns and window_medians the one-pixel
+    border.
     """
-    if radius < 1:
-        raise ValueError("median radius must be >= 1")
     px = frame.pixels
     h, w = px.shape
-    if radius == 1 and h > 2 and w > 2:
-        out = np.empty_like(px)
-        out[1:-1, 1:-1] = _median9(px)
-        rows = np.arange(1, h - 1)
-        ys = np.r_[np.zeros(w, np.intp), np.full(w, h - 1), rows, rows]
-        xs = np.r_[np.arange(w), np.arange(w), np.zeros(h - 2, np.intp), np.full(h - 2, w - 1)]
-        out[ys, xs] = window_medians(px, None, ys, xs, 1)[0]
-        return Frame(pixels=out)
-    ys, xs = np.divmod(np.arange(h * w), w)
-    medians = window_medians(px, None, ys, xs, radius)[0]
-    return Frame(pixels=medians.reshape(h, w).astype(np.uint8))
+    out = np.empty_like(px)
+    out[1:-1, 1:-1] = _median9(px)
+    # the border rows, then the interior rows' end pixels; a frame less
+    # than 3 pixels high or wide lists some pixels twice
+    rows = np.arange(1, h - 1)
+    ys = np.r_[np.zeros(w, np.intp), np.full(w, h - 1), rows, rows]
+    xs = np.r_[np.arange(w), np.arange(w), np.zeros(rows.size, np.intp), np.full(rows.size, w - 1)]
+    out[ys, xs] = window_medians(px, None, ys, xs, 1)
+    return Frame(pixels=out)

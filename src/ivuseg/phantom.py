@@ -10,7 +10,7 @@ acquisition artifacts at desk scale, with exact elliptical ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,28 +209,29 @@ def generate_phantom(spec: PhantomSpec, n_frames: int = 1):
 # key=value spec files
 # ---------------------------------------------------------------------------
 
+# spec-file name of each artifact kind, and the type of its fields
+_ARTIFACT_KINDS = {
+    "shadow": (ShadowArtifact, float),
+    "bifurcation": (BifurcationArtifact, float),
+    "ringdown": (RingDownArtifact, int),
+}
+
+
 def _format_artifact(a) -> str:
-    if isinstance(a, ShadowArtifact):
-        return f"shadow:{a.angle_start}:{a.angle_end}:{a.attenuation}"
-    if isinstance(a, BifurcationArtifact):
-        return f"bifurcation:{a.angle_start}:{a.angle_end}"
-    if isinstance(a, RingDownArtifact):
-        return f"ringdown:{a.x}:{a.y}:{a.size}:{a.intensity}"
+    for kind, (cls, _) in _ARTIFACT_KINDS.items():
+        if type(a) is cls:
+            return ":".join([kind, *map(str, astuple(a))])
     raise ValueError(f"unknown artifact {a!r}")
 
 
 def _parse_artifact(text: str):
     kind, *parts = text.split(":")
-    try:
-        if kind == "shadow":
-            return ShadowArtifact(float(parts[0]), float(parts[1]), float(parts[2]))
-        if kind == "bifurcation":
-            return BifurcationArtifact(float(parts[0]), float(parts[1]))
-        if kind == "ringdown":
-            return RingDownArtifact(int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]))
-    except IndexError:
-        raise ValueError(f"too few fields in artifact {text!r}") from None
-    raise ValueError(f"unknown artifact kind {kind!r}")
+    if kind not in _ARTIFACT_KINDS:
+        raise ValueError(f"unknown artifact kind {kind!r}")
+    cls, parse = _ARTIFACT_KINDS[kind]
+    if len(parts) != len(fields(cls)):
+        raise ValueError(f"artifact {text!r} needs {len(fields(cls))} fields, not {len(parts)}")
+    return cls(*map(parse, parts))
 
 
 def _format_ellipse(e: Ellipse) -> str:

@@ -142,8 +142,7 @@ def remove_artifacts(frame: Frame, model: ArtifactModel) -> Frame:
     for index, radius in enumerate(_FILL_RADII):
         part = model.windows == index
         if part.any():
-            medians = window_medians(src, mask, ys[part], xs[part], radius)[0]
-            filled[model.positions[part]] = medians
+            filled[model.positions[part]] = window_medians(src, mask, ys[part], xs[part], radius)
     part = model.windows == _GLOBAL
     if part.any():
         filled[model.positions[part]] = _lower_median(src[~mask])

@@ -23,6 +23,8 @@ from .erel import RegionSeries, _local_maxima
 # traces stay JSON-serialisable.
 STABILITY_SENTINEL = 1e18
 
+# Fixed settings: the outlier screen's modified Z-score cut-offs, and the
+# stability peaks needed for the media to be the last peak.
 DEFAULT_Z_MIN = -3.0
 DEFAULT_Z_MAX = 3.0
 DEFAULT_MIN_PEAKS = 3
@@ -45,15 +47,11 @@ class StabilityProfile:
     degenerate: bool
 
 
-def remove_outliers(
-    areas: np.ndarray,
-    z_min: float = DEFAULT_Z_MIN,
-    z_max: float = DEFAULT_Z_MAX,
-) -> np.ndarray:
+def remove_outliers(areas: np.ndarray) -> np.ndarray:
     """Positions of the areas that are no modified Z-score outlier.
 
-    M_i = 0.6745 (A_i - median) / MAD; areas with M_i < z_min or
-    M_i > z_max are dropped (Iglewicz & Hoaglin 1993).  A zero MAD keeps
+    M_i = 0.6745 (A_i - median) / MAD; areas with M_i < DEFAULT_Z_MIN or
+    M_i > DEFAULT_Z_MAX are dropped (Iglewicz & Hoaglin 1993).  A zero MAD keeps
     everything, and so does a screen that would drop more than a quarter
     of the areas: that many "outliers" means the area distribution itself
     is not MAD-testable (e.g. two separated size clusters).
@@ -66,7 +64,7 @@ def remove_outliers(
     if mad == 0.0:
         return np.arange(areas.size)
     m = 0.6745 * (areas - med) / mad
-    keep = np.flatnonzero((m >= z_min) & (m <= z_max))
+    keep = np.flatnonzero((m >= DEFAULT_Z_MIN) & (m <= DEFAULT_Z_MAX))
     if (areas.size - keep.size) * 4 > areas.size:
         return np.arange(areas.size)
     return keep
@@ -120,46 +118,37 @@ def _prominence(vals: np.ndarray, idx: int) -> float:
     return float(h - max(left_min, right_min))
 
 
-def lumen_media(
-    n: int,
-    omega: np.ndarray,
-    peaks: list[tuple[int, float]],
-    min_peaks: int = DEFAULT_MIN_PEAKS,
-) -> tuple[int, int]:
+def lumen_media(n: int, omega: np.ndarray, peaks: list[tuple[int, float]]) -> tuple[int, int]:
     """Positions of the lumen and the media in a series of n regions.
 
     The lumen is the higher-prominence peak among the first two (ties go to
     the earlier one), or without peaks the most stable region (position 0
-    when omega is empty).  With at least min_peaks peaks the media is the
-    last peak; fewer peaks mean artifacts disturbed the evolution, and the
-    last region stands in, as it does when the media would be the lumen.
+    when omega is empty).  With at least DEFAULT_MIN_PEAKS peaks the media
+    is the last peak; fewer peaks mean artifacts disturbed the evolution,
+    and the last region stands in, as it does when the media would be the
+    lumen.
     """
     if not peaks:
         lumen = int(np.argmax(omega)) + 1 if omega.size else 0
         media = n - 1
     else:
         lumen = max(peaks[:2], key=lambda peak: peak[1])[0]
-        media = peaks[-1][0] if len(peaks) >= min_peaks else n - 1
+        media = peaks[-1][0] if len(peaks) >= DEFAULT_MIN_PEAKS else n - 1
     return lumen, n - 1 if media == lumen else media
 
 
-def select_regions(
-    series: RegionSeries,
-    z_min: float = DEFAULT_Z_MIN,
-    z_max: float = DEFAULT_Z_MAX,
-    min_peaks: int = DEFAULT_MIN_PEAKS,
-) -> tuple[int, int, StabilityProfile]:
+def select_regions(series: RegionSeries) -> tuple[int, int, StabilityProfile]:
     """Full selection: outlier pruning, scoring, peak analysis, labelling.
 
     Returns the lumen's and the media's positions in series, and the
     profile, whose indices are positions in the pruned series.  An empty
     series is a ValueError.
     """
-    kept = remove_outliers(series.areas, z_min=z_min, z_max=z_max)
+    kept = remove_outliers(series.areas)
     v = np.asarray(feature_vector(series)[kept], dtype=np.float64)
     omega = stability_scores(v)
     peaks = [(idx + 1, prom) for idx, prom in find_peaks(omega)]
-    lumen, media = lumen_media(len(v), omega, peaks, min_peaks)
+    lumen, media = lumen_media(len(v), omega, peaks)
     profile = StabilityProfile(v=v, omega=omega, peaks=peaks, lumen_index=lumen,
                                media_index=media, degenerate=len(v) == 1)
     return int(kept[lumen]), int(kept[media]), profile

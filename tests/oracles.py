@@ -786,7 +786,7 @@ def reference_build_profile(v: np.ndarray) -> ReferenceProfile:
     return ReferenceProfile(v=v, omega=omega, peaks=peaks)
 
 
-def reference_assign_lumen_media(profile: ReferenceProfile, min_peaks: int = 3) -> tuple[int, int]:
+def reference_assign_lumen_media(profile: ReferenceProfile) -> tuple[int, int]:
     """Lumen and media positions by the rule as it was first written,
     recorded on the profile."""
     n = len(profile.v)
@@ -810,7 +810,7 @@ def reference_assign_lumen_media(profile: ReferenceProfile, min_peaks: int = 3) 
         if len(first_two) == 2 and first_two[1][1] > best[1]:
             best = first_two[1]
         lumen_idx = best[0]
-        media_idx = peaks[-1][0] if len(peaks) >= min_peaks else n - 1
+        media_idx = peaks[-1][0] if len(peaks) >= 3 else n - 1
 
     if lumen_idx == media_idx:
         media_idx = n - 1
@@ -819,7 +819,7 @@ def reference_assign_lumen_media(profile: ReferenceProfile, min_peaks: int = 3) 
     return lumen_idx, media_idx
 
 
-def reference_select_regions(series, z_min=-3.0, z_max=3.0, min_peaks=3):
+def reference_select_regions(series):
     """select_regions as a screen, a profile and a patched-in assignment.
 
     The screen is the modified Z-score with a plain loop over the areas;
@@ -830,10 +830,10 @@ def reference_select_regions(series, z_min=-3.0, z_max=3.0, min_peaks=3):
     mad = float(np.median(np.abs(areas - med)))
     kept = np.arange(areas.size)
     if mad != 0.0:
-        screened = [i for i, a in enumerate(areas) if z_min <= 0.6745 * (a - med) / mad <= z_max]
+        screened = [i for i, a in enumerate(areas) if -3.0 <= 0.6745 * (a - med) / mad <= 3.0]
         if (areas.size - len(screened)) * 4 <= areas.size:
             kept = np.array(screened, dtype=np.int64)
     v = series.boundary_length * series.mean_intensity * series.entropy
     profile = reference_build_profile(v[kept])
-    lumen, media = reference_assign_lumen_media(profile, min_peaks=min_peaks)
+    lumen, media = reference_assign_lumen_media(profile)
     return int(kept[lumen]), int(kept[media]), profile

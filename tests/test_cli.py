@@ -80,7 +80,7 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(alpha=9.0).validate()
     with pytest.raises(ConfigError):
-        RunConfig(amin_frac=0.5, amax_frac=0.1).validate()
+        RunConfig(beta=0).validate()
     with pytest.raises(ConfigError):
         RunConfig(jobs=0).validate()
 
@@ -169,7 +169,7 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_config_file_and_flag_precedence(phantom_dir, tmp_path):
     frames, _ = phantom_dir
     config = tmp_path / "run.conf"
-    config.write_text("despeckle_radius=2\ncontour_points=64\n")
+    config.write_text("trace=yes\ncontour_points=64\n")
     out = tmp_path / "o1"
     code = main([
         "segment", str(frames / "frame_00.pgm"),
@@ -179,6 +179,7 @@ def test_cli_config_file_and_flag_precedence(phantom_dir, tmp_path):
     assert code == 0
     contour = load_contour(out / "frame_00_lumen.txt")
     assert len(contour.points) == 128
+    assert (out / "frame_00_trace.json").exists()
 
 
 def test_cli_unknown_config_key(tmp_path, phantom_dir):
@@ -231,6 +232,7 @@ def test_cli_phantom_flags_override_the_spec_file(tmp_path, flags, seed, sigma):
     (["--spec", "bad.spec"], "bogus=1\n"),
     (["--spec", "bad.spec"], "artifact=shadow:1\n"),
     (["--spec", "bad.spec"], "layer_means=40,160,70,400\n"),
+    (["--spec", "bad.spec"], "artifact=shadow:0.2:1.1:0.6:99\n"),
 ])
 def test_cli_bad_phantom_arguments_exit_3(tmp_path, capsys, args, spec_text):
     if spec_text is not None:
@@ -498,16 +500,10 @@ def test_segment_frame_small_frames_segment_or_raise_segmentation_error(pixels):
 
 @st.composite
 def valid_configs(draw):
-    """A RunConfig whose extraction and selection tunables pass validate()."""
-    unit = dict(allow_nan=False, exclude_max=True)
-    amin = draw(st.floats(0.0, 1.0, exclude_min=True, **unit), label="amin_frac")
+    """A RunConfig whose extraction tunables pass validate()."""
     cfg = RunConfig(
         alpha=draw(st.floats(0.0, 2.5, allow_nan=False), label="alpha"),
         beta=draw(st.integers(1, 8), label="beta"),
-        amin_frac=amin,
-        amax_frac=draw(st.floats(amin, 1.0, exclude_min=True, allow_nan=False), label="amax_frac"),
-        despeckle_radius=draw(st.integers(1, 3), label="despeckle_radius"),
-        min_peaks=draw(st.integers(1, 6), label="min_peaks"),
     )
     cfg.validate()
     return cfg
@@ -846,10 +842,12 @@ def test_cli_alpha_out_of_range_exits_3(tmp_path, capsys):
 # Every flag the tunable subcommands accept; none may be renamed or added.
 CLI_FLAGS = {
     "--help", "--gold", "--config", "--outdir", "--mm-per-px", "--alpha", "--beta",
-    "--amin-frac", "--amax-frac", "--ringdown-threshold", "--no-ringdown",
-    "--min-peaks", "--zmin", "--zmax", "--seed", "--despeckle-radius", "--jobs",
-    "--trace", "--contour-points",
+    "--ringdown-threshold", "--no-ringdown", "--seed", "--jobs", "--trace", "--contour-points",
 }
+# Flags and config keys of settings that are fixed constants now.
+REMOVED_FLAGS = ["--amin-frac", "--amax-frac", "--min-peaks", "--zmin", "--zmax",
+                 "--despeckle-radius"]
+REMOVED_KEYS = ["amin_frac", "amax_frac", "min_peaks", "z_min", "z_max", "despeckle_radius"]
 DEFAULTS = RunConfig(inputs=[Path("x")])
 
 
@@ -874,15 +872,9 @@ def test_cli_without_flags_gives_run_config_defaults():
     (["--mm-per-px", "0.026"], "mm_per_px", 0.026),
     (["--alpha", "1.5"], "alpha", 1.5),
     (["--beta", "2"], "beta", 2),
-    (["--amin-frac", "0.02"], "amin_frac", 0.02),
-    (["--amax-frac", "0.5"], "amax_frac", 0.5),
     (["--ringdown-threshold", "100"], "ringdown_threshold", 100),
     (["--no-ringdown"], "no_ringdown", True),
-    (["--min-peaks", "2"], "min_peaks", 2),
-    (["--zmin", "-2.5"], "z_min", -2.5),
-    (["--zmax", "2.5"], "z_max", 2.5),
     (["--seed", "3,4"], "seed", (3, 4)),
-    (["--despeckle-radius", "2"], "despeckle_radius", 2),
     (["--jobs", "2"], "jobs", 2),
     (["--trace"], "trace", True),
     (["--contour-points", "64"], "contour_points", 64),
@@ -894,10 +886,36 @@ def test_cli_flag_sets_exactly_its_field(argv, name, value):
 def test_cli_config_file_applies_under_the_flags(tmp_path):
     config = tmp_path / "run.conf"
     config.write_text(
-        "# comment\ncontour_points=64\nz-min = -2\nseed=5,6\nno_ringdown=yes\n"
+        "# comment\ncontour_points=64\nmm-per-px = 0.02\nseed=5,6\nno_ringdown=yes\n"
     )
     cfg = parse("--config", str(config), "--contour-points", "128")
-    assert cfg == replace(DEFAULTS, contour_points=128, z_min=-2.0, seed=(5, 6), no_ringdown=True)
+    assert cfg == replace(DEFAULTS, contour_points=128, mm_per_px=0.02, seed=(5, 6),
+                          no_ringdown=True)
+
+
+@pytest.mark.parametrize("flag", REMOVED_FLAGS)
+def test_cli_removed_flags_are_argparse_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["segment", "x", flag, "1"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_cli_removed_config_keys_are_unknown(tmp_path, capsys, key):
+    config = tmp_path / "old.conf"
+    config.write_text(f"{key}=1\n")
+    assert main(["segment", "x", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 3
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_config_file_that_is_not_text_exits_3(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "o"
+    assert main(["segment", "x", "--config", str(config), "--outdir", str(out)]) == 3
+    assert f"config file {config} is not text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["zmin=-2\n", "alpha=abc\n", "alpha\n", "seed=1\n"])
@@ -939,6 +957,30 @@ def test_inputs_sharing_a_stem_are_rejected_before_any_frame_runs(
     err = capsys.readouterr().err
     assert str(good / "f1.pgm") in err and str(other / "f1.pgm") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate", "bestcase"])
+def test_outdir_that_is_a_file_is_rejected_before_any_frame_loads(
+    small_demo, tmp_path, capsys, monkeypatch, command
+):
+    out = tmp_path / "out"
+    out.write_text("a file\n")
+    monkeypatch.setattr(cli, "load_frame", lambda path: pytest.fail(f"{path} was loaded"))
+    code = main([command, str(small_demo[0]), "--gold", str(small_demo[0]),
+                 "--outdir", str(out), "--no-ringdown"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(out) in err
+    assert out.read_text() == "a file\n"
+
+
+def test_phantom_outdir_that_is_a_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "ph"
+    out.write_text("a file\n")
+    assert main(["phantom", "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(out) in err
+    assert out.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("seed", ["-1,5", "5,-1"])

@@ -232,7 +232,7 @@ def test_seed_sweep_equals_reference_from_the_extreme_levels(pixels, brightest, 
 def test_seed_sweep_equals_reference_on_acceptance_phantoms(phantom_seed, shadow, size):
     spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
     frame, _ = generate_phantom(spec)
-    pixels = median_filter(frame, 1).pixels
+    pixels = median_filter(frame).pixels
     for cap in (ErelParams.for_frame(pixels.shape).a_max, pixels.size):
         assert_matches_reference(pixels, frame_center(frame), cap)
 
@@ -245,7 +245,7 @@ def ringdown_pullback():
     spec = PhantomSpec(rng_seed=3, artifacts=[RingDownArtifact(172, 172, 40, 240)])
     frames, _ = generate_phantom(spec, n_frames=4)
     model = build_artifact_model(frames, 200)
-    return [remove_artifacts(median_filter(f, 1), model) for f in frames]
+    return [remove_artifacts(median_filter(f), model) for f in frames]
 
 
 @pytest.mark.parametrize("i", range(4))

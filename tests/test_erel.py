@@ -371,7 +371,7 @@ def test_region_columns_equal_the_per_region_reference_on_acceptance_phantoms(
         monkeypatch.setattr(erel, "MIN_RETAINED_LEVELS", 1)
     spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
     frame, _ = generate_phantom(spec)
-    pixels = median_filter(frame, 1).pixels
+    pixels = median_filter(frame).pixels
     params = ErelParams.for_frame(pixels.shape)
     tree = build_component_tree(pixels, frame_center(frame), params.a_max)
     expected = reference_regions(tree, params)
@@ -503,10 +503,10 @@ def test_extract_dark_disk_smallest_region_matches():
     ys, xs = np.mgrid[0:128, 0:128]
     disk = (ys - 64) ** 2 + (xs - 64) ** 2 <= 31 ** 2  # ~3019 px
     pixels[disk] = 30
-    frame = Frame(pixels=pixels)
-    # area band [1474, 5461], as a_min = int(128 * 128 * 0.09)
-    _, params, series = _extract(frame, RunConfig(seed=(64, 64), amin_frac=0.09), None)
-    assert (params.a_min, params.a_max) == (1474, 128 * 128 // 3)
+    # area band [1474, 5461]: a_min = int(128 * 128 * 0.09), a_max the paper's third
+    params = ErelParams(a_min=1474, a_max=128 * 128 // 3)
+    despeckled = median_filter(Frame(pixels=pixels)).pixels
+    series = extract_qplus(build_component_tree(despeckled, (64, 64), params.a_max), params)
     assert series.areas[0] == pytest.approx(3019, rel=0.10)
     areas = series.areas.tolist()
     assert areas == sorted(areas)
@@ -542,7 +542,7 @@ def test_extremum_levels_cluster_at_crisp_edges():
 def test_capped_extraction_equals_full(rng):
     spec = PhantomSpec(rng_seed=7)
     frame, _ = generate_phantom(spec)
-    f = median_filter(frame, 1)
+    f = median_filter(frame)
     params = ErelParams.for_frame(f.pixels.shape)
     seed = (f.width // 2, f.height // 2)
     full = extract_qplus(build_component_tree(f.pixels, seed, f.pixels.size), params)
@@ -555,7 +555,7 @@ def test_extraction_rejects_a_chain_cut_inside_the_band():
     # a cap below a_max cuts the chain short and would silently drop the
     # band's larger candidates
     frame, _ = generate_phantom(acceptance_phantom_spec(0))
-    f = median_filter(frame, 1)
+    f = median_filter(frame)
     params = ErelParams.for_frame(f.pixels.shape)
     seed = (f.width // 2, f.height // 2)
     tree = build_component_tree(f.pixels, seed, params.a_max)

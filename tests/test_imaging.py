@@ -17,6 +17,7 @@ from ivuseg.imaging import (
     median_filter,
     save_contour,
     save_frame,
+    window_medians,
 )
 from oracles import brute_median_filter, line_loop_load_contour, per_point_save_contour
 
@@ -278,13 +279,13 @@ def test_save_contour_matches_per_point_format(tmp_path_factory, raw):
 
 def test_median_constant_frame_unchanged():
     frame = Frame(pixels=np.full((9, 7), 77, np.uint8))
-    assert np.array_equal(median_filter(frame, 1).pixels, frame.pixels)
+    assert np.array_equal(median_filter(frame).pixels, frame.pixels)
 
 
 def test_median_removes_isolated_spike():
     pixels = np.zeros((3, 3), np.uint8)
     pixels[1, 1] = 255
-    out = median_filter(Frame(pixels=pixels), 1)
+    out = median_filter(Frame(pixels=pixels))
     assert out.pixels[1, 1] == 0
 
 
@@ -294,21 +295,30 @@ def test_median_salt_noise_on_constant():
     noisy = pixels.copy()
     idx = rng.random(pixels.shape) < 0.01
     noisy[idx] = 255
-    out = median_filter(Frame(pixels=noisy), 1).pixels
+    out = median_filter(Frame(pixels=noisy)).pixels
     assert np.array_equal(out, brute_median_filter(noisy, 1))
     assert (out == 90).mean() >= 0.999
 
 
-def test_median_rejects_zero_radius():
-    with pytest.raises(ValueError):
-        median_filter(Frame(pixels=np.zeros((3, 3), np.uint8)), 0)
+def all_window_medians(pixels: np.ndarray, radius: int) -> np.ndarray:
+    """window_medians over every pixel of the frame, none excluded."""
+    h, w = pixels.shape
+    ys, xs = np.divmod(np.arange(h * w), w)
+    return window_medians(pixels, None, ys, xs, radius).reshape(h, w)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_frames, st.integers(1, 3))
-def test_median_matches_brute_force(pixels, radius):
-    out = median_filter(Frame(pixels=pixels), radius).pixels
-    assert np.array_equal(out, brute_median_filter(pixels, radius))
+@given(small_frames)
+def test_median_matches_brute_force(pixels):
+    out = median_filter(Frame(pixels=pixels)).pixels
+    assert np.array_equal(out, brute_median_filter(pixels, 1))
+
+
+# the ring-down fill takes the windows of radius 3, 5 and 7
+@settings(max_examples=40, deadline=None)
+@given(small_frames, st.integers(1, 7))
+def test_window_medians_match_brute_force(pixels, radius):
+    assert np.array_equal(all_window_medians(pixels, radius), brute_median_filter(pixels, radius))
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,7 +327,7 @@ def test_median_in_chunks_matches_brute_force(pixels, radius, chunk):
     # a small sort budget splits the pixels into chunks of one or more windows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(imaging, "_WINDOW_CHUNK", chunk)
-        out = median_filter(Frame(pixels=pixels), radius).pixels
+        out = all_window_medians(pixels, radius)
     assert np.array_equal(out, brute_median_filter(pixels, radius))
 
 
@@ -329,7 +339,7 @@ def test_median_memory_does_not_grow_with_the_window(shape, radius):
     pixels = np.random.default_rng(0).integers(0, 256, shape).astype(np.uint8)
     tracemalloc.start()
     try:
-        median_filter(Frame(pixels=pixels), radius)
+        all_window_medians(pixels, radius)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -361,7 +371,7 @@ radius1_frames = st.one_of(
 @settings(max_examples=120, deadline=None)
 @given(radius1_frames)
 def test_median_radius1_matches_brute_force(pixels):
-    out = median_filter(Frame(pixels=pixels), 1).pixels
+    out = median_filter(Frame(pixels=pixels)).pixels
     assert np.array_equal(out, brute_median_filter(pixels, 1))
 
 
@@ -371,14 +381,14 @@ def test_median_radius1_thinnest_frames(shape):
     for levels in (256, 2, 3):
         palette = rng.choice(256, levels, replace=False).astype(np.uint8)
         pixels = palette[rng.integers(0, levels, shape)]
-        out = median_filter(Frame(pixels=pixels), 1).pixels
+        out = median_filter(Frame(pixels=pixels)).pixels
         assert np.array_equal(out, brute_median_filter(pixels, 1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_frames)
 def test_median_output_values_come_from_input(pixels):
-    out = median_filter(Frame(pixels=pixels), 1).pixels
+    out = median_filter(Frame(pixels=pixels)).pixels
     assert set(np.unique(out)) <= set(np.unique(pixels))
 
 
@@ -386,6 +396,6 @@ def test_median_output_values_come_from_input(pixels):
 @given(st.integers(0, 255), st.integers(2, 9), st.integers(2, 9))
 def test_median_idempotent_on_constants(value, h, w):
     frame = Frame(pixels=np.full((h, w), value, np.uint8))
-    once = median_filter(frame, 1)
-    twice = median_filter(once, 1)
+    once = median_filter(frame)
+    twice = median_filter(once)
     assert np.array_equal(once.pixels, twice.pixels)

@@ -263,13 +263,13 @@ def drawn_series(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(drawn_series(), st.integers(1, 5))
+@given(drawn_series())
 @example(series_with_areas([100, 101, 120, 5000, 5001, 5002, 5003, 5004, 5005],
-                           boundary_length=np.array([3, 1, 2, 9, 1, 1, 4, 1, 2])), 3)
-@example(series_with_areas([42]), 1)
-def test_select_regions_equals_the_reference(series, min_peaks):
-    lumen, media, profile = select_regions(series, min_peaks=min_peaks)
-    ref_lumen, ref_media, ref = reference_select_regions(series, min_peaks=min_peaks)
+                           boundary_length=np.array([3, 1, 2, 9, 1, 1, 4, 1, 2])))
+@example(series_with_areas([42]))
+def test_select_regions_equals_the_reference(series):
+    lumen, media, profile = select_regions(series)
+    ref_lumen, ref_media, ref = reference_select_regions(series)
     assert (lumen, media) == (ref_lumen, ref_media)
     assert profile.v.tobytes() == ref.v.tobytes()
     assert profile.omega.tobytes() == ref.omega.tobytes()
