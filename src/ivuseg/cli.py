@@ -32,6 +32,7 @@ from .imaging import (
     load_contour,
     load_frame,
     median_filter,
+    read_settings,
     save_contour,
     save_frame,
 )
@@ -85,8 +86,6 @@ class RunConfig:
     gold_dir: Path | None = None
     outdir: Path = _tunable(Path("out"), Path)
     mm_per_px: float | None = _tunable(None, float)
-    alpha: float = _tunable(erel.DEFAULT_ALPHA, float)
-    beta: int = _tunable(erel.DEFAULT_BETA, int)
     ringdown_threshold: int = _tunable(preprocess.DEFAULT_RINGDOWN_THRESHOLD, int)
     no_ringdown: bool = _tunable(False, _truthy)
     seed: tuple[int, int] | None = _tunable(
@@ -97,10 +96,6 @@ class RunConfig:
     contour_points: int = _tunable(360, int)
 
     def validate(self) -> None:
-        try:
-            erel.check_criterion(self.alpha, self.beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         checks = [
             (0 <= self.ringdown_threshold <= 255, "ringdown threshold must lie in [0, 255]"),
             (self.jobs >= 1, "jobs must be >= 1"),
@@ -139,7 +134,7 @@ def _extract(
     seed = cfg.seed if cfg.seed is not None else frame_center(frame)
     if not (0 <= seed[0] < frame.width and 0 <= seed[1] < frame.height):
         raise ConfigError(f"seed {seed} outside the {frame.width}x{frame.height} frame")
-    params = erel.ErelParams.for_frame(despeckled.pixels.shape, alpha=cfg.alpha, beta=cfg.beta)
+    params = erel.ErelParams.for_frame(despeckled.pixels.shape)
     tree = build_component_tree(despeckled.pixels, seed, params.a_max)
     return seed, params, erel.extract_qplus(tree, params)
 
@@ -254,9 +249,12 @@ def _map_frames(cfg: RunConfig, worker) -> list[tuple[Path, bool, object, dict |
     recorded, so one bad frame never stops the batch.
 
     Outputs are named by the input's stem, so two inputs with the same stem
-    are a ConfigError before any frame runs.
+    are a ConfigError before any frame runs, and so is a gold directory
+    that is not one.
     """
     cfg.validate()
+    if cfg.gold_dir is not None and not cfg.gold_dir.is_dir():
+        raise ConfigError(f"gold directory {cfg.gold_dir} does not exist or is not a directory")
     files = _collect_inputs(cfg.inputs)
     if not files:
         raise ConfigError("no input frames found")
@@ -563,30 +561,13 @@ def _add_tunable_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_config_file(path: Path) -> dict:
-    """Parsed values of a key=value config file; keys are RunConfig field names."""
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not text: {exc}") from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    tunables = _tunables()
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"bad config line {raw!r}")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        if key not in tunables:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = tunables[key].metadata["parse"](value)
-        except ValueError as exc:
-            raise ConfigError(f"bad config value {key}={value!r}") from exc
-    return values
+    """Parsed values of a key=value config file, keyed by RunConfig field
+    name; a key is a field name or its flag spelling (mm-per-px)."""
+    parsers = {}
+    for name, f in _tunables().items():
+        parsers[name] = parsers[name.replace("_", "-")] = f.metadata["parse"]
+    return {key.replace("-", "_"): value
+            for key, value in read_settings(path, "config", parsers)}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -656,7 +637,7 @@ def _cmd_phantom(args: argparse.Namespace) -> int:
         spec = phantom.load_spec(args.spec) if args.spec is not None else phantom.PhantomSpec()
         spec = replace(spec, **flags)
         frames, truth = phantom.generate_phantom(spec, n_frames=args.frames)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.frames == 1:
         frames = [frames]

@@ -4,9 +4,11 @@ A 20 MHz IVUS lumen and media both evolve from a dark surface toward a
 bright boundary, so only the chain of sub-level components rooted at the
 catheter centre is tracked.  The chain is filtered by an area band and an
 edge-support criterion: levels whose region boundary runs along maxima of
-the gradient magnitude are the distinguished levels worth keeping.  With
-fewer than MIN_RETAINED_LEVELS retained levels, extraction keeps the whole
-thinned band, as it does on every phantom frame it has been run on so far.
+the gradient magnitude are the distinguished levels worth keeping.  Its
+two settings are fixed constants, DEFAULT_ALPHA = 0.5 and DEFAULT_BETA = 1,
+EREL's reference configuration (Faraji et al., ICIP 2015).  With fewer than
+MIN_RETAINED_LEVELS retained levels, extraction keeps the whole thinned
+band, as it does on every phantom frame it has been run on so far.
 """
 
 from __future__ import annotations
@@ -30,32 +32,19 @@ DEFAULT_AMAX_FRAC = 1.0 / 3.0
 MIN_RETAINED_LEVELS = 24
 
 
-def check_criterion(alpha: float, beta: int) -> None:
-    """Raise ValueError unless the extremum criterion's alpha and beta are valid."""
-    if not 0 <= alpha <= 2.5:
-        raise ValueError("alpha must lie in [0, 2.5]")
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-
-
 @dataclass
 class ErelParams:
-    """Extraction tunables: criterion strength, smoothing width, area band."""
+    """The area band [a_min, a_max] of extracted regions, in pixels."""
 
-    alpha: float = DEFAULT_ALPHA
-    beta: int = DEFAULT_BETA
     a_min: int = 0
     a_max: int = 0
 
     def __post_init__(self) -> None:
-        check_criterion(self.alpha, self.beta)
         if not 0 < self.a_min < self.a_max:
             raise ValueError("area band must satisfy 0 < a_min < a_max")
 
     @classmethod
-    def for_frame(
-        cls, shape: tuple[int, int], alpha: float = DEFAULT_ALPHA, beta: int = DEFAULT_BETA
-    ) -> "ErelParams":
+    def for_frame(cls, shape: tuple[int, int]) -> "ErelParams":
         """The paper's area band: A_min = (R x C)/100, A_max = (R x C)/3.
 
         A frame too small to leave an area band has no candidate regions,
@@ -69,7 +58,7 @@ class ErelParams:
                 f"no candidate regions: a {shape[1]}x{shape[0]} frame leaves an "
                 f"empty area band [{a_min}, {a_max}]"
             )
-        return cls(alpha=alpha, beta=beta, a_min=a_min, a_max=a_max)
+        return cls(a_min=a_min, a_max=a_max)
 
 
 @dataclass(eq=False)
@@ -336,11 +325,7 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def select_extremum_levels(
-    lengths: np.ndarray,
-    hits: np.ndarray,
-    params: ErelParams,
-) -> list[int]:
+def select_extremum_levels(lengths: np.ndarray, hits: np.ndarray) -> list[int]:
     """Pick the candidate positions whose boundaries ride gradient maxima.
 
     lengths[i] is candidate i's boundary length, the number of its
@@ -348,17 +333,18 @@ def select_extremum_levels(
     gradient-magnitude maxima; extract_qplus counts both for every
     candidate in one pass (_boundary_counts).  The per-level criterion is
     the fraction hits / lengths; after smoothing with a moving average of
-    half-width beta, local maxima at or above alpha times the mean raw
-    criterion are retained.  Too few retained levels fall back to keeping
-    every candidate: the selection stage downstream reads the evolution of
-    the series, which a handful of isolated snapshots cannot carry.
+    half-width DEFAULT_BETA, local maxima at or above DEFAULT_ALPHA times
+    the mean raw criterion are retained.  Too few retained levels fall back
+    to keeping every candidate: the selection stage downstream reads the
+    evolution of the series, which a handful of isolated snapshots cannot
+    carry.
     """
     lengths = np.asarray(lengths)
     if not lengths.size:
         return []
     q = np.asarray(hits) / np.maximum(lengths, 1)
-    smoothed = _moving_average(q, params.beta)
-    threshold = params.alpha * float(q.mean())
+    smoothed = _moving_average(q, DEFAULT_BETA)
+    threshold = DEFAULT_ALPHA * float(q.mean())
     retained = [int(i) for i in _local_maxima(smoothed) if smoothed[i] >= threshold]
     if len(retained) < MIN_RETAINED_LEVELS:
         return list(range(len(lengths)))
@@ -429,7 +415,7 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     window = gradient_magnitude_maxima(pixels[by0 : min(h, y1 + 2), bx0 : min(w, x1 + 2)])
     maxima = window[y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
     lengths, hits, reach = _boundary_counts(band_map, m, maxima)
-    retained = np.asarray(select_extremum_levels(lengths, hits, params), dtype=np.intp)
+    retained = np.asarray(select_extremum_levels(lengths, hits), dtype=np.intp)
 
     # position p lies in row i's region exactly when p <= retained[i], and
     # retained[i] < p exactly when i < to_row[p]; when every candidate is

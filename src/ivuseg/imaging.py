@@ -1,4 +1,4 @@
-"""Core raster types, PGM/contour I/O, despeckling, and coordinate helpers.
+"""Raster types, PGM/contour/settings I/O, despeckling and coordinate helpers.
 
 All operations are pure: they never mutate their inputs and return fresh
 values, so frames can be shared freely across worker processes.
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContourFormatError, PgmFormatError
+from .errors import ConfigError, ContourFormatError, PgmFormatError
 
 
 @dataclass
@@ -204,6 +204,44 @@ def save_contour(contour: Contour, path: str | Path) -> None:
     """Write one "x y" line per point, six decimals each."""
     pts = contour.points
     Path(path).write_text(("%.6f %.6f\n" * len(pts)) % tuple(pts.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
+# key=value settings files: run configs (--config) and phantom specs (--spec)
+# ---------------------------------------------------------------------------
+
+def read_settings(path: str | Path, kind: str, parsers: dict) -> list[tuple[str, object]]:
+    """(key, value) of every setting line of a key=value file, in file order.
+
+    Blank lines and # comments are skipped, and keys and values are
+    stripped.  parsers maps each known key to the function that turns its
+    value text into the value.  A file that cannot be read or is not text,
+    a line with no "=", an unknown key, and a value whose parser raises
+    ValueError are each a ConfigError naming the kind of file ("config",
+    "spec") and what is wrong.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{kind} file {path} is not text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from exc
+    settings = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"bad {kind} line {raw!r}")
+        key, value = key.strip(), value.strip()
+        if key not in parsers:
+            raise ConfigError(f"unknown {kind} key {key!r}")
+        try:
+            settings.append((key, parsers[key](value)))
+        except ValueError as exc:
+            raise ConfigError(f"bad {kind} value {key}={value!r}: {exc}") from exc
+    return settings
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,13 @@ constant ring-down squares can be injected to reproduce the common
 acquisition artifacts at desk scale, with exact elliptical ground truth.
 """
 
-from __future__ import annotations
-
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Ellipse, ellipse_mask, rasterize_ellipse
-from .imaging import Contour, Frame
+from .imaging import Contour, Frame, read_settings
 
 DEFAULT_LAYER_MEANS = (40, 160, 70, 180)  # lumen, intima, media band, adventitia
 GROUND_TRUTH_POINTS = 720
@@ -234,52 +232,43 @@ def _parse_artifact(text: str):
     return cls(*map(parse, parts))
 
 
-def _format_ellipse(e: Ellipse) -> str:
-    return f"{e.cx} {e.cy} {e.a} {e.b} {e.theta}"
-
-
 def _parse_ellipse(text: str) -> Ellipse:
     cx, cy, a, b, theta = (float(v) for v in text.split())
     return Ellipse(cx, cy, a, b, theta)
 
 
+# (parse, format) of a spec value, by the type of its PhantomSpec field.
+# This module does not postpone annotations, so a field's type is the
+# annotation itself; a tuple field is looked up by its origin, and its
+# values are ints.
+_CODECS = {
+    int: (int, str),
+    float: (float, str),
+    Ellipse: (_parse_ellipse, lambda e: " ".join(map(str, astuple(e)))),
+    tuple: (lambda text: tuple(int(v) for v in text.split(",")),
+            lambda values: ",".join(map(str, values))),
+}
+# every PhantomSpec field but the artifact list, which has artifact= lines
+_SPEC_KEYS = {
+    f.name: _CODECS[getattr(f.type, "__origin__", f.type)]
+    for f in fields(PhantomSpec) if f.name != "artifacts"
+}
+
+
 def save_spec(spec: PhantomSpec, path: str | Path) -> None:
-    lines = [
-        f"width={spec.width}",
-        f"height={spec.height}",
-        f"lumen={_format_ellipse(spec.lumen)}",
-        f"media={_format_ellipse(spec.media)}",
-        f"layer_means={','.join(str(v) for v in spec.layer_means)}",
-        f"speckle_sigma={spec.speckle_sigma}",
-        f"rng_seed={spec.rng_seed}",
-        f"media_band_fraction={spec.media_band_fraction}",
-        f"intima_texture={spec.intima_texture}",
-        f"texture_waves={spec.texture_waves}",
-        f"lumen_texture={spec.lumen_texture}",
-    ]
+    """Write one key=value line per PhantomSpec field, in field order, and
+    one artifact= line per artifact."""
+    lines = [f"{key}={fmt(getattr(spec, key))}" for key, (_, fmt) in _SPEC_KEYS.items()]
     lines += [f"artifact={_format_artifact(a)}" for a in spec.artifacts]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_spec(path: str | Path) -> PhantomSpec:
-    kwargs: dict = {}
-    artifacts = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in ("width", "height", "rng_seed", "texture_waves"):
-            kwargs[key] = int(value)
-        elif key in ("lumen", "media"):
-            kwargs[key] = _parse_ellipse(value)
-        elif key == "layer_means":
-            kwargs[key] = tuple(int(v) for v in value.split(","))
-        elif key in ("speckle_sigma", "media_band_fraction", "intima_texture", "lumen_texture"):
-            kwargs[key] = float(value)
-        elif key == "artifact":
-            artifacts.append(_parse_artifact(value))
-        else:
-            raise ValueError(f"unknown phantom spec key {key!r}")
+    """The PhantomSpec of a file save_spec wrote; absent keys keep their
+    defaults.  A malformed line or value is a ConfigError (read_settings),
+    an out-of-range spec a ValueError."""
+    parsers = {key: parse for key, (parse, _) in _SPEC_KEYS.items()}
+    settings = read_settings(path, "spec", parsers | {"artifact": _parse_artifact})
+    artifacts = [value for key, value in settings if key == "artifact"]
+    kwargs = {key: value for key, value in settings if key != "artifact"}
     return PhantomSpec(artifacts=artifacts, **kwargs)

@@ -727,7 +727,7 @@ def reference_regions(tree, params) -> list[Region]:
     lengths, hits = crop_boundary_counts(crop.join, band, maxima)
     attrs = chain_attributes(chain, crop)
     regions = []
-    for pos in erel.select_extremum_levels(lengths, hits, params):
+    for pos in erel.select_extremum_levels(lengths, hits):
         k = int(band[pos])
         regions.append(Region(
             level=int(chain.levels[k]),

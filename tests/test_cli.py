@@ -78,10 +78,6 @@ def test_segment_frame_all_black_raises_no_candidates():
 
 def test_run_config_validation():
     with pytest.raises(ConfigError):
-        RunConfig(alpha=9.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(beta=0).validate()
-    with pytest.raises(ConfigError):
         RunConfig(jobs=0).validate()
 
 
@@ -163,7 +159,7 @@ def test_cli_segment_exit_codes(phantom_dir, tmp_path, capsys):
 
 
 def test_cli_config_error_exit_code(tmp_path):
-    assert main(["segment", str(tmp_path), "--outdir", str(tmp_path / "o"), "--alpha", "7"]) == 3
+    assert main(["segment", str(tmp_path), "--outdir", str(tmp_path / "o"), "--jobs", "0"]) == 3
 
 
 def test_cli_config_file_and_flag_precedence(phantom_dir, tmp_path):
@@ -222,25 +218,32 @@ def test_cli_phantom_flags_override_the_spec_file(tmp_path, flags, seed, sigma):
     assert np.array_equal(load_frame(out / "phantom_000.pgm").pixels, frame.pixels)
 
 
-@pytest.mark.parametrize("args, spec_text", [
-    (["--frames", "0"], None),
-    (["--sigma", "-1"], None),
-    (["--sigma", "nan"], None),
-    (["--sigma", "inf"], None),
-    (["--spec", "bad.spec"], "speckle_sigma=nan\n"),
-    (["--spec", "missing.spec"], None),
-    (["--spec", "bad.spec"], "bogus=1\n"),
-    (["--spec", "bad.spec"], "artifact=shadow:1\n"),
-    (["--spec", "bad.spec"], "layer_means=40,160,70,400\n"),
-    (["--spec", "bad.spec"], "artifact=shadow:0.2:1.1:0.6:99\n"),
+@pytest.mark.parametrize("args, spec_text, message", [
+    (["--frames", "0"], None, "need at least one frame"),
+    (["--sigma", "-1"], None, "speckle_sigma must be finite and >= 0"),
+    (["--sigma", "nan"], None, "speckle_sigma must be finite and >= 0"),
+    (["--sigma", "inf"], None, "speckle_sigma must be finite and >= 0"),
+    (["--spec", "bad.spec"], "speckle_sigma=nan\n", "speckle_sigma must be finite and >= 0"),
+    (["--spec", "missing.spec"], None, "cannot read spec file"),
+    (["--spec", "bad.spec"], "bogus=1\n", "unknown spec key 'bogus'"),
+    (["--spec", "bad.spec"], "artifact=shadow:1\n", "needs 3 fields, not 1"),
+    (["--spec", "bad.spec"], "layer_means=40,160,70,400\n", "layer means must lie in [0, 255]"),
+    (["--spec", "bad.spec"], "artifact=shadow:0.2:1.1:0.6:99\n", "needs 3 fields, not 4"),
+    (["--spec", "bad.spec"], "width=abc\n", "bad spec value width='abc'"),
+    (["--spec", "bad.spec"], "width\n", "bad spec line 'width'"),
+    (["--spec", "bad.spec"], b"\xff\xfe\x00", "is not text"),
 ])
-def test_cli_bad_phantom_arguments_exit_3(tmp_path, capsys, args, spec_text):
-    if spec_text is not None:
+def test_cli_bad_phantom_arguments_exit_3(tmp_path, capsys, args, spec_text, message):
+    if isinstance(spec_text, bytes):
+        (tmp_path / "bad.spec").write_bytes(spec_text)
+    elif spec_text is not None:
         (tmp_path / "bad.spec").write_text(spec_text)
     args = [str(tmp_path / a) if a.endswith(".spec") else a for a in args]
     out = tmp_path / "ph"
     assert main(["phantom", "--outdir", str(out), *args]) == 3
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert message in err
     assert not out.exists()
 
 
@@ -500,11 +503,10 @@ def test_segment_frame_small_frames_segment_or_raise_segmentation_error(pixels):
 
 @st.composite
 def valid_configs(draw):
-    """A RunConfig whose extraction tunables pass validate()."""
-    cfg = RunConfig(
-        alpha=draw(st.floats(0.0, 2.5, allow_nan=False), label="alpha"),
-        beta=draw(st.integers(1, 8), label="beta"),
-    )
+    """A RunConfig whose extraction tunables pass validate(): a seed that
+    may lie outside the frame, which is the frame's ConfigError."""
+    seed = st.tuples(st.integers(0, 70), st.integers(0, 70))
+    cfg = RunConfig(seed=draw(st.none() | seed, label="seed"))
     cfg.validate()
     return cfg
 
@@ -830,24 +832,18 @@ def test_bad_frame_never_costs_the_others_their_outputs(small_demo, bad, positio
             assert outputs == ref_outputs
 
 
-def test_cli_alpha_out_of_range_exits_3(tmp_path, capsys):
-    code = main(["evaluate", str(tmp_path), "--gold", str(tmp_path),
-                 "--outdir", str(tmp_path / "o"), "--alpha", "3"])
-    assert code == 3
-    assert "alpha must lie in [0, 2.5]" in capsys.readouterr().err
-
-
 # -- the command line is derived from RunConfig ------------------------------------
 
 # Every flag the tunable subcommands accept; none may be renamed or added.
 CLI_FLAGS = {
-    "--help", "--gold", "--config", "--outdir", "--mm-per-px", "--alpha", "--beta",
-    "--ringdown-threshold", "--no-ringdown", "--seed", "--jobs", "--trace", "--contour-points",
+    "--help", "--gold", "--config", "--outdir", "--mm-per-px", "--ringdown-threshold",
+    "--no-ringdown", "--seed", "--jobs", "--trace", "--contour-points",
 }
 # Flags and config keys of settings that are fixed constants now.
 REMOVED_FLAGS = ["--amin-frac", "--amax-frac", "--min-peaks", "--zmin", "--zmax",
-                 "--despeckle-radius"]
-REMOVED_KEYS = ["amin_frac", "amax_frac", "min_peaks", "z_min", "z_max", "despeckle_radius"]
+                 "--despeckle-radius", "--alpha", "--beta"]
+REMOVED_KEYS = ["amin_frac", "amax_frac", "min_peaks", "z_min", "z_max", "despeckle_radius",
+                "alpha", "beta"]
 DEFAULTS = RunConfig(inputs=[Path("x")])
 
 
@@ -870,8 +866,6 @@ def test_cli_without_flags_gives_run_config_defaults():
     (["--gold", "g"], "gold_dir", Path("g")),
     (["--outdir", "o"], "outdir", Path("o")),
     (["--mm-per-px", "0.026"], "mm_per_px", 0.026),
-    (["--alpha", "1.5"], "alpha", 1.5),
-    (["--beta", "2"], "beta", 2),
     (["--ringdown-threshold", "100"], "ringdown_threshold", 100),
     (["--no-ringdown"], "no_ringdown", True),
     (["--seed", "3,4"], "seed", (3, 4)),
@@ -918,7 +912,7 @@ def test_cli_config_file_that_is_not_text_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["zmin=-2\n", "alpha=abc\n", "alpha\n", "seed=1\n"])
+@pytest.mark.parametrize("text", ["zmin=-2\n", "jobs=abc\n", "jobs\n", "seed=1\n"])
 def test_cli_bad_config_file_exits_3(tmp_path, text):
     config = tmp_path / "bad.conf"
     config.write_text(text)
@@ -983,6 +977,21 @@ def test_phantom_outdir_that_is_a_file_exits_3(tmp_path, capsys):
     assert out.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command", ["segment", "evaluate", "bestcase"])
+def test_missing_gold_directory_is_rejected_before_any_frame_runs(
+    small_demo, tmp_path, capsys, monkeypatch, command
+):
+    gold = tmp_path / "no_such_gold"
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "load_frame", lambda path: pytest.fail(f"{path} was loaded"))
+    code = main([command, str(small_demo[0]), "--gold", str(gold), "--outdir", str(out),
+                 "--no-ringdown"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(gold) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1,5", "5,-1"])
 def test_negative_seed_is_rejected_before_any_frame_runs(small_demo, tmp_path, capsys, seed):
     out = tmp_path / "out"
@@ -1004,6 +1013,6 @@ def test_seed_past_the_frame_fails_each_frame(small_demo, tmp_path):
 
 def test_cli_bad_flag_values():
     with pytest.raises(SystemExit) as usage:
-        main(["segment", "x", "--alpha", "abc"])
+        main(["segment", "x", "--jobs", "abc"])
     assert usage.value.code == 2
     assert main(["segment", "x", "--seed", "3"]) == 3

@@ -50,10 +50,6 @@ def test_params_for_frame_uses_reference_fractions():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ErelParams(alpha=3.0, a_min=10, a_max=100)
-    with pytest.raises(ValueError):
-        ErelParams(beta=0, a_min=10, a_max=100)
-    with pytest.raises(ValueError):
         ErelParams(a_min=100, a_max=100)
 
 
@@ -280,7 +276,7 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
 def _retaining(keep_seed):
     """A stand-in for select_extremum_levels that retains a random
     non-empty subset of the candidates, drawn from keep_seed."""
-    def select(lengths, hits, params):
+    def select(lengths, hits):
         rng = np.random.default_rng(keep_seed)
         keep = rng.random(len(lengths)) < rng.random()
         keep[rng.integers(len(lengths))] = True
@@ -480,18 +476,9 @@ def counts_for(qs):
     return np.full(len(qs), 100), np.array([int(round(q * 100)) for q in qs])
 
 
-def test_alpha_zero_retains_all_local_maxima():
-    qs = [0.1, 0.5, 0.2, 0.6, 0.1, 0.7, 0.3, 0.9, 0.2, 0.4]
-    params = ErelParams(alpha=0.0, beta=1, a_min=1, a_max=10_000)
-    retained = select_extremum_levels(*counts_for(qs), params)
-    # fewer than the viability floor -> every candidate comes back
-    assert retained == list(range(len(qs)))
-
-
 def test_retention_fallback_keeps_tiny_chains():
     qs = [0.5, 0.9, 0.4]
-    params = ErelParams(alpha=0.5, beta=1, a_min=1, a_max=10_000)
-    retained = select_extremum_levels(*counts_for(qs), params)
+    retained = select_extremum_levels(*counts_for(qs))
     assert retained == [0, 1, 2]
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -130,16 +132,27 @@ def test_lumen_must_fit_inside_media():
 
 def test_spec_round_trip(tmp_path):
     spec = PhantomSpec(
-        rng_seed=21,
+        width=200,
+        height=180,
+        lumen=Ellipse(101.5, 88.25, 40.0, 33.0, 0.7),
+        media=Ellipse(99.0, 91.0, 70.0, 61.5, -0.45),
+        layer_means=(30, 150, 60, 200),
         speckle_sigma=0.25,
-        intima_texture=0.1,
-        lumen_texture=0.05,
         artifacts=[
             ShadowArtifact(0.2, 1.1, 0.6),
             BifurcationArtifact(-2.0, -1.5),
             RingDownArtifact(10, 12, 5, 230),
         ],
+        rng_seed=21,
+        media_band_fraction=0.8,
+        intima_texture=0.1,
+        texture_waves=5,
+        lumen_texture=0.05,
     )
+    # every field is off its default, so a field the file drops shows here
+    default = PhantomSpec()
+    assert [f.name for f in fields(spec)
+            if getattr(spec, f.name) == getattr(default, f.name)] == []
     path = tmp_path / "p.spec"
     save_spec(spec, path)
     again = load_spec(path)
