@@ -6,13 +6,7 @@ ellipse contours plus overlap/distance metrics against gold-standard
 contours.
 """
 
-from .erel import (
-    ErelParams,
-    RegionSeries,
-    extract_qplus,
-    gradient_magnitude_maxima,
-    select_extremum_levels,
-)
+from .erel import ErelParams, RegionSeries, extract_qplus
 from .errors import (
     ConfigError,
     ContourFormatError,

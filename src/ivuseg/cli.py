@@ -60,8 +60,17 @@ def _parse_seed(text: str) -> tuple[int, int] | None:
     try:
         x, y = (int(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad --seed value {text!r}; expected x,y") from exc
+        raise ValueError("expected x,y") from exc
     return x, y
+
+
+def _seed_flag(text: str) -> tuple[int, int] | None:
+    """_parse_seed for the --seed flag, whose bad value is a configuration
+    error (exit 3), not an argparse usage error."""
+    try:
+        return _parse_seed(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad --seed value {text!r}; {exc}") from exc
 
 
 def _tunable(default, parse, help: str | None = None):
@@ -556,7 +565,8 @@ def _add_tunable_flags(p: argparse.ArgumentParser) -> None:
         if f.metadata["parse"] is _truthy:
             p.add_argument(flag, dest=name, action="store_true", default=argparse.SUPPRESS)
         else:
-            p.add_argument(flag, dest=name, type=f.metadata["parse"],
+            parse = _seed_flag if name == "seed" else f.metadata["parse"]
+            p.add_argument(flag, dest=name, type=parse,
                            default=argparse.SUPPRESS, help=f.metadata["help"])
 
 

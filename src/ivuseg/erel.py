@@ -2,13 +2,17 @@
 
 A 20 MHz IVUS lumen and media both evolve from a dark surface toward a
 bright boundary, so only the chain of sub-level components rooted at the
-catheter centre is tracked.  The chain is filtered by an area band and an
-edge-support criterion: levels whose region boundary runs along maxima of
-the gradient magnitude are the distinguished levels worth keeping.  Its
-two settings are fixed constants, DEFAULT_ALPHA = 0.5 and DEFAULT_BETA = 1,
-EREL's reference configuration (Faraji et al., ICIP 2015).  With fewer than
-MIN_RETAINED_LEVELS retained levels, extraction keeps the whole thinned
-band, as it does on every phantom frame it has been run on so far.
+catheter centre is tracked.  The chain is cut to an area band and thinned
+by area, and every thinned candidate is a region of the series.
+
+EREL's extremum-level criterion (Faraji et al., ICIP 2015) would keep only
+the levels whose region boundary runs along maxima of the gradient
+magnitude.  It is not applied: before its fallback to the whole thinned
+band it finds at most 7 of the MIN_RETAINED_LEVELS = 24 levels it needs on
+every phantom frame measured (544 frames at 384 and 768 px), so it never
+keeps a level there.  gradient_magnitude_maxima and select_extremum_levels
+stay as that criterion's reference, with its fixed settings DEFAULT_ALPHA
+= 0.5 and DEFAULT_BETA = 1; extraction calls neither.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ class ErelParams:
 class RegionSeries:
     """Strictly nested regions in increasing area order, one column each.
 
+    The rows are extract_qplus's thinned area band, every candidate of it.
     Row i is chain node index[i] at level levels[i]: its area, the number
     of its border-exposed pixels (boundary_length), mean intensity and
     entropy (bits) of its intensity histogram, the columns selection reads.
@@ -152,7 +157,8 @@ class RegionSeries:
 
 # ---------------------------------------------------------------------------
 # Gradient support: 3x3 Sobel magnitude followed by non-maximum suppression
-# along the quantised gradient direction.
+# along the quantised gradient direction.  The extremum criterion's input;
+# extraction does not call it.
 # ---------------------------------------------------------------------------
 
 def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
@@ -206,17 +212,13 @@ def gradient_magnitude_maxima(pixels: np.ndarray) -> np.ndarray:
 # them, and RegionSeries.boundary lists them.
 # ---------------------------------------------------------------------------
 
-def _boundary_counts(
-    band_map: np.ndarray, m: int, maxima: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(boundary lengths, gradient-maxima hits, reach map) of all m
-    candidates in one pass.
+def _boundary_counts(band_map: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(boundary lengths, reach map) of all m candidates in one pass.
 
     band_map is extract_qplus's map of the largest candidate's bounding box:
     each pixel holds the position of the first candidate that contains it,
     or m when none does.  Every candidate lies inside the box, and
     everything outside it is background that reaches the frame border.
-    maxima is a bool map over the box.
 
     Let L(p) be the band map's value at pixel p, and m on a one-pixel pad
     around the box.  Let e(q) be the widest-path value of q: the largest,
@@ -285,17 +287,13 @@ def _boundary_counts(
     )
     inner = lp[1:-1, 1:-1]
     on = inner < reach
-    enter, leave, hit = inner[on], reach[on], maxima[on]
-
-    def per_candidate(lo, hi):
-        diff = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
-        return np.cumsum(diff[:m])
-
-    return per_candidate(enter, leave), per_candidate(enter[hit], leave[hit]), reach
+    diff = np.bincount(inner[on], minlength=m + 1) - np.bincount(reach[on], minlength=m + 1)
+    return np.cumsum(diff[:m]), reach
 
 
 # ---------------------------------------------------------------------------
-# Extremum-level retention
+# Extremum-level retention: EREL's criterion, kept as the reference that
+# shows it keeps no level on the phantoms; extraction does not call it.
 # ---------------------------------------------------------------------------
 
 def _moving_average(values: np.ndarray, half_width: int) -> np.ndarray:
@@ -330,8 +328,8 @@ def select_extremum_levels(lengths: np.ndarray, hits: np.ndarray) -> list[int]:
 
     lengths[i] is candidate i's boundary length, the number of its
     border-exposed pixels, and hits[i] how many of those are
-    gradient-magnitude maxima; extract_qplus counts both for every
-    candidate in one pass (_boundary_counts).  The per-level criterion is
+    gradient-magnitude maxima, over the border-exposed pixels that
+    RegionSeries.boundary lists.  The per-level criterion is
     the fraction hits / lengths; after smoothing with a moving average of
     half-width DEFAULT_BETA, local maxima at or above DEFAULT_ALPHA times
     the mean raw criterion are retained.  Too few retained levels fall back
@@ -358,10 +356,10 @@ def select_extremum_levels(lengths: np.ndarray, hits: np.ndarray) -> list[int]:
 def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     """Extract the nested dark-core regions rooted at the tree's seed.
 
-    The seed's component chain is cut to the [a_min, a_max] area band,
-    scored by the extremum-level criterion on the gradient of the image
-    the tree was built on (chain.pixels), and the retained nodes'
-    attributes are gathered into the columns the selection stage reads.
+    The seed's component chain is cut to the [a_min, a_max] area band and
+    thinned by area, and the thinned nodes' attributes, read from the
+    image the tree was built on (chain.pixels), are gathered into the
+    columns the selection stage reads: every thinned node is a row.
     Chain nodes are already deduplicated by construction: a node only
     exists at levels where the component gained pixels, so areas are
     strictly increasing.
@@ -399,9 +397,7 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     # The band map: over the largest candidate's bounding box, the position
     # of the first candidate that contains each pixel, or m for none.
     # Every candidate lies inside the box, so the boundary counts, the
-    # attributes and the series' regions all read this one map, and the
-    # gradient map only needs computing there (padded for the Sobel and
-    # suppression neighbourhoods, and clipped to the frame).
+    # attributes and the series' regions all read this one map.
     m = len(band)
     h, w = pixels.shape
     join = chain.join_index.reshape(h, w)
@@ -411,30 +407,15 @@ def extract_qplus(tree: ComponentTree, params: ErelParams) -> RegionSeries:
     y0, y1, x0, x1 = int(ys[0]), int(ys[-1]) + 1, int(xs[0]), int(xs[-1]) + 1
     first = np.searchsorted(band, np.arange(len(chain) + 1)).astype(np.min_scalar_type(m))
     band_map = np.take(first, join[y0:y1, x0:x1])  # a table lookup, faster than first[...]
-    bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
-    window = gradient_magnitude_maxima(pixels[by0 : min(h, y1 + 2), bx0 : min(w, x1 + 2)])
-    maxima = window[y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
-    lengths, hits, reach = _boundary_counts(band_map, m, maxima)
-    retained = np.asarray(select_extremum_levels(lengths, hits), dtype=np.intp)
-
-    # position p lies in row i's region exactly when p <= retained[i], and
-    # retained[i] < p exactly when i < to_row[p]; when every candidate is
-    # retained, the rows are the positions
-    n = retained.size
-    if n == m:
-        row_map, reach_map = band_map, reach
-    else:
-        to_row = np.searchsorted(retained, np.arange(m + 1)).astype(np.min_scalar_type(n))
-        row_map, reach_map = np.take(to_row, band_map), np.take(to_row, reach)
-    index = band[retained]
+    lengths, reach = _boundary_counts(band_map, m)
     return RegionSeries(
-        index=index,
-        levels=chain.levels[index],
-        areas=areas[index],
-        boundary_length=lengths[retained],
-        **_region_attributes(row_map, pixels[y0:y1, x0:x1], areas[index]),
-        row_map=row_map,
-        reach_map=reach_map,
+        index=band,
+        levels=chain.levels[band],
+        areas=areas[band],
+        boundary_length=lengths,
+        **_region_attributes(band_map, pixels[y0:y1, x0:x1], areas[band]),
+        row_map=band_map,
+        reach_map=reach,
         origin=(x0, y0),
         shape=(h, w),
     )

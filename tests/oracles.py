@@ -2,10 +2,10 @@
 
 Everything here favours obviousness over speed and, except for the
 library's densify under two_tree_hausdorff (densify is itself checked
-against brute_densify) and the counting and retention stages under
-crop_boundary_counts and reference_regions, and the stability scores and
-peaks under reference_select_regions, stays independent of the library's
-own code paths:
+against brute_densify), the counting pass under crop_boundary_counts and
+reference_regions, the gradient map under gradient_hits, and the stability
+scores and peaks under reference_select_regions, stays independent of the
+library's own code paths:
 components come from scipy labelling or a full canonical parent image,
 boundaries from a flood fill, medians from sorting full windows, moments
 from direct summation, distances from all-pairs scans.
@@ -557,15 +557,29 @@ def chain_attributes(chain, crop: Crop) -> NodeAttributes:
     )
 
 
-def crop_boundary_counts(join: np.ndarray, band: np.ndarray, maxima: np.ndarray):
-    """(boundary lengths, gradient-maxima hits) of the band's nodes, given
-    the join-index crop of node band[-1], clipped at band[-1] + 1, and a
-    maxima map over that crop: the library's one-pass counts fed with the
-    band positions looked up from the crop's join indices."""
+def crop_boundary_counts(join: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Boundary lengths of the band's nodes, given the join-index crop of
+    node band[-1], clipped at band[-1] + 1: the library's one-pass counts
+    fed with the band positions looked up from the crop's join indices."""
     m = len(band)
     first = np.searchsorted(band, np.arange(int(band[-1]) + 2)).astype(np.min_scalar_type(m))
-    lengths, hits, _ = erel._boundary_counts(first[join], m, maxima)
-    return lengths, hits
+    return erel._boundary_counts(first[join], m)[0]
+
+
+def gradient_hits(series, pixels: np.ndarray) -> np.ndarray:
+    """How many of each row's border-exposed pixels are gradient-magnitude
+    maxima of pixels, the frame the series was extracted from: the hits
+    EREL's extremum criterion (erel.select_extremum_levels) reads.
+
+    Row i's exposed pixels are the box pixels with row_map <= i < reach_map,
+    so one difference array, summed up to each row, counts them all."""
+    (x0, y0), (bh, bw) = series.origin, series.row_map.shape
+    maxima = erel.gradient_magnitude_maxima(pixels)[y0 : y0 + bh, x0 : x0 + bw]
+    hit = maxima & (series.row_map < series.reach_map)
+    n = len(series)
+    diff = (np.bincount(series.row_map[hit], minlength=n + 1)
+            - np.bincount(series.reach_map[hit], minlength=n + 1))
+    return np.cumsum(diff[:n])
 
 
 def thinned_band(chain, params) -> np.ndarray:
@@ -682,12 +696,11 @@ class LazyChainAttributes:
 
 # -- reference regions ---------------------------------------------------------------
 #
-# The extraction stage as it was when each retained region was its own object:
-# the band and the area thinning as Python lists, then one Region per retained
+# The extraction stage as it was when each region was its own object: the
+# band and the area thinning as Python lists, then one Region per thinned
 # candidate with its attributes looked up one at a time.  It reuses the
-# library's gradient map, boundary counts and retention (each checked against
-# its own oracle), and extract_qplus's columns must equal its fields bit for
-# bit.
+# library's boundary counts (checked against their own oracle), and
+# extract_qplus's columns must equal its fields bit for bit.
 
 @dataclass
 class Region:
@@ -709,26 +722,17 @@ class Region:
 
 
 def reference_regions(tree, params) -> list[Region]:
-    """The retained regions of extract_qplus(tree, params), one object each;
-    an empty band gives an empty list."""
+    """The regions of extract_qplus(tree, params), one object per thinned
+    candidate; an empty band gives an empty list."""
     chain = tree.seed_chain()
     band = thinned_band(chain, params)
     if not band.size:
         return []
     crop = chain_crop(chain, int(band[-1]))
-    ch, cw = crop.join.shape
-    x0, y0 = crop.x0, crop.y0
-    h, w = chain.pixels.shape
-    bx0, by0 = max(0, x0 - 2), max(0, y0 - 2)
-    window = erel.gradient_magnitude_maxima(
-        chain.pixels[by0 : min(h, y0 + ch + 2), bx0 : min(w, x0 + cw + 2)]
-    )
-    maxima = window[y0 - by0 : y0 - by0 + ch, x0 - bx0 : x0 - bx0 + cw]
-    lengths, hits = crop_boundary_counts(crop.join, band, maxima)
+    lengths = crop_boundary_counts(crop.join, band)
     attrs = chain_attributes(chain, crop)
     regions = []
-    for pos in erel.select_extremum_levels(lengths, hits):
-        k = int(band[pos])
+    for pos, k in enumerate(band.tolist()):
         regions.append(Region(
             level=int(chain.levels[k]),
             area=int(chain.areas[k]),

@@ -912,11 +912,21 @@ def test_cli_config_file_that_is_not_text_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["zmin=-2\n", "jobs=abc\n", "jobs\n", "seed=1\n"])
-def test_cli_bad_config_file_exits_3(tmp_path, text):
+# a bad config file's line, and the message that names what is wrong with it
+BAD_CONFIG_LINES = {
+    "zmin=-2\n": "unknown config key 'zmin'",
+    "jobs=abc\n": "bad config value jobs='abc'",
+    "jobs\n": "bad config line 'jobs'",
+    "seed=1\n": "bad config value seed='1': expected x,y",
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIG_LINES)
+def test_cli_bad_config_file_exits_3(tmp_path, capsys, text):
     config = tmp_path / "bad.conf"
     config.write_text(text)
     assert main(["segment", "x", "--config", str(config), "--outdir", str(tmp_path / "o")]) == 3
+    assert BAD_CONFIG_LINES[text] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["no_ringdown=ture\n", "trace=maybe\n", "trace=\n"])
@@ -1011,8 +1021,10 @@ def test_seed_past_the_frame_fails_each_frame(small_demo, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [f"f{i}_error.json" for i in (1, 3, 5)]
 
 
-def test_cli_bad_flag_values():
+def test_cli_bad_flag_values(capsys):
     with pytest.raises(SystemExit) as usage:
         main(["segment", "x", "--jobs", "abc"])
     assert usage.value.code == 2
+    capsys.readouterr()
     assert main(["segment", "x", "--seed", "3"]) == 3
+    assert "bad --seed value '3'; expected x,y" in capsys.readouterr().err

@@ -34,6 +34,7 @@ from oracles import (
     chain_crop,
     chain_mask,
     crop_boundary_counts,
+    gradient_hits,
     rasterize_disk,
     reference_regions,
     thinned_band,
@@ -136,15 +137,13 @@ def test_rows_index_like_a_sequence(demo_series):
 
 def _counted_candidates(run):
     """Run extraction via run() and return the series it gave, the chain it
-    read, the thinned candidates' chain indices (band), and (lengths, hits,
-    maxima) as _boundary_counts answered and saw them, for every thinned
-    candidate, not only the retained regions."""
+    read, the thinned candidates' chain indices (band), and the boundary
+    lengths _boundary_counts answered for them."""
     seen = {}
     count, extract = erel._boundary_counts, erel.extract_qplus
 
-    def capture_counts(band_map, m, maxima):
-        seen["maxima"] = maxima
-        seen["counts"] = count(band_map, m, maxima)
+    def capture_counts(band_map, m):
+        seen["counts"] = count(band_map, m)
         return seen["counts"]
 
     def capture_extract(tree, params):
@@ -156,28 +155,22 @@ def _counted_candidates(run):
         mp.setattr(erel, "extract_qplus", capture_extract)
         series = run()
     chain = seen["chain"]
-    lengths, hits, _ = seen["counts"]
-    return series, chain, thinned_band(chain, seen["params"]), lengths, hits, seen["maxima"]
+    return series, chain, thinned_band(chain, seen["params"]), seen["counts"][0]
 
 
-def _oracle_counts(chain, band, k, maxima):
-    """(border-exposed pixel count, gradient maxima among them) of chain node
-    k, with maxima given over the crop of the band's last node."""
-    crop = chain_crop(chain, int(band[-1]))
-    exposed = border_exposed_pixels(chain_mask(chain, k))
-    return len(exposed), int(maxima[exposed[:, 1] - crop.y0, exposed[:, 0] - crop.x0].sum())
+def _oracle_length(chain, k):
+    """The number of chain node k's border-exposed pixels."""
+    return len(border_exposed_pixels(chain_mask(chain, k)))
 
 
 @pytest.mark.parametrize("seed,shadow", [(0, False), (1, False), (2, True), (3, True)])
 def test_boundary_counts_match_the_oracle_on_acceptance_phantoms(seed, shadow):
     frame, _ = generate_phantom(acceptance_phantom_spec(seed, shadow=shadow))
-    _, chain, band, lengths, hits, maxima = _counted_candidates(
-        lambda: _extract(frame, RunConfig(), None)[2]
-    )
+    _, chain, band, lengths = _counted_candidates(lambda: _extract(frame, RunConfig(), None)[2])
     assert len(band) >= 40
-    assert len(lengths) == len(hits) == len(band)
-    for k, length, hit in zip(band, lengths, hits):
-        assert (length, hit) == _oracle_counts(chain, band, k, maxima)
+    assert len(lengths) == len(band)
+    for k, length in zip(band, lengths):
+        assert length == _oracle_length(chain, k)
 
 
 def _frame_with(shape, fill, dark, value=0):
@@ -212,7 +205,7 @@ OFFSET = _frame_with((6, 9), 100, [(y, x) for y in (1, 2) for x in (3, 4, 5)])
 @example(HOLE, (1, 1), 0)
 @example(POCKET, (1, 1), 0)
 @example(CORNER, (0, 0), 0)
-@example(np.array([[40, 41, 0]], np.uint8), (0, 0), 0)  # maxima need 2 px of margin
+@example(np.array([[40, 41, 0]], np.uint8), (0, 0), 0)  # a box one row high
 def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_draw):
     h, w = pixels.shape
     seed = (seed[0] % w, seed[1] % h)
@@ -222,20 +215,14 @@ def test_boundary_counts_match_the_border_exposed_oracle(pixels, seed, a_max_dra
     a_max = n - a_max_draw % (n - 1)  # a band [1, a_max] within the frame
     params = ErelParams(a_min=1, a_max=a_max)
     try:
-        _, chain, band, lengths, hits, maxima = _counted_candidates(
+        _, chain, band, lengths = _counted_candidates(
             lambda: erel.extract_qplus(build_component_tree(pixels, seed, a_max), params)
         )
     except NoCandidateRegionsError:
         assume(False)  # the seed's first component outgrows the band
-    assert len(lengths) == len(hits) == len(band)
-    # the maxima come from a window 2 px wider than the crop, as wide as the
-    # Sobel and suppression neighbourhoods reach, so they equal the map of
-    # the whole frame
-    crop = chain_crop(chain, int(band[-1]))
-    (ch, cw), x0, y0 = crop.join.shape, crop.x0, crop.y0
-    assert np.array_equal(maxima, gradient_magnitude_maxima(pixels)[y0 : y0 + ch, x0 : x0 + cw])
-    for k, length, hit in zip(band, lengths, hits):
-        assert (length, hit) == _oracle_counts(chain, band, k, maxima)
+    assert len(lengths) == len(band)
+    for k, length in zip(band, lengths):
+        assert length == _oracle_length(chain, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,7 +245,7 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
     hi = lo + hi_draw % (len(areas) - lo)
     a_max = int(areas[hi]) + 1
     params = ErelParams(a_min=int(areas[lo]), a_max=a_max)
-    series, chain, band, lengths, _, _ = _counted_candidates(
+    series, chain, band, lengths = _counted_candidates(
         lambda: erel.extract_qplus(build_component_tree(pixels, seed, a_max), params)
     )
     ref = LazyChainAttributes(chain, int(band[-1]))
@@ -271,17 +258,6 @@ def test_regions_equal_the_lazy_accessor_reference(pixels, seed, lo_draw, hi_dra
                     *ref.central_moments(k))
         assert row == expected
         assert np.array_equal(series.boundary(i), border_exposed_pixels(chain_mask(chain, k)))
-
-
-def _retaining(keep_seed):
-    """A stand-in for select_extremum_levels that retains a random
-    non-empty subset of the candidates, drawn from keep_seed."""
-    def select(lengths, hits):
-        rng = np.random.default_rng(keep_seed)
-        keep = rng.random(len(lengths)) < rng.random()
-        keep[rng.integers(len(lengths))] = True
-        return np.flatnonzero(keep).tolist()
-    return select
 
 
 def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
@@ -322,18 +298,15 @@ def assert_series_equals_the_per_region_reference(series, expected, shape, rng):
     st.integers(0, 1_000_000),
     st.integers(0, 1_000_000),
     st.integers(0, 1_000_000),
-    st.none() | st.integers(0, 2**32 - 1),
 )
-@example(HOLE, (1, 1), 0, 0, 0, None)
-@example(POCKET, (1, 1), 0, 0, 0, None)
-@example(CORNER, (0, 0), 0, 0, 0, None)
-@example(CORNER, (0, 0), 0, 0, 0, 0)
-@example(OFFSET, (3, 1), 0, 48, 0, None)  # the band is the block alone
+@example(HOLE, (1, 1), 0, 0, 0)
+@example(POCKET, (1, 1), 0, 0, 0)
+@example(CORNER, (0, 0), 0, 0, 0)
+@example(OFFSET, (3, 1), 0, 48, 0)  # the band is the block alone
 def test_region_columns_equal_the_per_region_reference(
-    pixels, seed, a_min_draw, a_max_draw, cap_draw, keep_seed
+    pixels, seed, a_min_draw, a_max_draw, cap_draw
 ):
-    # any area band, any stop cap from a_max up, and, unless keep_seed is
-    # None, a random retained subset in place of the extremum criterion's
+    # any area band and any stop cap from a_max up
     h, w = pixels.shape
     seed = (seed[0] % w, seed[1] % h)
     n = pixels.size
@@ -341,43 +314,47 @@ def test_region_columns_equal_the_per_region_reference(
     a_max = n - a_max_draw % (n - 1)  # a band within the frame
     params = ErelParams(a_min=1 + a_min_draw % (a_max - 1), a_max=a_max)
     tree = build_component_tree(pixels, seed, a_max + cap_draw % (n - a_max + 1))
-    with pytest.MonkeyPatch.context() as mp:
-        if keep_seed is not None:
-            mp.setattr(erel, "select_extremum_levels", _retaining(keep_seed))
-        expected = reference_regions(tree, params)
-        if not expected:
-            with pytest.raises(NoCandidateRegionsError):
-                extract_qplus(tree, params)
-            return
-        series = extract_qplus(tree, params)
+    expected = reference_regions(tree, params)
+    if not expected:
+        with pytest.raises(NoCandidateRegionsError):
+            extract_qplus(tree, params)
+        return
+    series = extract_qplus(tree, params)
     assert_series_equals_the_per_region_reference(
         series, expected, pixels.shape, np.random.default_rng(a_min_draw)
     )
 
 
-@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("size", [384, 768])
 @pytest.mark.parametrize("phantom_seed, shadow", ACCEPTANCE_PHANTOMS)
 def test_region_columns_equal_the_per_region_reference_on_acceptance_phantoms(
-    phantom_seed, shadow, size, forced, monkeypatch
+    phantom_seed, shadow, size
 ):
-    # forced: the extremum criterion takes effect, so rows skip candidates
-    # and both row maps are relabelled
-    if forced:
-        monkeypatch.setattr(erel, "MIN_RETAINED_LEVELS", 1)
     spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
     frame, _ = generate_phantom(spec)
     pixels = median_filter(frame).pixels
     params = ErelParams.for_frame(pixels.shape)
     tree = build_component_tree(pixels, frame_center(frame), params.a_max)
     expected = reference_regions(tree, params)
-    if forced:
-        assert len(expected) < len(thinned_band(tree.seed_chain(), params))
-    else:
-        assert len(expected) >= MIN_RETAINED_LEVELS
+    assert len(expected) >= MIN_RETAINED_LEVELS
     assert_series_equals_the_per_region_reference(
         extract_qplus(tree, params), expected, pixels.shape, np.random.default_rng(phantom_seed)
     )
+
+
+@pytest.mark.parametrize("size", [384, 768])
+@pytest.mark.parametrize("phantom_seed, shadow", ACCEPTANCE_PHANTOMS)
+def test_extremum_criterion_keeps_every_row_on_acceptance_phantoms(phantom_seed, shadow, size):
+    # extraction skips EREL's extremum criterion because its fallback to the
+    # whole thinned band fires on every phantom frame: the criterion, fed
+    # the hits of the series' own boundaries, keeps every row here too
+    spec = scaled_phantom_spec(acceptance_phantom_spec(phantom_seed, shadow), size)
+    frame, _ = generate_phantom(spec)
+    pixels = median_filter(frame).pixels
+    series = _extract(frame, RunConfig(), None)[2]
+    hits = gradient_hits(series, pixels)
+    rows = list(range(len(series)))
+    assert select_extremum_levels(series.boundary_length, hits) == rows
 
 
 def test_pinned_boundary_counts():
@@ -388,7 +365,7 @@ def test_pinned_boundary_counts():
     for pixels, seed, counts in ((HOLE, (1, 1), [16, 24]), (POCKET, (1, 1), [17, 24]),
                                  (CORNER, (0, 0), [14, 30])):
         params = ErelParams(a_min=1, a_max=pixels.size)
-        _, _, _, lengths, _, _ = _counted_candidates(
+        _, _, _, lengths = _counted_candidates(
             lambda: erel.extract_qplus(build_component_tree(pixels, seed, pixels.size), params)
         )
         assert lengths.tolist() == counts
@@ -413,8 +390,7 @@ def test_region_attributes_on_square():
     chain = build_component_tree(pixels, (3, 4), pixels.size).seed_chain()
     assert chain.areas[0] == 100
     crop = chain_crop(chain, 0)
-    lengths, hits = crop_boundary_counts(crop.join, np.array([0]), np.ones(crop.join.shape, dtype=bool))
-    assert (lengths.tolist(), hits.tolist()) == ([36], [36])
+    assert crop_boundary_counts(crop.join, np.array([0])).tolist() == [36]
     attrs = chain_attributes(chain, crop)
     assert attrs.mean_intensity[0] == 10.0
     assert attrs.entropy(0) == 0.0
@@ -510,7 +486,7 @@ def test_extract_empty_band_raises():
 
 
 def test_extremum_levels_cluster_at_crisp_edges():
-    # noiseless two-edge phantom: retained levels sit at the two layer jumps
+    # noiseless two-edge phantom: the series' levels sit at the two layer jumps
     spec = PhantomSpec(
         width=256, height=256,
         lumen=Ellipse(128, 128, 45, 40, 0.0),
